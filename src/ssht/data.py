@@ -14,6 +14,9 @@ Augmentation operators are vector stand-ins for the usual image ones:
 weak is small isotropic jitter (a translation analog), strong composes
 random transforms drawn from a pool (jitter, rotation, scaling,
 coordinate dropout), in the spirit of randomized augmentation policies.
+Both work on whole batches: every row draws its own ops and parameters,
+but the draws and transforms run as array operations over the batch,
+not as one call per row.
 """
 
 import math
@@ -259,58 +262,10 @@ def default_policy(spec: DomainShiftSpec) -> AugmentPolicy:
     return policy
 
 
-def weak_augment(x: np.ndarray, policy: AugmentPolicy,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Isotropic Gaussian jitter; optional first-axis mirror when enabled."""
-    x = np.asarray(x, dtype=float)
-    out = x + policy.weak_noise_std * rng.normal(size=x.shape)
-    if policy.mirror and rng.uniform() < 0.5:
-        out = out.copy()
-        out[..., 1] = -out[..., 1]
-    return out
-
-
-def _op_jitter(x, policy, rng):
-    return x + policy.strong_noise_std * rng.normal(size=x.shape)
-
-
-def _op_rotate(x, policy, rng):
-    theta = rng.uniform(-policy.rotate_max, policy.rotate_max)
-    out = x.copy()
-    c, s = math.cos(theta), math.sin(theta)
-    out[0] = c * x[0] - s * x[1]
-    out[1] = s * x[0] + c * x[1]
-    return out
-
-
-def _op_scale(x, policy, rng):
-    return x * rng.uniform(policy.scale_range[0], policy.scale_range[1])
-
-
-def _op_dropout(x, policy, rng):
-    out = x.copy()
-    out[rng.integers(0, x.shape[0])] = 0.0
-    return out
-
-
-_STRONG_FNS = {"jitter": _op_jitter, "rotate": _op_rotate,
-               "scale": _op_scale, "coordinate_dropout": _op_dropout}
-
-
-def strong_augment(x: np.ndarray, policy: AugmentPolicy,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Compose strong_num_ops transforms drawn uniformly (with
-    replacement) from the pool, applied in the sampled order."""
-    out = np.asarray(x, dtype=float).copy()
-    pool = sorted(policy.strong_pool)
-    picks = rng.integers(0, len(pool), size=policy.strong_num_ops)
-    for k in picks:
-        out = _STRONG_FNS[pool[k]](out, policy, rng)
-    return out
-
-
 def weak_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
                        rng: np.random.Generator) -> np.ndarray:
+    """Isotropic Gaussian jitter per row; when enabled, each row's second
+    coordinate is mirrored with probability 1/2."""
     out = xs + policy.weak_noise_std * rng.normal(size=xs.shape)
     if policy.mirror:
         flip = rng.uniform(size=xs.shape[0]) < 0.5
@@ -320,7 +275,39 @@ def weak_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
 
 def strong_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
                          rng: np.random.Generator) -> np.ndarray:
-    return np.stack([strong_augment(x, policy, rng) for x in xs])
+    """Compose strong_num_ops transforms per row, each drawn uniformly
+    (with replacement) from the pool and applied in the sampled order.
+
+    One draw picks every row's ops. Then, for each op position and each
+    pool op in sorted order, the rows that picked it are transformed
+    together with one vectorized draw of their parameters. The input is
+    not modified.
+    """
+    out = np.array(xs, dtype=float)
+    n, d = out.shape
+    pool = sorted(policy.strong_pool)
+    picks = rng.integers(0, len(pool), size=(n, policy.strong_num_ops))
+    for position in range(policy.strong_num_ops):
+        for k, op in enumerate(pool):
+            rows = np.flatnonzero(picks[:, position] == k)
+            m = rows.size
+            if m == 0:
+                continue
+            if op == "jitter":
+                out[rows] += policy.strong_noise_std * rng.normal(size=(m, d))
+            elif op == "rotate":
+                theta = rng.uniform(-policy.rotate_max, policy.rotate_max,
+                                    size=m)
+                c, s = np.cos(theta), np.sin(theta)
+                x0, x1 = out[rows, 0], out[rows, 1]
+                out[rows, 0] = c * x0 - s * x1
+                out[rows, 1] = s * x0 + c * x1
+            elif op == "scale":
+                lo, hi = policy.scale_range
+                out[rows] *= rng.uniform(lo, hi, size=m)[:, None]
+            else:  # coordinate_dropout
+                out[rows, rng.integers(0, d, size=m)] = 0.0
+    return out
 
 
 def sample_batches(view, labeled_batch: int, unlabeled_batch: int,

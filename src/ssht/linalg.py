@@ -5,9 +5,13 @@ diversity objective maximizes over batch prediction matrices, so the
 decomposition is implemented here rather than delegated: a one-sided
 Jacobi SVD, which is simple and highly accurate for the small, skinny
 matrices this package produces (batch x classes, both <= 128).
+
+The decomposition dominates the cost of the diversity objective, which
+needs both the norm and its subgradient of each prediction matrix:
+`nuclear_norm_and_subgradient` returns the pair from a single `svd`.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -137,20 +141,30 @@ def nuclear_norm(a) -> float:
     return float(np.sum(svd(a).sigma))
 
 
-def nuclear_norm_subgradient(a, rank_tol: float = 1e-8) -> np.ndarray:
-    """Subgradient of the nuclear norm at `a`: U_r V_r^T.
+def nuclear_norm_and_subgradient(a, rank_tol: float = 1e-8
+                                 ) -> Tuple[float, np.ndarray]:
+    """Nuclear norm of `a` and a subgradient U_r V_r^T there, from one SVD.
 
-    Keeps singular triples with sigma > rank_tol * sigma_max (thin
-    truncation, the stable choice at rank-deficient points). The zero
-    matrix maps to the zero matrix, which is a valid subgradient.
+    The norm is the sum of all singular values, as in `nuclear_norm`.
+    The subgradient keeps singular triples with sigma > rank_tol *
+    sigma_max (thin truncation, the stable choice at rank-deficient
+    points). The zero matrix maps to the zero matrix, which is a valid
+    subgradient.
     """
     if rank_tol <= 0.0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     r = svd(a)
+    norm = float(np.sum(r.sigma))
     keep = r.sigma > rank_tol * r.sigma[0]
     if not np.any(keep):
-        return np.zeros((r.u.shape[0], r.v.shape[0]))
-    return r.u[:, keep] @ r.v[:, keep].T
+        return norm, np.zeros((r.u.shape[0], r.v.shape[0]))
+    return norm, r.u[:, keep] @ r.v[:, keep].T
+
+
+def nuclear_norm_subgradient(a, rank_tol: float = 1e-8) -> np.ndarray:
+    """Subgradient of the nuclear norm at `a`: U_r V_r^T, truncated as in
+    `nuclear_norm_and_subgradient`."""
+    return nuclear_norm_and_subgradient(a, rank_tol)[1]
 
 
 def frobenius_norm(a) -> float:

@@ -13,7 +13,8 @@ Objectives:
                    over the full batch, no gradient into the weak pass
   diversity        negated mean nuclear norm of both unlabeled
                    prediction matrices (maximizing it spreads batch
-                   predictions over more classes)
+                   predictions over more classes); one SVD per matrix
+                   gives both the norm and its subgradient
   entropy          mean prediction entropy of the weak unlabeled view
   total            classification + lambda_u * consistency_or_entropy
                    + lambda_d * diversity
@@ -24,7 +25,7 @@ from typing import Dict
 
 import numpy as np
 
-from .linalg import nuclear_norm, nuclear_norm_subgradient
+from .linalg import nuclear_norm_and_subgradient
 
 PASS_LABELED_WEAK = "labeled_weak"
 PASS_UNLABELED_WEAK = "unlabeled_weak"
@@ -132,11 +133,11 @@ def diversity_loss(probs_weak: np.ndarray, probs_strong: np.ndarray) -> LossValu
     if pw.shape != ps.shape:
         raise ValueError(f"shape mismatch: weak {pw.shape}, strong {ps.shape}")
     b = pw.shape[0]
-    value = -(nuclear_norm(pw) + nuclear_norm(ps)) / b
-    grads = {}
-    for key, p in ((PASS_UNLABELED_WEAK, pw), (PASS_UNLABELED_STRONG, ps)):
-        gp = -nuclear_norm_subgradient(p) / b
-        grads[key] = softmax_backward(p, gp)
+    norm_w, sub_w = nuclear_norm_and_subgradient(pw)
+    norm_s, sub_s = nuclear_norm_and_subgradient(ps)
+    value = -(norm_w + norm_s) / b
+    grads = {PASS_UNLABELED_WEAK: softmax_backward(pw, -sub_w / b),
+             PASS_UNLABELED_STRONG: softmax_backward(ps, -sub_s / b)}
     return LossValue(value=float(value), logit_grads=grads)
 
 

@@ -10,7 +10,8 @@ weight decay (decay is folded into the gradient before the momentum
 update, the classic formulation).
 
 Models serialize to a line-oriented text format, version "ssht-model/1".
-Floats are written with repr() so a round trip is bit exact.
+Floats are written with repr() so a round trip is bit exact; a document
+with a non-finite parameter is rejected on load.
 """
 
 from dataclasses import dataclass, field
@@ -220,19 +221,23 @@ def sgd_step(net: Network, grads: GradientSet, state: SgdState,
         v <- momentum * v + g
         update = momentum * v + g   (nesterov)  or  v
         param <- param - lr * update
-    Parameter indices in `frozen` are skipped entirely.
+    Parameter indices in `frozen` are skipped entirely. Every gradient is
+    checked before any tensor is written, so a rejected step leaves the
+    parameters and velocities untouched.
     """
     if len(grads) != len(net.params):
         raise ValueError("gradient count does not match parameter count")
     skip = set(frozen)
-    for i, (p, g) in enumerate(zip(net.params, grads)):
-        if i in skip:
-            continue
+    live = [i for i in range(len(net.params)) if i not in skip]
+    for i in live:
+        p, g = net.params[i], grads[i]
         if g.shape != p.shape:
             raise ValueError(f"gradient {i} has shape {g.shape}, "
                              f"parameter has {p.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in parameter tensor {i}")
+    for i in live:
+        p, g = net.params[i], grads[i]
         g_eff = g + state.weight_decay * p
         v = state.velocity[i]
         v *= state.momentum
@@ -316,6 +321,8 @@ def deserialize(text: str) -> Network:
         if flat.size != int(np.prod(shape)):
             raise ModelFormatError(f"param {i} has {flat.size} values, "
                                    f"shape {shape} needs {int(np.prod(shape))}")
+        if not np.all(np.isfinite(flat)):
+            raise ModelFormatError(f"param {i} has non-finite values")
         params.append(flat.reshape(shape))
 
     meta = {k[len("meta."):]: v for k, v in kv.items() if k.startswith("meta.")}

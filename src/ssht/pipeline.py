@@ -308,8 +308,8 @@ def adapt(model_text: str, task, config: AdaptConfig,
         test_eval = evaluate(net, view.test_x, view.test_y)
         labeled_acc = evaluate(net, view.labeled_x, view.labeled_y).accuracy
         div = metrics.aggregate_diversity(net, view.test_x, view.test_y,
-                                          batch_size=48, num_batches=50,
-                                          rng=rng_diversity)
+                                          batch_size=min(48, len(view.test_y)),
+                                          num_batches=50, rng=rng_diversity)
         m = sums / steps
         report.records.append(EpochRecord(
             epoch=epoch, l_c=float(m[0]), l_u=float(m[1]), l_d=float(m[2]),
@@ -369,7 +369,7 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
                 adapted = network.deserialize(adapted_text)
                 div = metrics.aggregate_diversity(
                     adapted, task.unlabeled_x, task.unlabeled_labels(),
-                    batch_size=48, num_batches=50,
+                    batch_size=min(48, task.num_unlabeled), num_batches=50,
                     rng=np.random.default_rng(10_000 + seed))
                 minority = report.per_class_accuracy[-1]
                 rows.append(SuiteRow(method=method, seed=seed,

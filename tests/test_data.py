@@ -152,16 +152,16 @@ def test_class_separation_values():
 
 def test_weak_augment_identity_when_silent():
     policy = data.AugmentPolicy(weak_noise_std=0.0, strong_noise_std=0.0)
-    x = np.array([1.0, -2.0])
-    out = data.weak_augment(x, policy, np.random.default_rng(0))
+    x = np.array([[1.0, -2.0]])
+    out = data.weak_augment_batch(x, policy, np.random.default_rng(0))
     np.testing.assert_array_equal(out, x)
 
 
 def test_weak_augment_deterministic():
     policy = data.default_policy(default_spec())
-    x = np.array([0.5, 0.5])
-    a = data.weak_augment(x, policy, np.random.default_rng(3))
-    b = data.weak_augment(x, policy, np.random.default_rng(3))
+    x = np.array([[0.5, 0.5]])
+    a = data.weak_augment_batch(x, policy, np.random.default_rng(3))
+    b = data.weak_augment_batch(x, policy, np.random.default_rng(3))
     np.testing.assert_array_equal(a, b)
 
 
@@ -169,7 +169,7 @@ def test_weak_augment_unbiased():
     policy = data.default_policy(default_spec())
     x = np.array([1.0, 2.0])
     rng = np.random.default_rng(4)
-    draws = np.array([data.weak_augment(x, policy, rng) for _ in range(10_000)])
+    draws = data.weak_augment_batch(np.tile(x, (10_000, 1)), policy, rng)
     se = policy.weak_noise_std / math.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0) - x) <= 3 * se)
 
@@ -192,20 +192,23 @@ def test_weak_augment_label_preserving():
     assert np.mean(kept) >= 0.99
 
 
+def single_op_policy(op, **kw):
+    kw.setdefault("weak_noise_std", 0.0)
+    kw.setdefault("strong_noise_std", 0.0)
+    return data.AugmentPolicy(strong_pool=(op,), **kw)
+
+
 def test_strong_augment_forced_scale():
-    policy = data.AugmentPolicy(weak_noise_std=0.0, strong_noise_std=0.0,
-                                strong_num_ops=1, strong_pool=("scale",),
-                                scale_range=(2.0, 2.0))
-    out = data.strong_augment(np.array([1.0, 1.0]), policy,
-                              np.random.default_rng(0))
-    np.testing.assert_allclose(out, [2.0, 2.0])
+    policy = single_op_policy("scale", strong_num_ops=1, scale_range=(2.0, 2.0))
+    out = data.strong_augment_batch(np.array([[1.0, 1.0]]), policy,
+                                    np.random.default_rng(0))
+    np.testing.assert_allclose(out, [[2.0, 2.0]])
 
 
 def test_strong_augment_jitter_only_silent():
-    policy = data.AugmentPolicy(weak_noise_std=0.0, strong_noise_std=0.0,
-                                strong_num_ops=3, strong_pool=("jitter",))
-    x = np.array([0.3, -0.7])
-    out = data.strong_augment(x, policy, np.random.default_rng(1))
+    policy = single_op_policy("jitter", strong_num_ops=3)
+    x = np.array([[0.3, -0.7]])
+    out = data.strong_augment_batch(x, policy, np.random.default_rng(1))
     np.testing.assert_array_equal(out, x)
 
 
@@ -213,12 +216,69 @@ def test_strong_perturbs_more_than_weak():
     spec = default_spec()
     policy = data.default_policy(spec)
     rng = np.random.default_rng(15)
-    x = np.array([3.0, 0.0])
-    weak_d = np.mean([np.linalg.norm(data.weak_augment(x, policy, rng) - x)
-                      for _ in range(10_000)])
-    strong_d = np.mean([np.linalg.norm(data.strong_augment(x, policy, rng) - x)
-                        for _ in range(10_000)])
+    xs = np.tile([3.0, 0.0], (10_000, 1))
+    weak_d = np.mean(np.linalg.norm(
+        data.weak_augment_batch(xs, policy, rng) - xs, axis=1))
+    strong_d = np.mean(np.linalg.norm(
+        data.strong_augment_batch(xs, policy, rng) - xs, axis=1))
     assert strong_d > weak_d
+
+
+def test_strong_rotate_keeps_plane_norm_and_other_coordinates():
+    policy = single_op_policy("rotate", strong_num_ops=2)
+    xs = np.random.default_rng(30).normal(size=(200, 4))
+    out = data.strong_augment_batch(xs, policy, np.random.default_rng(31))
+    np.testing.assert_allclose(np.hypot(out[:, 0], out[:, 1]),
+                               np.hypot(xs[:, 0], xs[:, 1]), rtol=1e-12)
+    np.testing.assert_array_equal(out[:, 2:], xs[:, 2:])
+    # two rotations of at most rotate_max each
+    turn = np.abs(np.angle((out[:, 0] + 1j * out[:, 1])
+                           / (xs[:, 0] + 1j * xs[:, 1])))
+    assert np.all(turn <= 2 * policy.rotate_max + 1e-12)
+    assert np.all(turn > 0.0)
+
+
+def test_strong_scale_one_factor_per_row_within_range():
+    policy = single_op_policy("scale", strong_num_ops=1)
+    xs = np.random.default_rng(32).uniform(0.5, 2.0, size=(300, 3))
+    out = data.strong_augment_batch(xs, policy, np.random.default_rng(33))
+    factors = out / xs
+    np.testing.assert_allclose(factors, factors[:, :1].repeat(3, axis=1),
+                               rtol=1e-12)
+    lo, hi = policy.scale_range
+    assert np.all((factors[:, 0] >= lo) & (factors[:, 0] <= hi))
+    assert np.unique(factors[:, 0]).size > 1
+
+
+def test_strong_dropout_zeroes_exactly_one_coordinate_per_row():
+    policy = single_op_policy("coordinate_dropout", strong_num_ops=1)
+    xs = np.random.default_rng(34).uniform(1.0, 2.0, size=(400, 3))
+    out = data.strong_augment_batch(xs, policy, np.random.default_rng(35))
+    zeroed = out == 0.0
+    assert np.all(zeroed.sum(axis=1) == 1)
+    np.testing.assert_array_equal(out[~zeroed], xs[~zeroed])
+    # every coordinate gets dropped somewhere in a batch this size
+    assert np.all(zeroed.any(axis=0))
+
+
+def test_strong_jitter_std_matches_policy():
+    policy = single_op_policy("jitter", strong_noise_std=0.4, strong_num_ops=1)
+    xs = np.tile([1.0, -1.0], (20_000, 1))
+    out = data.strong_augment_batch(xs, policy, np.random.default_rng(36))
+    std = (out - xs).std(axis=0)
+    # the sample std of n normals has standard error ~ sigma / sqrt(2n)
+    assert np.all(np.abs(std - 0.4) <= 3 * 0.4 / math.sqrt(2 * 20_000))
+
+
+def test_strong_augment_batch_deterministic_and_leaves_input():
+    policy = data.default_policy(default_spec())
+    xs = np.random.default_rng(37).normal(size=(64, 2))
+    before = xs.copy()
+    a = data.strong_augment_batch(xs, policy, np.random.default_rng(38))
+    b = data.strong_augment_batch(xs, policy, np.random.default_rng(38))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(xs, before)
+    assert not np.array_equal(a, xs)
 
 
 def test_policy_validation():

@@ -186,6 +186,17 @@ def test_subgradient_shape():
     assert linalg.nuclear_norm_subgradient(a).shape == (7, 4)
 
 
+def test_norm_and_subgradient_match_the_separate_kernels():
+    rng = np.random.default_rng(38)
+    for a in (rng.normal(size=(7, 4)), rng.normal(size=(3, 6)),
+              np.zeros((4, 2)), np.outer([1.0, 2.0, 3.0], [1.0, -1.0])):
+        norm, sub = linalg.nuclear_norm_and_subgradient(a)
+        assert norm == linalg.nuclear_norm(a)
+        assert np.array_equal(sub, linalg.nuclear_norm_subgradient(a))
+    with pytest.raises(ValueError):
+        linalg.nuclear_norm_and_subgradient(np.eye(2), rank_tol=-1.0)
+
+
 def well_conditioned(rng, m, n, values):
     q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))

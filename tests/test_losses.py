@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssht import losses, metrics, network
+from ssht import linalg, losses, metrics, network
 
 
 def rand_probs(rng, b, c):
@@ -164,6 +164,37 @@ def test_diversity_permutation_invariance():
         pytest.approx(base, rel=1e-10)
     assert losses.diversity_loss(pw[:, cols], ps[:, cols]).value == \
         pytest.approx(base, rel=1e-10)
+
+
+def seed_diversity_loss(pw, ps):
+    """The two-decompositions-per-matrix formula, kept as the oracle."""
+    b = pw.shape[0]
+    value = -(linalg.nuclear_norm(pw) + linalg.nuclear_norm(ps)) / b
+    grads = {key: losses.softmax_backward(
+                 p, -linalg.nuclear_norm_subgradient(p) / b)
+             for key, p in ((losses.PASS_UNLABELED_WEAK, pw),
+                            (losses.PASS_UNLABELED_STRONG, ps))}
+    return float(value), grads
+
+
+def test_diversity_bit_identical_to_two_decomposition_oracle():
+    rng = np.random.default_rng(40)
+    collapsed = np.zeros((6, 4))
+    collapsed[:, 2] = 1.0
+    zero_col = rand_probs(rng, 6, 3)
+    zero_col = np.hstack([zero_col[:, :1], np.zeros((6, 1)), zero_col[:, 1:]])
+    cases = [(rand_probs(rng, 8, 4), rand_probs(rng, 8, 4)),
+             (np.eye(4)[[0, 1, 1, 3, 2]], np.eye(4)[[3, 3, 0, 1, 2]]),
+             (collapsed, rand_probs(rng, 6, 4)),
+             (zero_col, zero_col[::-1].copy()),
+             (rand_probs(rng, 40, 4), rand_probs(rng, 40, 4))]
+    for pw, ps in cases:
+        lv = losses.diversity_loss(pw, ps)
+        value, grads = seed_diversity_loss(pw, ps)
+        assert lv.value == value
+        assert lv.logit_grads.keys() == grads.keys()
+        for key in grads:
+            assert np.array_equal(lv.logit_grads[key], grads[key]), key
 
 
 def test_entropy_one_hot_rows():

@@ -214,6 +214,20 @@ def test_sgd_rejects_non_finite():
         network.sgd_step(net, grads, state)
 
 
+def test_sgd_non_finite_last_tensor_leaves_state_untouched():
+    net = network.init_network(small_spec(), seed=13)
+    state = network.init_sgd(net, learning_rate=0.1)
+    network.sgd_step(net, [np.ones_like(p) for p in net.params], state)
+    params = [p.copy() for p in net.params]
+    velocity = [v.copy() for v in state.velocity]
+    grads = [np.ones_like(p) for p in net.params]
+    grads[-1][0] = np.nan
+    with pytest.raises(NumericalError, match=str(len(grads) - 1)):
+        network.sgd_step(net, grads, state)
+    assert all(np.array_equal(p, q) for p, q in zip(net.params, params))
+    assert all(np.array_equal(v, w) for v, w in zip(state.velocity, velocity))
+
+
 def test_serialize_round_trip_bit_exact():
     net = network.init_network(small_spec(), seed=14)
     net.meta["seed"] = "14"
@@ -249,3 +263,28 @@ def test_deserialize_rejects_truncated_data():
         out.append(ln)
     with pytest.raises(network.ModelFormatError):
         network.deserialize("\n".join(out) + "\n")
+
+
+def _with_param_value(text, index, token):
+    lines = []
+    for ln in text.splitlines():
+        if ln.startswith(f"param.{index}.data = "):
+            head, vals = ln.split(" = ", 1)
+            ln = head + " = " + " ".join([token] + vals.split()[1:])
+        lines.append(ln)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_deserialize_rejects_non_finite_params(token):
+    text = network.serialize(network.init_network(small_spec(), seed=17))
+    with pytest.raises(network.ModelFormatError, match="non-finite"):
+        network.deserialize(_with_param_value(text, 2, token))
+
+
+def test_deserialize_accepts_edited_finite_param():
+    text = network.serialize(network.init_network(small_spec(), seed=17))
+    edited = _with_param_value(text, 2, "1e+308")
+    back = network.deserialize(edited)
+    assert back.params[2].ravel()[0] == 1e308
+    assert network.serialize(back) == edited

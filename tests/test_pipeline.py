@@ -253,3 +253,23 @@ def test_suite_records_failed_cells(task, model_text):
 def test_suite_rejects_empty_grid(task, model_text):
     with pytest.raises(ValueError):
         pipeline.run_ablation_suite(task, model_text, short_config(), (), (0,))
+
+
+def test_adapt_and_suite_on_splits_smaller_than_a_diversity_batch():
+    # 20 test samples and 40 unlabeled ones: both below the 48-row
+    # diversity batch, which shrinks to the split (the unlabeled training
+    # batch is a user setting and must fit by itself)
+    spec = data.DomainShiftSpec(num_classes=2, shift_translation=(0.0, 1.0))
+    small = data.generate_task(spec, n_source=200, shots=1, n_unlabeled=40,
+                               n_test=20, seed=3)
+    model = pipeline.train_source(small, seed=0, epochs=2)
+    rep, _ = pipeline.adapt(model, small,
+                            short_config(epochs=2, unlabeled_batch=20))
+    assert rep.aborted_epoch is None
+    assert len(rep.records) == 2
+    assert all(0.0 < r.diversity_ratio <= 2.0 for r in rep.records)
+    res = pipeline.run_ablation_suite(
+        small, model, short_config(epochs=1, unlabeled_batch=20),
+        ("cdl", "s_plus_t"), (0,))
+    assert all(r.error is None for r in res.rows)
+    assert all(np.isfinite(r.diversity_ratio) for r in res.rows)
