@@ -60,6 +60,12 @@ class DomainShiftSpec:
                              f"got {self.class_geometry!r}")
         if len(self.shift_translation) != self.input_dim:
             raise ValueError("shift_translation length must equal input_dim")
+        reals = (self.shift_rotation, self.shift_scale,
+                 self.source_imbalance_ratio, self.noise_std,
+                 *self.shift_translation)
+        if not all(math.isfinite(v) for v in reals):
+            raise ValueError("shift, imbalance and noise parameters must be "
+                             "finite")
         if self.shift_scale <= 0.0:
             raise ValueError("shift_scale must be positive")
         if self.source_imbalance_ratio < 1.0:
@@ -430,6 +436,8 @@ def deserialize_task(text: str) -> DomainTask:
         if flat.size != count * spec.input_dim:
             raise DataFormatError(f"split {name}: {flat.size} values do not "
                                   f"fill {count} x {spec.input_dim}")
+        if not np.all(np.isfinite(flat)):
+            raise DataFormatError(f"split {name}: non-finite sample values")
         if y.size != count:
             raise DataFormatError(f"split {name}: {y.size} labels for "
                                   f"{count} samples")

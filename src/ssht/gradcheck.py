@@ -75,6 +75,10 @@ def _probs(net, x):
     return network.softmax_rows(network.forward(net, x)[1])
 
 
+def _tape(net, x):
+    return network.forward(net, x, keep=True)
+
+
 def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
     """Raw reverse mode against finite differences of sum(logits * G)."""
     rng = np.random.default_rng(seed)
@@ -83,7 +87,7 @@ def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
         net = _small_net(seed=1000 + t)
         x = rng.normal(size=(6, 3))
         g = rng.normal(size=(6, 3))
-        exact = network.backward(net, x, g)
+        exact = network.backward(net, _tape(net, x), g)
         fd = fd_param_grads(net, lambda: float(
             np.sum(network.forward(net, x)[1] * g)))
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
@@ -97,8 +101,10 @@ def check_classification(trials: int = 6, seed: int = 1) -> SuiteReport:
         net = _small_net(seed=2000 + t)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
-        lv = losses.classification_loss(_probs(net, x), y)
-        exact = network.backward(net, x,
+        tape = _tape(net, x)
+        lv = losses.classification_loss(
+            network.softmax_rows(tape.logits), y)
+        exact = network.backward(net, tape,
                                  lv.logit_grads[losses.PASS_LABELED_WEAK])
         fd = fd_param_grads(net, lambda: losses.classification_loss(
             _probs(net, x), y).value)
@@ -116,8 +122,10 @@ def check_consistency(trials: int = 6, seed: int = 2) -> SuiteReport:
         xw = rng.normal(size=(8, 3))
         xs = rng.normal(size=(8, 3))
         probs_w = _probs(net, xw)
-        lv, _ = losses.consistency_loss(probs_w, _probs(net, xs), tau=0.4)
-        exact = network.backward(net, xs,
+        tape = _tape(net, xs)
+        lv, _ = losses.consistency_loss(
+            probs_w, network.softmax_rows(tape.logits), tau=0.4)
+        exact = network.backward(net, tape,
                                  lv.logit_grads[losses.PASS_UNLABELED_STRONG])
         fd = fd_param_grads(net, lambda: losses.consistency_loss(
             probs_w, _probs(net, xs), tau=0.4)[0].value)
@@ -131,8 +139,9 @@ def check_entropy(trials: int = 6, seed: int = 3) -> SuiteReport:
     for t in range(trials):
         net = _small_net(seed=4000 + t)
         x = rng.normal(size=(6, 3))
-        lv = losses.entropy_loss(_probs(net, x))
-        exact = network.backward(net, x,
+        tape = _tape(net, x)
+        lv = losses.entropy_loss(network.softmax_rows(tape.logits))
+        exact = network.backward(net, tape,
                                  lv.logit_grads[losses.PASS_UNLABELED_WEAK])
         fd = fd_param_grads(net, lambda: losses.entropy_loss(
             _probs(net, x)).value)
@@ -150,15 +159,16 @@ def check_diversity(trials: int = 6, seed: int = 4) -> SuiteReport:
         net = _small_net(seed=5000 + attempts)
         xw = rng.normal(size=(6, 3))
         xs = rng.normal(size=(6, 3))
-        pw, ps = _probs(net, xw), _probs(net, xs)
+        tw, ts = _tape(net, xw), _tape(net, xs)
+        pw, ps = network.softmax_rows(tw.logits), network.softmax_rows(ts.logits)
         if _spectrum_degenerate(pw) or _spectrum_degenerate(ps):
             skipped += 1
             continue
         lv = losses.diversity_loss(pw, ps)
-        exact = network.backward(net, xw,
+        exact = network.backward(net, tw,
                                  lv.logit_grads[losses.PASS_UNLABELED_WEAK])
         network.add_scaled(exact, network.backward(
-            net, xs, lv.logit_grads[losses.PASS_UNLABELED_STRONG]))
+            net, ts, lv.logit_grads[losses.PASS_UNLABELED_STRONG]))
         fd = fd_param_grads(net, lambda: losses.diversity_loss(
             _probs(net, xw), _probs(net, xs)).value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
@@ -180,7 +190,8 @@ def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
         yl = rng.integers(0, 3, size=4)
         xw = rng.normal(size=(6, 3))
         xs = rng.normal(size=(6, 3))
-        pw, ps = _probs(net, xw), _probs(net, xs)
+        tl, tw, ts = _tape(net, xl), _tape(net, xw), _tape(net, xs)
+        pw, ps = network.softmax_rows(tw.logits), network.softmax_rows(ts.logits)
         if _spectrum_degenerate(pw) or _spectrum_degenerate(ps):
             skipped += 1
             continue
@@ -193,16 +204,16 @@ def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
             l_d = losses.diversity_loss(_probs(net, xw), _probs(net, xs))
             return losses.total_loss(l_c, l_u, l_d, 2.5, 1.0).value
 
-        l_c = losses.classification_loss(_probs(net, xl), yl)
+        l_c = losses.classification_loss(network.softmax_rows(tl.logits), yl)
         l_u, _ = losses.consistency_loss(probs_w_const, ps, tau=0.4)
         l_d = losses.diversity_loss(pw, ps)
         total = losses.total_loss(l_c, l_u, l_d, 2.5, 1.0)
         exact = network.zero_gradients(net)
-        for key, x in ((losses.PASS_LABELED_WEAK, xl),
-                       (losses.PASS_UNLABELED_WEAK, xw),
-                       (losses.PASS_UNLABELED_STRONG, xs)):
+        for key, tape in ((losses.PASS_LABELED_WEAK, tl),
+                          (losses.PASS_UNLABELED_WEAK, tw),
+                          (losses.PASS_UNLABELED_STRONG, ts)):
             network.add_scaled(exact, network.backward(
-                net, x, total.logit_grads[key]))
+                net, tape, total.logit_grads[key]))
         fd = fd_param_grads(net, value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
         checked += 1

@@ -9,14 +9,20 @@ matrices this package produces (batch x classes, both <= 128).
 The decomposition dominates the cost of the diversity objective, which
 needs both the norm and its subgradient of each prediction matrix:
 `nuclear_norm_and_subgradient` returns the pair from a single `svd`.
+At these sizes a Jacobi sweep costs Python calls per column pair, not
+arithmetic, so `svd` keeps the working columns and the accumulated
+rotation side by side as rows of one array: each pair visit is one 2x2
+Gram product and one 2x2 rotation of two rows.
 """
 
+import math
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
+EPS = float(np.finfo(np.float64).eps)
 
 
 class NumericalError(RuntimeError):
@@ -48,45 +54,53 @@ def svd(a) -> SvdResult:
     |a_p . a_q| <= JACOBI_REL_TOL * ||a_p|| * ||a_q||, then reads singular
     values off the column norms. Raises NumericalError if the sweep cap is
     exceeded. Deterministic for a given input.
+
+    The input is first scaled by a power of two (exact) so its largest
+    entry lies in [1, 2): squared norms then neither overflow nor
+    reach the subnormal range. A column whose squared norm falls to
+    (m * eps * ||A||_F)^2 or below, m the longer side, is numerically
+    zero: it takes no further rotations, which would only stall in
+    rounding noise, and leaves with singular value 0 and a completed
+    basis vector, so the orthonormality contract holds at any rank.
+
+    Column j of the working matrix W and column j of the accumulated
+    rotation V are held together as row j of one array, so a single 2x2
+    rotation of two rows updates both; the three dot products a visit
+    needs come from one 2x2 Gram product of the two W rows.
     """
     m0 = as_matrix(a)
     transposed = m0.shape[0] < m0.shape[1]
-    w = (m0.T if transposed else m0).copy()
-    m, n = w.shape  # m >= n
+    w0 = m0.T if transposed else m0
+    m, n = w0.shape  # m >= n
 
-    v = np.eye(n)
+    scale = math.ldexp(0.5, math.frexp(float(np.max(np.abs(w0))))[1])
+    rows = np.empty((n, m + n))  # row j: [column j of W | column j of V]
+    rows[:, :m] = w0.T / scale
+    rows[:, m:] = np.eye(n)
+    floor = (m * EPS) ** 2 * float(np.sum(rows[:, :m] ** 2))
+    # views of rows p and q, whole and restricted to W, in cyclic order
+    pairs = [(rows[p:q + 1:q - p], rows[p:q + 1:q - p, :m])
+             for p in range(n - 1) for q in range(p + 1, n)]
     converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = w[:, p]
-                cq = w[:, q]
-                gamma = float(cp @ cq)
-                if gamma == 0.0:
-                    continue
-                alpha = float(cp @ cp)
-                beta = float(cq @ cq)
-                if abs(gamma) <= JACOBI_REL_TOL * np.sqrt(alpha * beta):
-                    continue
-                tau = (beta - alpha) / (2.0 * gamma)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                if s == 0.0:  # rotation numerically an identity; avoid stalling
-                    continue
-                rotated = True
-                new_p = c * cp - s * cq
-                new_q = s * cp + c * cq
-                w[:, p] = new_p
-                w[:, q] = new_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for pair, cols in pairs:
+            (alpha, gamma), (_, beta) = (cols @ cols.T).tolist()
+            if gamma == 0.0 or alpha <= floor or beta <= floor:
+                continue
+            if abs(gamma) <= JACOBI_REL_TOL * math.sqrt(alpha * beta):
+                continue
+            tau = (beta - alpha) / (2.0 * gamma)
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = c * t
+            if s == 0.0:  # rotation numerically an identity; avoid stalling
+                continue
+            rotated = True
+            pair[...] = [[c, -s], [s, c]] @ pair
         if not rotated:
             converged = True
             break
@@ -96,7 +110,11 @@ def svd(a) -> SvdResult:
             f"for a {m0.shape[0]}x{m0.shape[1]} matrix"
         )
 
-    sigma = np.sqrt(np.sum(w * w, axis=0))
+    w = rows[:, :m].T
+    v = rows[:, m:].T
+    squares = np.sum(w * w, axis=0)
+    squares[squares <= floor] = 0.0
+    sigma = np.sqrt(squares)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     w = w[:, order]
@@ -109,6 +127,10 @@ def svd(a) -> SvdResult:
         _complete_basis(u, np.flatnonzero(nonzero).tolist(),
                         np.flatnonzero(~nonzero).tolist())
 
+    if not math.isfinite(float(sigma[0]) * scale):
+        raise NumericalError(f"singular values of a {m0.shape[0]}x"
+                             f"{m0.shape[1]} matrix overflow float64")
+    sigma *= scale
     if transposed:
         return SvdResult(u=v, sigma=sigma, v=u)
     return SvdResult(u=u, sigma=sigma, v=v)

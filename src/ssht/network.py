@@ -4,6 +4,8 @@ A network is a feature extractor (a stack of dense layers with a pointwise
 nonlinearity) followed by a linear classifier head. Parameters live in a
 flat list [W1, b1, ..., Wk, bk, Wc, bc] with weights stored input x output,
 so a layer computes x @ W + b. Gradients come back in the same layout.
+A forward pass can keep its activations in a Tape; the backward pass
+consumes that tape instead of running the forward pass again.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
@@ -15,7 +17,7 @@ with a non-finite parameter is rejected on load.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -114,14 +116,24 @@ def _check_batch(net: Network, x_batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(net: Network, x: np.ndarray):
-    """Forward pass keeping pre- and post-activation tensors per layer."""
+class Tape(NamedTuple):
+    """What one forward pass keeps for its backward pass."""
+    acts: List[np.ndarray]  # the input, then every extractor layer's output
+    pre: List[np.ndarray]   # every extractor layer's pre-activation
+    logits: np.ndarray
+
+
+def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
+    """Return (features, logits) for a batch; pure function.
+
+    With keep=True, return the pass's Tape instead, for `backward`.
+    """
+    x = _check_batch(net, x_batch)
     kind = net.spec.activation
-    n_ext = net.num_extractor_layers()
     acts = [x]
     pre = []
     a = x
-    for layer in range(n_ext):
+    for layer in range(net.num_extractor_layers()):
         w, b = net.params[2 * layer], net.params[2 * layer + 1]
         z = a @ w + b
         a = _activate(z, kind)
@@ -129,14 +141,9 @@ def _forward_cached(net: Network, x: np.ndarray):
         acts.append(a)
     wc, bc = net.params[-2], net.params[-1]
     logits = a @ wc + bc
-    return acts, pre, logits
-
-
-def forward(net: Network, x_batch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (features, logits) for a batch; pure function."""
-    x = _check_batch(net, x_batch)
-    acts, _, logits = _forward_cached(net, x)
-    return acts[-1], logits
+    if keep:
+        return Tape(acts=acts, pre=pre, logits=logits)
+    return a, logits
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -147,20 +154,19 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def backward(net: Network, x_batch: np.ndarray,
-             logit_grad: np.ndarray) -> GradientSet:
+def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> GradientSet:
     """Reverse-mode gradients of any loss whose logit gradient is given.
 
-    Recomputes the forward pass on x_batch, then backpropagates
-    logit_grad (shape B x C) to every parameter tensor.
+    Backpropagates logit_grad (shape B x C) through the activations that
+    `forward(net, x, keep=True)` stored in `tape`, to every parameter
+    tensor. The parameters must not have changed since that forward.
     """
-    x = _check_batch(net, x_batch)
     g = np.asarray(logit_grad, dtype=float)
-    if g.shape != (x.shape[0], net.spec.num_classes):
-        raise ValueError(f"logit_grad must be {(x.shape[0], net.spec.num_classes)}, "
+    if g.shape != tape.logits.shape:
+        raise ValueError(f"logit_grad must be {tape.logits.shape}, "
                          f"got {g.shape}")
     kind = net.spec.activation
-    acts, pre, _ = _forward_cached(net, x)
+    acts, pre = tape.acts, tape.pre
     grads: GradientSet = [np.empty(0)] * len(net.params)
 
     features = acts[-1]

@@ -165,13 +165,13 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
         order = rng_batch.permutation(train_x.shape[0])
         for start in range(0, order.size, bs):
             idx = order[start:start + bs]
-            _, logits = network.forward(net, train_x[idx])
-            probs = network.softmax_rows(logits)
+            tape = network.forward(net, train_x[idx], keep=True)
+            probs = network.softmax_rows(tape.logits)
             lv = losses.classification_loss(probs, train_y[idx])
             if not math.isfinite(lv.value):
                 raise NumericalError(f"source training diverged at epoch "
                                      f"{epoch}, step {start // bs}")
-            grads = network.backward(net, train_x[idx],
+            grads = network.backward(net, tape,
                                      lv.logit_grads[losses.PASS_LABELED_WEAK])
             network.sgd_step(net, grads, state)
         val_acc = evaluate(net, val_x, val_y).accuracy
@@ -245,19 +245,21 @@ def adapt(model_text: str, task, config: AdaptConfig,
             xl, yl, xu = next(batches)
             if config.labeled_aug == "weak":
                 xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
-            _, logits_l = network.forward(net, xl)
+            tapes = {losses.PASS_LABELED_WEAK: network.forward(net, xl, keep=True)}
+            logits_l = tapes[losses.PASS_LABELED_WEAK].logits
 
             probs_w = probs_s = None
-            xw = xs_ = None
             if needs_weak:
                 xw = data.weak_augment_batch(xu, policy, rng_weak)
-                _, logits_w = network.forward(net, xw)
-                probs_w = network.softmax_rows(logits_w)
+                tape = tapes[losses.PASS_UNLABELED_WEAK] = network.forward(
+                    net, xw, keep=True)
+                probs_w = network.softmax_rows(tape.logits)
                 report.unlabeled_weak_passes += 1
             if needs_strong:
                 xs_ = data.strong_augment_batch(xu, policy, rng_strong)
-                _, logits_s = network.forward(net, xs_)
-                probs_s = network.softmax_rows(logits_s)
+                tape = tapes[losses.PASS_UNLABELED_STRONG] = network.forward(
+                    net, xs_, keep=True)
+                probs_s = network.softmax_rows(tape.logits)
                 report.unlabeled_strong_passes += 1
 
             finite = bool(np.all(np.isfinite(logits_l)))
@@ -290,11 +292,8 @@ def adapt(model_text: str, task, config: AdaptConfig,
                 break
 
             acc = network.zero_gradients(net)
-            inputs = {losses.PASS_LABELED_WEAK: xl,
-                      losses.PASS_UNLABELED_WEAK: xw,
-                      losses.PASS_UNLABELED_STRONG: xs_}
             for key, g in total.logit_grads.items():
-                network.add_scaled(acc, network.backward(net, inputs[key], g))
+                network.add_scaled(acc, network.backward(net, tapes[key], g))
             try:
                 network.sgd_step(net, acc, state, frozen=frozen)
             except NumericalError:

@@ -113,6 +113,8 @@ def test_bad_spec_rejected():
         data.generate_task(default_spec(shift_scale=0.0), seed=0)
     with pytest.raises(ValueError):
         data.generate_task(default_spec(shift_translation=(1.0,)), seed=0)
+    with pytest.raises(ValueError):
+        data.generate_task(default_spec(noise_std=float("inf")), seed=0)
 
 
 def test_access_counters():
@@ -377,6 +379,34 @@ def test_load_rejects_label_out_of_range(tmp_path):
             lines[i] = head + " = " + " ".join(toks)
     with pytest.raises(data.DataFormatError):
         data.deserialize_task("\n".join(lines) + "\n")
+
+
+def _with_split_value(text, key, value):
+    """`text` with the first value of the line starting `key = ` replaced."""
+    lines = text.splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith(key + " = "):
+            head, vals = ln.split(" = ", 1)
+            lines[i] = head + " = " + " ".join([value] + vals.split()[1:])
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no line {key}")
+
+
+@pytest.mark.parametrize("split", ["source", "labeled", "unlabeled", "test"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_samples(split, value):
+    text = data.serialize_task(small_task(seed=24))
+    bad = _with_split_value(text, f"split.{split}.x", value)
+    with pytest.raises(data.DataFormatError, match=f"split {split}"):
+        data.deserialize_task(bad)
+
+
+@pytest.mark.parametrize("key", ["spec.shift_rotation", "spec.shift_scale",
+                                 "spec.noise_std", "spec.shift_translation"])
+def test_load_rejects_non_finite_spec(key):
+    text = data.serialize_task(small_task(seed=25))
+    with pytest.raises(data.DataFormatError, match="finite"):
+        data.deserialize_task(_with_split_value(text, key, "nan"))
 
 
 def test_load_rejects_count_mismatch(tmp_path):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssht import linalg
 
@@ -72,6 +74,111 @@ def test_svd_matches_reference_singular_values():
         mine = linalg.svd(a).sigma
         ref = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(mine, ref, rtol=1e-10, atol=1e-10 * ref[0])
+
+
+def check_sigma_matches_lapack(a, sigma):
+    ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(sigma, ref, rtol=1e-10,
+                               atol=1e-10 * (1.0 + ref[0]))
+
+
+SIDES = st.integers(1, 12)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def dense_matrices(draw):
+    m, n = draw(SIDES), draw(SIDES)
+    return draw(hnp.arrays(np.float64, (m, n), elements=st.floats(
+        -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+
+
+@st.composite
+def rank_deficient_products(draw):
+    m, n = draw(SIDES), draw(SIDES)
+    r = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(SEEDS))
+    return rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+
+
+@st.composite
+def duplicated_columns(draw):
+    m, k = draw(SIDES), draw(SIDES)
+    base = np.random.default_rng(draw(SEEDS)).normal(size=(m, k))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    return base[:, picks]
+
+
+@st.composite
+def zero_columns(draw):
+    m, n = draw(SIDES), draw(SIDES)
+    a = np.random.default_rng(draw(SEEDS)).normal(size=(m, n))
+    zeroed = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    a[:, zeroed] = 0.0
+    return a
+
+
+MATRICES = st.one_of(dense_matrices(), rank_deficient_products(),
+                     duplicated_columns(), zero_columns())
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+def test_svd_contract_property(a):
+    r = check_svd_contract(a)
+    check_sigma_matches_lapack(a, r.sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SIDES, SIDES, SEEDS, st.integers(-900, 900))
+def test_svd_power_of_two_scaling_is_exact(m, n, seed, k):
+    a = np.random.default_rng(seed).normal(size=(m, n))
+    r, rs = linalg.svd(a), linalg.svd(a * 2.0 ** k)
+    assert np.array_equal(rs.sigma, r.sigma * 2.0 ** k)
+    assert np.array_equal(rs.u, r.u) and np.array_equal(rs.v, r.v)
+
+
+def test_svd_near_rank_deficient_small_integers():
+    # rank 2 with two equal columns: rotations drive a null column deep
+    # into rounding noise, which must neither stall the sweeps nor leave
+    # a noise vector in U
+    for a in (np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+              np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                        [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])):
+        for b in (a, a.T):
+            r = check_svd_contract(b)
+            check_sigma_matches_lapack(b, r.sigma)
+
+
+def test_svd_rejects_overflowing_singular_values():
+    with pytest.raises(linalg.NumericalError, match="overflow"):
+        linalg.svd(np.full((3, 3), 1e308))
+
+
+def softmax_batches(rng):
+    """48x4 prediction matrices as a cdl step sees them."""
+    for temperature in (0.3, 1.0, 3.0, 10.0):
+        z = rng.normal(size=(48, 4)) * temperature
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        yield p / p.sum(axis=1, keepdims=True)
+    collapsed = np.full((48, 4), 1e-6)
+    collapsed[:, 0] = 1.0 - 3e-6
+    yield collapsed
+    yield np.eye(4)[rng.integers(0, 3, size=48)]  # one class never predicted
+    yield np.eye(4)[np.arange(48) % 4]            # equal counts, repeated sigma
+
+
+def test_softmax_batches_match_lapack():
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        for p in softmax_batches(rng):
+            r = check_svd_contract(p)
+            check_sigma_matches_lapack(p, r.sigma)
+            norm, sub = linalg.nuclear_norm_and_subgradient(p)
+            u, sig, vt = np.linalg.svd(p, full_matrices=False)
+            keep = sig > 1e-8 * sig[0]
+            assert norm == pytest.approx(np.sum(sig), rel=1e-12)
+            np.testing.assert_allclose(sub, u[:, keep] @ vt[keep], atol=1e-9)
 
 
 def test_svd_deterministic():

@@ -378,3 +378,32 @@ def test_aggregate_diversity_perfect_predictor():
                                          num_batches=20,
                                          rng=np.random.default_rng(11))
     assert ratios == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("batch_size,num_batches", [(48, 50), (1, 7), (60, 3)])
+def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
+    spec = network.NetworkSpec(input_dim=2, hidden_dims=[8], feature_dim=4,
+                               num_classes=5)
+    net = network.init_network(spec, seed=31)
+    rng = np.random.default_rng(32)
+    xs = rng.normal(size=(60, 2)) * 4.0
+    ys = rng.integers(0, 5, size=60)
+    got = metrics.aggregate_diversity(net, xs, ys, batch_size=batch_size,
+                                      num_batches=num_batches,
+                                      rng=np.random.default_rng(33))
+    pred = np.argmax(network.forward(net, xs)[1], axis=1)
+    draws = np.random.default_rng(33)
+    total = 0.0
+    for b in range(num_batches):
+        idx = draws.choice(60, size=batch_size, replace=False)
+        total += metrics.diversity_ratio(pred[idx], ys[idx], b).ratio
+    assert got == total / num_batches
+
+
+def test_aggregate_diversity_rejects_no_batches():
+    spec = network.NetworkSpec(input_dim=2, hidden_dims=[3], feature_dim=2,
+                               num_classes=2)
+    net = network.init_network(spec, seed=0)
+    with pytest.raises(ValueError):
+        metrics.aggregate_diversity(net, np.zeros((4, 2)), np.zeros(4, int),
+                                    batch_size=2, num_batches=0)

@@ -191,6 +191,24 @@ def test_cli_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
+    _, task_path, model_path = cli_files
+    lines = open(task_path).read().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("split.test.x = "):
+            head, vals = ln.split(" = ", 1)
+            lines[i] = head + " = " + " ".join(["nan"] + vals.split()[1:])
+    bad_path = tmp_path / "bad_task.txt"
+    bad_path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["adapt", "--model", model_path, "--data", str(bad_path),
+                   "--method", "s_plus_t", "--seed", "0", "--epochs", "1",
+                   "--out-model", str(tmp_path / "m.txt"),
+                   "--report", str(tmp_path / "r.txt")])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_cli_bad_method_is_exit_1(cli_files, tmp_path, capsys):
     _, task_path, model_path = cli_files
     rc = cli.main(["ablate", "--model", model_path, "--data", task_path,

@@ -92,7 +92,8 @@ def test_softmax_hand_value():
 
 def test_backward_zero_grad():
     net = network.init_network(small_spec(), seed=4)
-    grads = network.backward(net, np.ones((2, 3)), np.zeros((2, 4)))
+    tape = network.forward(net, np.ones((2, 3)), keep=True)
+    grads = network.backward(net, tape, np.zeros((2, 4)))
     assert all(np.all(g == 0.0) for g in grads)
 
 
@@ -104,7 +105,7 @@ def test_backward_single_linear_layer_closed_form():
     x = rng.normal(size=(7, 3))
     g = rng.normal(size=(7, 4))
     feats, _ = network.forward(net, x)
-    grads = network.backward(net, x, g)
+    grads = network.backward(net, network.forward(net, x, keep=True), g)
     np.testing.assert_allclose(grads[-2], feats.T @ g, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[-1], g.sum(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -136,7 +137,7 @@ def test_backward_matches_finite_differences(activation):
     net = network.init_network(spec, seed=13)
     x = rng.normal(size=(6, 3))
     g = rng.normal(size=(6, 3))
-    exact = network.backward(net, x, g)
+    exact = network.backward(net, network.forward(net, x, keep=True), g)
     approx = fd_param_grads(net, x, g)
     for a, b in zip(exact, approx):
         rel = np.abs(a - b) / np.maximum.reduce(
@@ -147,7 +148,23 @@ def test_backward_matches_finite_differences(activation):
 def test_backward_rejects_bad_grad_shape():
     net = network.init_network(small_spec(), seed=7)
     with pytest.raises(ValueError):
-        network.backward(net, np.zeros((2, 3)), np.zeros((2, 5)))
+        network.backward(net, network.forward(net, np.zeros((2, 3)), keep=True),
+                         np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_tape_matches_plain_forward(activation):
+    spec = network.NetworkSpec(input_dim=3, hidden_dims=[4, 6], feature_dim=5,
+                               num_classes=3, activation=activation)
+    net = network.init_network(spec, seed=21)
+    x = np.random.default_rng(22).normal(size=(9, 3))
+    feats, logits = network.forward(net, x)
+    tape = network.forward(net, x, keep=True)
+    assert np.array_equal(tape.logits, logits)
+    assert np.array_equal(tape.acts[-1], feats)
+    assert np.array_equal(tape.acts[0], x)
+    assert [a.shape[1] for a in tape.acts] == [3, 4, 6, 5]
+    assert [z.shape[1] for z in tape.pre] == [4, 6, 5]
 
 
 def test_sgd_zero_lr_is_identity():
