@@ -167,8 +167,8 @@ def _cmd_adapt(args) -> int:
           f"over {len(report.records)} epochs")
     if report.aborted_epoch is not None:
         print(f"warning: run aborted at epoch {report.aborted_epoch} "
-              f"on a non-finite loss; report holds the last good epochs",
-              file=sys.stderr)
+              f"on a non-finite loss; model and report hold the last good "
+              f"epoch", file=sys.stderr)
     return 0
 
 

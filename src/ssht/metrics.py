@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
-
 
 @dataclass
 class DiversityRecord:
@@ -45,27 +43,29 @@ def _distinct_per_row(values: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def aggregate_diversity(net, xs: np.ndarray, ys: np.ndarray,
+def aggregate_diversity(pred: np.ndarray, ys: np.ndarray,
                         batch_size: int = 48, num_batches: int = 50,
                         rng: np.random.Generator = None) -> float:
-    """Mean diversity ratio over randomly sampled batches.
+    """Mean diversity ratio of predicted labels over random batches.
 
     Batch b is `rng.choice(n, batch_size, replace=False)`, drawn in batch
     order; the distinct classes of all batches are counted at once.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = xs.shape[0]
+    pred = np.asarray(pred)
+    ys = np.asarray(ys)
+    if pred.shape != ys.shape or pred.ndim != 1:
+        raise ValueError(f"pred and ys must be equal-length label vectors, "
+                         f"got {pred.shape} and {ys.shape}")
+    n = pred.shape[0]
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
     if num_batches < 1:
         raise ValueError(f"num_batches must be positive, got {num_batches}")
-    _, logits = network.forward(net, xs)
-    pred = np.argmax(logits, axis=1)
     idx = np.stack([rng.choice(n, size=batch_size, replace=False)
                     for _ in range(num_batches)])
-    ratios = (_distinct_per_row(pred[idx])
-              / _distinct_per_row(np.asarray(ys)[idx]))
+    ratios = _distinct_per_row(pred[idx]) / _distinct_per_row(ys[idx])
     total = 0.0
     for ratio in ratios.tolist():  # summed in batch order, as one by one
         total += ratio

@@ -16,7 +16,12 @@ The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
 task are counted, so the source-free contract is testable.
 
-Per-epoch prediction-diversity is measured on held-out test batches.
+A step that meets a non-finite loss or gradient aborts the run: the
+parameters roll back to the end of the last completed epoch (the source
+model's if none completed), and that state is returned and evaluated.
+
+Per-epoch prediction-diversity is measured on held-out test batches,
+from the predictions of that epoch's test evaluation.
 The unlabeled split's private labels stay untouched during adaptation;
 suite-level diversity on the unlabeled split is computed afterwards
 through the counting accessor.
@@ -89,6 +94,7 @@ class EvalResult:
     accuracy: float
     per_class_accuracy: np.ndarray
     confusion: np.ndarray
+    predictions: np.ndarray
 
 
 @dataclass
@@ -121,7 +127,8 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
         per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1),
                              0.0)
     return EvalResult(accuracy=float((pred == ys).mean()),
-                      per_class_accuracy=per_class, confusion=confusion)
+                      per_class_accuracy=per_class, confusion=confusion,
+                      predictions=pred)
 
 
 def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = None,
@@ -134,6 +141,10 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     validation accuracy (earliest epoch wins ties). The counted source
     accessor is used exactly once.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if spec is None:
         spec = network.default_spec(input_dim=task.spec.input_dim,
                                     num_classes=task.spec.num_classes)
@@ -239,6 +250,8 @@ def adapt(model_text: str, task, config: AdaptConfig,
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
     aborted = False
+    good_params = [p.copy() for p in net.params]  # as of the last epoch end
+    final: Optional[EvalResult] = None  # test evaluation of good_params
     for epoch in range(1, config.epochs + 1):
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
         for _ in range(steps):
@@ -303,20 +316,23 @@ def adapt(model_text: str, task, config: AdaptConfig,
 
         if aborted:
             report.aborted_epoch = epoch
+            net.params = good_params
             break
-        test_eval = evaluate(net, view.test_x, view.test_y)
+        final = evaluate(net, view.test_x, view.test_y)
         labeled_acc = evaluate(net, view.labeled_x, view.labeled_y).accuracy
-        div = metrics.aggregate_diversity(net, view.test_x, view.test_y,
+        div = metrics.aggregate_diversity(final.predictions, view.test_y,
                                           batch_size=min(48, len(view.test_y)),
                                           num_batches=50, rng=rng_diversity)
         m = sums / steps
         report.records.append(EpochRecord(
             epoch=epoch, l_c=float(m[0]), l_u=float(m[1]), l_d=float(m[2]),
             total=float(m[3]), mask_rate=float(m[4]),
-            labeled_acc=float(labeled_acc), test_acc=test_eval.accuracy,
+            labeled_acc=float(labeled_acc), test_acc=final.accuracy,
             diversity_ratio=float(div)))
+        good_params = [p.copy() for p in net.params]
 
-    final = evaluate(net, view.test_x, view.test_y)
+    if final is None:  # aborted in the first epoch, back at the source model
+        final = evaluate(net, view.test_x, view.test_y)
     report.final_accuracy = final.accuracy
     report.per_class_accuracy = [float(v) for v in final.per_class_accuracy]
     report.confusion = final.confusion.tolist()
@@ -365,9 +381,10 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
             try:
                 report, adapted_text = adapt(model_text, task, cfg,
                                              policy=policy)
-                adapted = network.deserialize(adapted_text)
+                _, logits = network.forward(network.deserialize(adapted_text),
+                                            task.unlabeled_x)
                 div = metrics.aggregate_diversity(
-                    adapted, task.unlabeled_x, task.unlabeled_labels(),
+                    np.argmax(logits, axis=1), task.unlabeled_labels(),
                     batch_size=min(48, task.num_unlabeled), num_batches=50,
                     rng=np.random.default_rng(10_000 + seed))
                 minority = report.per_class_accuracy[-1]

@@ -374,7 +374,8 @@ def test_aggregate_diversity_perfect_predictor():
     net.params[0][0, 0] = -5.0  # first hidden unit reads -x0
     net.params[2][0, :] = 1.0
     net.params[4][:, 1] = 5.0   # class 1 logit rises with -x0
-    ratios = metrics.aggregate_diversity(net, xs, ys, batch_size=10,
+    pred = np.argmax(network.forward(net, xs)[1], axis=1)
+    ratios = metrics.aggregate_diversity(pred, ys, batch_size=10,
                                          num_batches=20,
                                          rng=np.random.default_rng(11))
     assert ratios == pytest.approx(1.0)
@@ -388,10 +389,10 @@ def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
     rng = np.random.default_rng(32)
     xs = rng.normal(size=(60, 2)) * 4.0
     ys = rng.integers(0, 5, size=60)
-    got = metrics.aggregate_diversity(net, xs, ys, batch_size=batch_size,
+    pred = np.argmax(network.forward(net, xs)[1], axis=1)
+    got = metrics.aggregate_diversity(pred, ys, batch_size=batch_size,
                                       num_batches=num_batches,
                                       rng=np.random.default_rng(33))
-    pred = np.argmax(network.forward(net, xs)[1], axis=1)
     draws = np.random.default_rng(33)
     total = 0.0
     for b in range(num_batches):
@@ -401,9 +402,14 @@ def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
 
 
 def test_aggregate_diversity_rejects_no_batches():
-    spec = network.NetworkSpec(input_dim=2, hidden_dims=[3], feature_dim=2,
-                               num_classes=2)
-    net = network.init_network(spec, seed=0)
     with pytest.raises(ValueError):
-        metrics.aggregate_diversity(net, np.zeros((4, 2)), np.zeros(4, int),
+        metrics.aggregate_diversity(np.zeros(4, int), np.zeros(4, int),
                                     batch_size=2, num_batches=0)
+
+
+@pytest.mark.parametrize("pred,ys", [(np.zeros(4, int), np.zeros(5, int)),
+                                     (np.zeros((4, 2), int),
+                                      np.zeros((4, 2), int))])
+def test_aggregate_diversity_rejects_mismatched_labels(pred, ys):
+    with pytest.raises(ValueError, match="label vectors"):
+        metrics.aggregate_diversity(pred, ys, batch_size=2, num_batches=1)

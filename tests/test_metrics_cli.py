@@ -191,6 +191,19 @@ def test_cli_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,name", [("--epochs", "epochs"),
+                                       ("--batch-size", "batch_size")])
+def test_cli_train_source_bad_loop_size_is_exit_1(cli_files, tmp_path, capsys,
+                                                  flag, name):
+    _, task_path, _ = cli_files
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train-source", "--data", task_path, "--seed", "0",
+                   flag, "0", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     _, task_path, model_path = cli_files
     lines = open(task_path).read().splitlines()

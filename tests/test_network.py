@@ -167,6 +167,30 @@ def test_forward_tape_matches_plain_forward(activation):
     assert [z.shape[1] for z in tape.pre] == [4, 6, 5]
 
 
+def _one_shot(net, x):
+    """The forward pass as one product per layer over the whole batch."""
+    a = x
+    for layer in range(net.num_extractor_layers()):
+        z = a @ net.params[2 * layer] + net.params[2 * layer + 1]
+        a = np.tanh(z) if net.spec.activation == "tanh" else np.maximum(z, 0.0)
+    return a, a @ net.params[-2] + net.params[-1]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("rows", [0, 1, 95, 96, 97, 193, 1000])
+def test_blocked_forward_matches_one_shot(activation, rows):
+    # the default network's widths; rows around the block size, a 1-row
+    # tail (97, 193) and an evaluation split (1000)
+    net = network.init_network(network.default_spec(activation=activation),
+                               seed=23)
+    x = np.random.default_rng(rows).normal(size=(rows, 2)) * 3.0
+    feats, logits = network.forward(net, x)
+    want_feats, want_logits = _one_shot(net, x)
+    assert feats.shape == (rows, 16) and logits.shape == (rows, 4)
+    assert np.array_equal(feats, want_feats)
+    assert np.array_equal(logits, want_logits)
+
+
 def test_sgd_zero_lr_is_identity():
     net = network.init_network(small_spec(), seed=8)
     before = [p.copy() for p in net.params]

@@ -1,5 +1,7 @@
 """Workflow tests: source training, adaptation methods, ablation suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ def task():
 @pytest.fixture(scope="module")
 def model_text(task):
     return pipeline.train_source(task, seed=0)
+
+
+def _same_params(text_a, text_b):
+    a, b = network.deserialize(text_a), network.deserialize(text_b)
+    return all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
 
 
 def short_config(**kw):
@@ -50,6 +57,27 @@ def test_evaluate_counts_sum_to_n(task, model_text):
     assert res.accuracy == pytest.approx(diag / task.test_x.shape[0])
 
 
+def _count_forward_rows(monkeypatch):
+    """Record the row count of every call to the module-level forward."""
+    rows = []
+    real = network.forward
+
+    def counting(net, x_batch, keep=False):
+        rows.append(len(x_batch))
+        return real(net, x_batch, keep=keep)
+
+    monkeypatch.setattr(network, "forward", counting)
+    return rows
+
+
+def test_evaluate_runs_one_forward(monkeypatch, task, model_text):
+    net = network.deserialize(model_text)
+    rows = _count_forward_rows(monkeypatch)
+    res = pipeline.evaluate(net, task.test_x, task.test_y)
+    assert rows == [1000]
+    assert res.predictions.shape == (1000,)
+
+
 # ------------------------------------------------------------ train_source
 
 def test_train_source_deterministic(task):
@@ -72,6 +100,15 @@ def test_train_source_reads_source_once():
     assert task.source_reads == 0
     pipeline.train_source(task, seed=0, epochs=2)
     assert task.source_reads == 1
+
+
+@pytest.mark.parametrize("kw,name", [({"epochs": 0}, "epochs"),
+                                     ({"epochs": -2}, "epochs"),
+                                     ({"batch_size": 0}, "batch_size"),
+                                     ({"batch_size": -1}, "batch_size")])
+def test_train_source_rejects_bad_loop_sizes(task, kw, name):
+    with pytest.raises(ValueError, match=name):
+        pipeline.train_source(task, seed=0, **kw)
 
 
 def test_train_source_dimension_mismatch(task):
@@ -211,7 +248,56 @@ def test_adapt_abort_on_divergence(task, model_text):
         rep, text = pipeline.adapt(model_text, task, cfg)
     assert rep.aborted_epoch is not None
     assert len(rep.records) < cfg.epochs
-    network.deserialize(text)
+    # the model and the final evaluation roll back to the last epoch end:
+    # the state a run that stops there returns
+    good = len(rep.records)
+    assert rep.aborted_epoch == good + 1
+    clean, clean_text = pipeline.adapt(model_text, task,
+                                       replace(cfg, epochs=good))
+    assert clean.aborted_epoch is None
+    assert rep.final_accuracy == clean.final_accuracy
+    assert _same_params(text, clean_text)
+    # a step size that diverges in the first epoch leaves the source model
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep, text = pipeline.adapt(model_text, task, replace(cfg, lr=1e20))
+    assert rep.aborted_epoch == 1 and rep.records == []
+    assert _same_params(text, model_text)
+    assert rep.final_accuracy == pipeline.evaluate(
+        network.deserialize(model_text), task.test_x, task.test_y).accuracy
+
+
+def test_adapt_abort_rolls_back_to_last_epoch(monkeypatch, task, model_text):
+    # a step that fails in epoch 2 leaves the model and report of epoch 1
+    one, one_text = pipeline.adapt(model_text, task,
+                                   short_config(method="cdl", epochs=1))
+    steps = data.steps_per_epoch(task.num_unlabeled, 48)
+    calls = []
+    real = network.sgd_step
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == steps + 5:
+            raise NumericalError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "sgd_step", failing)
+    rep, text = pipeline.adapt(model_text, task,
+                               short_config(method="cdl", epochs=3))
+    assert rep.aborted_epoch == 2
+    assert rep.records == one.records
+    assert rep.final_accuracy == one.final_accuracy
+    assert rep.confusion == one.confusion
+    assert _same_params(text, one_text)
+
+
+def test_adapt_evaluates_the_test_split_once_per_epoch(monkeypatch, task,
+                                                       model_text):
+    rows = _count_forward_rows(monkeypatch)
+    pipeline.adapt(model_text, task, short_config(method="cdl", epochs=2))
+    steps = data.steps_per_epoch(task.num_unlabeled, 48)
+    # three passes per step, then one test and one labeled pass per epoch
+    assert len(rows) == 2 * (3 * steps + 2)
+    assert rows.count(len(task.test_y)) == 2
 
 
 def test_adapt_improves_over_source(task, model_text):
