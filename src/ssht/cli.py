@@ -175,6 +175,9 @@ def _cmd_adapt(args) -> int:
 def _cmd_evaluate(args) -> int:
     net = network.deserialize(read_text(args.model))
     task = data.load_task(args.data)
+    if net.spec.num_classes != task.spec.num_classes:
+        raise ValueError(f"model has {net.spec.num_classes} classes, "
+                         f"task has {task.spec.num_classes}")
     if args.split == "test":
         xs, ys = task.test_x, task.test_y
     elif args.split == "labeled":
@@ -195,12 +198,14 @@ def _cmd_ablate(args) -> int:
     model_text = read_text(args.model)
     task = data.load_task(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    for m in methods:
-        if m not in pipeline.METHODS:
-            print(f"unknown method {m!r}; valid: {', '.join(pipeline.METHODS)}",
-                  file=sys.stderr)
-            return 1
+    if not methods or not set(methods) <= set(pipeline.METHODS):
+        raise ValueError(f"--methods must name methods from "
+                         f"{', '.join(pipeline.METHODS)}, got {args.methods!r}")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, "
+                         f"got {args.seeds!r}") from None
     base = _config_from_args(args, methods[0], seeds[0])
     suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
 

@@ -9,6 +9,7 @@ source geometry pushed through rotate / scale / translate.
 The unlabeled labels and the source samples sit behind counting
 accessors so a test can prove the adaptation loop never touched them;
 `adaptation_view` returns an object that lacks those fields outright.
+A task file is an "ssht-data/1" key-value document (see fileio).
 
 Augmentation operators are vector stand-ins for the usual image ones:
 weak is small isotropic jitter (a translation analog), strong composes
@@ -21,11 +22,13 @@ not as one call per row.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import atomic_write_text, read_text
+from .fileio import (FormatError, atomic_write_text, format_document,
+                     format_floats, format_ints, parse_floats, parse_ints,
+                     read_document, read_text)
 
 DATA_FORMAT = "ssht-data/1"
 
@@ -345,40 +348,36 @@ def steps_per_epoch(n_unlabeled: int, unlabeled_batch: int) -> int:
     return -(-n_unlabeled // unlabeled_batch)
 
 
-def _fmt_floats(a: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
-
-
-def _fmt_ints(a: np.ndarray) -> str:
-    return " ".join(str(int(v)) for v in np.asarray(a).ravel())
-
-
-class DataFormatError(ValueError):
+class DataFormatError(FormatError):
     """Raised when a dataset document fails to parse."""
+
+
+# split name -> key of its labels; the unlabeled split's are private
+_LABEL_KEYS = {"source": "y", "labeled": "y", "unlabeled": "private_y",
+               "test": "y"}
 
 
 def serialize_task(task: DomainTask) -> str:
     s = task.spec
-    lines = [DATA_FORMAT,
-             f"meta.seed = {task.seed}",
-             f"spec.num_classes = {s.num_classes}",
-             f"spec.input_dim = {s.input_dim}",
-             f"spec.class_geometry = {s.class_geometry}",
-             f"spec.shift_rotation = {repr(float(s.shift_rotation))}",
-             f"spec.shift_translation = {_fmt_floats(np.asarray(s.shift_translation))}",
-             f"spec.shift_scale = {repr(float(s.shift_scale))}",
-             f"spec.source_imbalance_ratio = {repr(float(s.source_imbalance_ratio))}",
-             f"spec.noise_std = {repr(float(s.noise_std))}"]
+    fields = [("meta.seed", task.seed),
+              ("spec.num_classes", s.num_classes),
+              ("spec.input_dim", s.input_dim),
+              ("spec.class_geometry", s.class_geometry),
+              ("spec.shift_rotation", repr(float(s.shift_rotation))),
+              ("spec.shift_translation", format_floats(s.shift_translation)),
+              ("spec.shift_scale", repr(float(s.shift_scale))),
+              ("spec.source_imbalance_ratio",
+               repr(float(s.source_imbalance_ratio))),
+              ("spec.noise_std", repr(float(s.noise_std)))]
     splits = [("source", task.source_x, task.source_y),
               ("labeled", task.labeled_x, task.labeled_y),
               ("unlabeled", task.unlabeled_x, task._unlabeled_y),
               ("test", task.test_x, task.test_y)]
     for name, x, y in splits:
-        lines.append(f"split.{name}.count = {x.shape[0]}")
-        lines.append(f"split.{name}.x = {_fmt_floats(x)}")
-        ykey = "private_y" if name == "unlabeled" else "y"
-        lines.append(f"split.{name}.{ykey} = {_fmt_ints(y)}")
-    return "\n".join(lines) + "\n"
+        fields += [(f"split.{name}.count", x.shape[0]),
+                   (f"split.{name}.x", format_floats(x)),
+                   (f"split.{name}.{_LABEL_KEYS[name]}", format_ints(y))]
+    return format_document(DATA_FORMAT, fields)
 
 
 def save_task(task: DomainTask, path: str) -> None:
@@ -386,53 +385,24 @@ def save_task(task: DomainTask, path: str) -> None:
 
 
 def deserialize_task(text: str) -> DomainTask:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != DATA_FORMAT:
-        head = lines[0].strip() if lines else ""
-        raise DataFormatError(f"expected header {DATA_FORMAT!r}, got {head!r}")
-    kv: Dict[str, str] = {}
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        if " = " not in ln:
-            raise DataFormatError(f"malformed line: {ln[:60]!r}")
-        key, val = ln.split(" = ", 1)
-        kv[key.strip()] = val
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise DataFormatError(f"missing field {key}")
-        return kv[key]
-
-    try:
-        spec = DomainShiftSpec(
-            num_classes=int(need("spec.num_classes")),
-            input_dim=int(need("spec.input_dim")),
-            class_geometry=need("spec.class_geometry"),
-            shift_rotation=float(need("spec.shift_rotation")),
-            shift_translation=tuple(float(t) for t in
-                                    need("spec.shift_translation").split()),
-            shift_scale=float(need("spec.shift_scale")),
-            source_imbalance_ratio=float(need("spec.source_imbalance_ratio")),
-            noise_std=float(need("spec.noise_std")))
-        spec.validate()
-        seed = int(need("meta.seed"))
-    except (ValueError, TypeError) as e:
-        if isinstance(e, DataFormatError):
-            raise
-        raise DataFormatError(f"bad spec field: {e}") from e
+    kv = read_document(text, DATA_FORMAT, DataFormatError)
+    spec = kv.checked(DomainShiftSpec(
+        num_classes=kv.parse("spec.num_classes", int),
+        input_dim=kv.parse("spec.input_dim", int),
+        class_geometry=kv["spec.class_geometry"],
+        shift_rotation=kv.parse("spec.shift_rotation", float),
+        shift_translation=tuple(
+            kv.parse("spec.shift_translation", parse_floats).tolist()),
+        shift_scale=kv.parse("spec.shift_scale", float),
+        source_imbalance_ratio=kv.parse("spec.source_imbalance_ratio", float),
+        noise_std=kv.parse("spec.noise_std", float)))
+    seed = kv.parse("meta.seed", int)
 
     arrays = {}
-    for name in ("source", "labeled", "unlabeled", "test"):
-        try:
-            count = int(need(f"split.{name}.count"))
-            flat = np.array([float(t) for t in need(f"split.{name}.x").split()])
-            ykey = "private_y" if name == "unlabeled" else "y"
-            y = np.array([int(t) for t in need(f"split.{name}.{ykey}").split()])
-        except ValueError as e:
-            if isinstance(e, DataFormatError):
-                raise
-            raise DataFormatError(f"bad numeric data in split {name}: {e}") from e
+    for name, ykey in _LABEL_KEYS.items():
+        count = kv.parse(f"split.{name}.count", int)
+        flat = kv.parse(f"split.{name}.x", parse_floats)
+        y = kv.parse(f"split.{name}.{ykey}", parse_ints)
         if flat.size != count * spec.input_dim:
             raise DataFormatError(f"split {name}: {flat.size} values do not "
                                   f"fill {count} x {spec.input_dim}")

@@ -1,7 +1,18 @@
-"""Whole-file atomic text IO shared by every artifact writer."""
+"""Whole-file atomic text IO and the key-value document format.
+
+Every artifact (task, model, report) is a document: a version header
+line, then one `key = value` line per field; blank lines are skipped.
+A key appears at most once. Float lists are written with repr(), so a
+write -> read -> write round trip is byte identical; int lists with
+str(). Each artifact module passes its own FormatError subclass, so a
+bad document raises that format's error and nothing else.
+"""
 
 import os
 import tempfile
+from typing import Iterable, Tuple, Type
+
+import numpy as np
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -21,3 +32,75 @@ def atomic_write_text(path: str, text: str) -> None:
 def read_text(path: str) -> str:
     with open(path, "r") as f:
         return f.read()
+
+
+class FormatError(ValueError):
+    """Raised when a key-value document fails to parse."""
+
+
+class Fields(dict):
+    """The fields of one document by key. A missing key, or a value its
+    converter rejects, raises the document's format error."""
+
+    def __init__(self, error: Type[FormatError]) -> None:
+        super().__init__()
+        self.error = error
+
+    def __missing__(self, key: str):
+        raise self.error(f"missing field {key}")
+
+    def parse(self, key: str, convert):
+        """convert(self[key]), a ValueError from it raised as the format's."""
+        value = self[key]
+        try:
+            return convert(value)
+        except ValueError as e:
+            raise self.error(f"bad field {key}: {e}") from e
+
+    def checked(self, obj):
+        """obj after obj.validate(), a ValueError raised as the format's."""
+        try:
+            obj.validate()
+        except ValueError as e:
+            raise self.error(f"bad field value: {e}") from e
+        return obj
+
+
+def read_document(text: str, header: str,
+                  error: Type[FormatError]) -> Fields:
+    """Check the header line and return the fields that follow it."""
+    lines = text.splitlines()
+    head = lines[0].strip() if lines else ""
+    if head != header:
+        raise error(f"expected header {header!r}, got {head!r}")
+    fields = Fields(error)
+    for line in filter(str.strip, lines[1:]):
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise error(f"malformed line: {line[:60]!r}")
+        key = key.strip()
+        if key in fields:
+            raise error(f"repeated field {key}")
+        fields[key] = value
+    return fields
+
+
+def format_document(header: str, fields: Iterable[Tuple[str, object]]) -> str:
+    """The header line, then one `key = value` line per (key, value)."""
+    return "\n".join([header] + [f"{k} = {v}" for k, v in fields]) + "\n"
+
+
+def format_floats(values) -> str:
+    return " ".join(map(repr, np.ravel(values).astype(float).tolist()))
+
+
+def format_ints(values) -> str:
+    return " ".join(str(int(v)) for v in np.ravel(values))
+
+
+def parse_floats(value: str) -> np.ndarray:
+    return np.array([float(t) for t in value.split()])
+
+
+def parse_ints(value: str) -> np.ndarray:
+    return np.array([int(t) for t in value.split()])

@@ -14,9 +14,8 @@ The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
 update, the classic formulation).
 
-Models serialize to a line-oriented text format, version "ssht-model/1".
-Floats are written with repr() so a round trip is bit exact; a document
-with a non-finite parameter is rejected on load.
+Models serialize to an "ssht-model/1" key-value document (see fileio),
+bit exact on a round trip; a non-finite parameter is rejected on load.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +23,8 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
+from .fileio import (FormatError, format_document, format_floats,
+                     parse_floats, read_document)
 from .linalg import NumericalError
 
 MODEL_FORMAT = "ssht-model/1"
@@ -285,78 +286,46 @@ def sgd_step(net: Network, grads: GradientSet, state: SgdState,
         p -= state.learning_rate * update
 
 
-def _format_array(a: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in a.ravel())
-
-
 def serialize(net: Network) -> str:
     """Self-describing text form of a network, version ssht-model/1."""
-    lines = [MODEL_FORMAT]
-    for key in sorted(net.meta):
-        lines.append(f"meta.{key} = {net.meta[key]}")
     s = net.spec
-    lines.append(f"spec.input_dim = {s.input_dim}")
-    lines.append(f"spec.hidden_dims = {','.join(str(h) for h in s.hidden_dims)}")
-    lines.append(f"spec.feature_dim = {s.feature_dim}")
-    lines.append(f"spec.num_classes = {s.num_classes}")
-    lines.append(f"spec.activation = {s.activation}")
+    fields = [(f"meta.{key}", net.meta[key]) for key in sorted(net.meta)]
+    fields += [("spec.input_dim", s.input_dim),
+               ("spec.hidden_dims", ",".join(str(h) for h in s.hidden_dims)),
+               ("spec.feature_dim", s.feature_dim),
+               ("spec.num_classes", s.num_classes),
+               ("spec.activation", s.activation)]
     for i, p in enumerate(net.params):
-        shape = ",".join(str(d) for d in p.shape)
-        lines.append(f"param.{i}.shape = {shape}")
-        lines.append(f"param.{i}.data = {_format_array(p)}")
-    return "\n".join(lines) + "\n"
+        fields.append((f"param.{i}.shape", ",".join(str(d) for d in p.shape)))
+        fields.append((f"param.{i}.data", format_floats(p)))
+    return format_document(MODEL_FORMAT, fields)
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(FormatError):
     """Raised when a model document fails to parse."""
 
 
-def _parse_kv_lines(lines: List[str]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for ln in lines:
-        if not ln.strip():
-            continue
-        if " = " not in ln:
-            raise ModelFormatError(f"malformed line: {ln!r}")
-        key, val = ln.split(" = ", 1)
-        out[key.strip()] = val
-    return out
+def _parse_dims(value: str) -> List[int]:
+    return [int(d) for d in value.split(",")]
 
 
 def deserialize(text: str) -> Network:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MODEL_FORMAT:
-        head = lines[0].strip() if lines else ""
-        raise ModelFormatError(f"expected header {MODEL_FORMAT!r}, got {head!r}")
-    kv = _parse_kv_lines(lines[1:])
-    try:
-        spec = NetworkSpec(
-            input_dim=int(kv["spec.input_dim"]),
-            hidden_dims=[int(h) for h in kv["spec.hidden_dims"].split(",")],
-            feature_dim=int(kv["spec.feature_dim"]),
-            num_classes=int(kv["spec.num_classes"]),
-            activation=kv["spec.activation"],
-        )
-        spec.validate()
-    except KeyError as e:
-        raise ModelFormatError(f"missing field {e.args[0]}") from e
-    except ValueError as e:
-        raise ModelFormatError(f"bad spec field: {e}") from e
+    kv = read_document(text, MODEL_FORMAT, ModelFormatError)
+    spec = kv.checked(NetworkSpec(
+        input_dim=kv.parse("spec.input_dim", int),
+        hidden_dims=kv.parse("spec.hidden_dims", _parse_dims),
+        feature_dim=kv.parse("spec.feature_dim", int),
+        num_classes=kv.parse("spec.num_classes", int),
+        activation=kv["spec.activation"]))
 
-    n_params = 2 * (len(spec.hidden_dims) + 2)
     params: List[np.ndarray] = []
     expected = [d for pair in spec.layer_dims() for d in (pair, (pair[1],))]
-    for i in range(n_params):
-        try:
-            shape = tuple(int(d) for d in kv[f"param.{i}.shape"].split(","))
-            flat = np.array([float(tok) for tok in kv[f"param.{i}.data"].split()])
-        except KeyError as e:
-            raise ModelFormatError(f"missing field {e.args[0]}") from e
-        except ValueError as e:
-            raise ModelFormatError(f"bad numeric data in param {i}: {e}") from e
-        if shape != tuple(expected[i]):
+    for i, want in enumerate(expected):
+        shape = tuple(kv.parse(f"param.{i}.shape", _parse_dims))
+        flat = kv.parse(f"param.{i}.data", parse_floats)
+        if shape != want:
             raise ModelFormatError(f"param {i} shape {shape} does not match "
-                                   f"spec shape {tuple(expected[i])}")
+                                   f"spec shape {want}")
         if flat.size != int(np.prod(shape)):
             raise ModelFormatError(f"param {i} has {flat.size} values, "
                                    f"shape {shape} needs {int(np.prod(shape))}")

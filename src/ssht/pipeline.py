@@ -117,9 +117,12 @@ def model_fingerprint(model_text: str) -> str:
 def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult:
     """Argmax accuracy, per-class recall and confusion counts."""
     ys = np.asarray(ys)
+    c = net.spec.num_classes
+    if ys.size and (ys.min() < 0 or ys.max() >= c):
+        raise ValueError(f"model has {c} classes, labels span "
+                         f"{ys.min()} to {ys.max()}")
     _, logits = network.forward(net, xs)
     pred = np.argmax(logits, axis=1)
-    c = net.spec.num_classes
     confusion = np.zeros((c, c), dtype=int)
     np.add.at(confusion, (ys, pred), 1)
     counts = confusion.sum(axis=1)

@@ -1,9 +1,9 @@
 """Run-report persistence: a key-value document plus a CSV sidecar.
 
-The document (version "ssht-report/1") round-trips every RunReport
-field losslessly; floats are written with repr() so write -> read ->
-write is byte identical. The sidecar at <path>.csv holds the per-epoch
-curves with exactly the columns
+The document, an "ssht-report/1" key-value document (see fileio),
+round-trips every RunReport field losslessly: write -> read -> write is
+byte identical. The sidecar at <path>.csv holds the per-epoch curves
+with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -12,9 +12,11 @@ for external plotting tools.
 
 import csv
 import io
-from typing import Dict, List
+from functools import partial
 
-from .fileio import atomic_write_text, read_text
+from .fileio import (FormatError, atomic_write_text, format_document,
+                     format_floats, format_ints, parse_floats, parse_ints,
+                     read_document, read_text)
 from .pipeline import AdaptConfig, EpochRecord, RunReport
 
 REPORT_FORMAT = "ssht-report/1"
@@ -26,38 +28,46 @@ _EPOCH_FIELDS = ("l_c", "l_u", "l_d", "total", "mask_rate", "labeled_acc",
                  "test_acc", "diversity_ratio")
 
 
-class ReportFormatError(ValueError):
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"bad boolean {value!r}")
+    return value == "true"
+
+
+# AdaptConfig field -> parser of its value, in document order
+_CONFIG_FIELDS = {
+    "method": str, "tau": float, "lambda_u": float, "lambda_d": float,
+    "lr": float, "momentum": float, "nesterov": _parse_bool,
+    "weight_decay": float,
+    "labeled_batch": lambda v: None if v == "None" else int(v),
+    "unlabeled_batch": int, "epochs": int, "seed": int,
+    "freeze_classifier": _parse_bool, "labeled_aug": str}
+
+
+class ReportFormatError(FormatError):
     """Raised when a report document fails to parse."""
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _fmt(v):
+    """A config value as written: booleans in lower case, the rest str()."""
+    return ("true" if v else "false") if isinstance(v, bool) else v
 
 
 def serialize_report(report: RunReport) -> str:
-    cfg = report.config
-    lines = [REPORT_FORMAT]
-    for name in ("method", "tau", "lambda_u", "lambda_d", "lr", "momentum",
-                 "nesterov", "weight_decay", "labeled_batch", "unlabeled_batch",
-                 "epochs", "seed", "freeze_classifier", "labeled_aug"):
-        lines.append(f"config.{name} = {_fmt(getattr(cfg, name))}")
-    lines.append(f"fingerprint = {report.model_fingerprint}")
-    lines.append(f"passes.unlabeled_weak = {report.unlabeled_weak_passes}")
-    lines.append(f"passes.unlabeled_strong = {report.unlabeled_strong_passes}")
-    lines.append(f"aborted_epoch = {_fmt(report.aborted_epoch) if report.aborted_epoch is not None else 'none'}")
-    for rec in report.records:
-        vals = " ".join(repr(float(getattr(rec, f))) for f in _EPOCH_FIELDS)
-        lines.append(f"epoch.{rec.epoch} = {vals}")
-    lines.append(f"final.accuracy = {repr(float(report.final_accuracy))}")
-    lines.append("final.per_class = " +
-                 " ".join(repr(float(v)) for v in report.per_class_accuracy))
-    lines.append("final.confusion = " +
-                 " ".join(str(int(v)) for row in report.confusion for v in row))
-    return "\n".join(lines) + "\n"
+    fields = [(f"config.{name}", _fmt(getattr(report.config, name)))
+              for name in _CONFIG_FIELDS]
+    fields += [("fingerprint", report.model_fingerprint),
+               ("passes.unlabeled_weak", report.unlabeled_weak_passes),
+               ("passes.unlabeled_strong", report.unlabeled_strong_passes),
+               ("aborted_epoch", "none" if report.aborted_epoch is None
+                else report.aborted_epoch)]
+    fields += [(f"epoch.{rec.epoch}",
+                format_floats([getattr(rec, f) for f in _EPOCH_FIELDS]))
+               for rec in report.records]
+    fields += [("final.accuracy", repr(float(report.final_accuracy))),
+               ("final.per_class", format_floats(report.per_class_accuracy)),
+               ("final.confusion", format_ints(report.confusion))]
+    return format_document(REPORT_FORMAT, fields)
 
 
 def report_csv(report: RunReport) -> str:
@@ -76,84 +86,40 @@ def write_report(report: RunReport, path: str) -> None:
     atomic_write_text(path + ".csv", report_csv(report))
 
 
+def _parse_epoch(key: str, value: str) -> EpochRecord:
+    vals = parse_floats(value).tolist()
+    if len(vals) != len(_EPOCH_FIELDS):
+        raise ValueError(f"{len(vals)} values, wants {len(_EPOCH_FIELDS)}")
+    return EpochRecord(epoch=int(key.split(".")[1]),
+                       **dict(zip(_EPOCH_FIELDS, vals)))
+
+
 def deserialize_report(text: str) -> RunReport:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != REPORT_FORMAT:
-        head = lines[0].strip() if lines else ""
-        raise ReportFormatError(f"expected header {REPORT_FORMAT!r}, got {head!r}")
-    kv: Dict[str, str] = {}
-    epoch_lines: List[str] = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        if " = " not in ln:
-            raise ReportFormatError(f"malformed line: {ln[:60]!r}")
-        key, val = ln.split(" = ", 1)
-        kv[key.strip()] = val
-        if key.startswith("epoch."):
-            epoch_lines.append(key.strip())
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ReportFormatError(f"missing field {key}")
-        return kv[key]
-
-    def as_bool(s: str) -> bool:
-        if s not in ("true", "false"):
-            raise ReportFormatError(f"bad boolean {s!r}")
-        return s == "true"
-
-    try:
-        cfg = AdaptConfig(
-            method=need("config.method"),
-            tau=float(need("config.tau")),
-            lambda_u=float(need("config.lambda_u")),
-            lambda_d=float(need("config.lambda_d")),
-            lr=float(need("config.lr")),
-            momentum=float(need("config.momentum")),
-            nesterov=as_bool(need("config.nesterov")),
-            weight_decay=float(need("config.weight_decay")),
-            labeled_batch=(None if need("config.labeled_batch") == "None"
-                           else int(need("config.labeled_batch"))),
-            unlabeled_batch=int(need("config.unlabeled_batch")),
-            epochs=int(need("config.epochs")),
-            seed=int(need("config.seed")),
-            freeze_classifier=as_bool(need("config.freeze_classifier")),
-            labeled_aug=need("config.labeled_aug"))
-        cfg.validate()
-
-        records = []
-        for key in sorted(epoch_lines, key=lambda k: int(k.split(".")[1])):
-            toks = kv[key].split()
-            if len(toks) != len(_EPOCH_FIELDS):
-                raise ReportFormatError(f"epoch line {key} has {len(toks)} "
-                                        f"values, wants {len(_EPOCH_FIELDS)}")
-            vals = dict(zip(_EPOCH_FIELDS, (float(t) for t in toks)))
-            records.append(EpochRecord(epoch=int(key.split(".")[1]), **vals))
-
-        per_class = [float(t) for t in need("final.per_class").split()]
-        flat = [int(t) for t in need("final.confusion").split()]
-        c = len(per_class)
-        if c == 0 or len(flat) != c * c:
-            raise ReportFormatError("confusion matrix does not square with "
-                                    "per-class accuracy length")
-        confusion = [flat[i * c:(i + 1) * c] for i in range(c)]
-        aborted_raw = need("aborted_epoch")
-        report = RunReport(
-            config=cfg,
-            model_fingerprint=need("fingerprint"),
-            records=records,
-            final_accuracy=float(need("final.accuracy")),
-            per_class_accuracy=per_class,
-            confusion=confusion,
-            unlabeled_weak_passes=int(need("passes.unlabeled_weak")),
-            unlabeled_strong_passes=int(need("passes.unlabeled_strong")),
-            aborted_epoch=None if aborted_raw == "none" else int(aborted_raw))
-    except ReportFormatError:
-        raise
-    except ValueError as e:
-        raise ReportFormatError(f"bad field value: {e}") from e
-    return report
+    kv = read_document(text, REPORT_FORMAT, ReportFormatError)
+    cfg = kv.checked(AdaptConfig(**{
+        name: kv.parse(f"config.{name}", parse)
+        for name, parse in _CONFIG_FIELDS.items()}))
+    records = sorted((kv.parse(key, partial(_parse_epoch, key))
+                      for key in kv if key.startswith("epoch.")),
+                     key=lambda rec: rec.epoch)
+    per_class = kv.parse("final.per_class", parse_floats).tolist()
+    flat = kv.parse("final.confusion", parse_ints).tolist()
+    c = len(per_class)
+    if c == 0 or len(flat) != c * c:
+        raise ReportFormatError("confusion matrix does not square with "
+                                "per-class accuracy length")
+    aborted = kv.parse("aborted_epoch",
+                       lambda v: None if v == "none" else int(v))
+    return RunReport(
+        config=cfg,
+        model_fingerprint=kv["fingerprint"],
+        records=records,
+        final_accuracy=kv.parse("final.accuracy", float),
+        per_class_accuracy=per_class,
+        confusion=[flat[i * c:(i + 1) * c] for i in range(c)],
+        unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", int),
+        unlabeled_strong_passes=kv.parse("passes.unlabeled_strong", int),
+        aborted_epoch=aborted)
 
 
 def read_report(path: str) -> RunReport:

@@ -1,6 +1,7 @@
 """Report persistence and command-line round-trip tests."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def test_report_round_trip_idempotent(small_report):
     assert len(loaded.records) == len(small_report.records)
     for a, b in zip(loaded.records, small_report.records):
         assert a == b
+
+
+def test_report_numpy_float_config_round_trips(small_report):
+    cfg = replace(small_report.config, tau=np.float64(0.75))
+    text = reports.serialize_report(replace(small_report, config=cfg))
+    assert "config.tau = 0.75\n" in text
+    assert reports.deserialize_report(text).config.tau == 0.75
 
 
 def test_report_header_checked(small_report):
@@ -229,6 +237,36 @@ def test_cli_bad_method_is_exit_1(cli_files, tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("classes", [3, 5])
+def test_cli_evaluate_class_mismatch_is_exit_1(cli_files, tmp_path, capsys,
+                                               classes):
+    _, task_path, _ = cli_files
+    net = network.init_network(network.default_spec(num_classes=classes),
+                               seed=0)
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(network.serialize(net))
+    rc = cli.main(["evaluate", "--model", str(model_path), "--data",
+                   task_path])
+    assert rc == 1
+    assert f"error: model has {classes} classes, task has 4" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--methods", ","), ("--seeds", ""),
+                                        ("--seeds", "1,")])
+def test_cli_ablate_empty_list_is_exit_1(cli_files, tmp_path, capsys, flag,
+                                         value):
+    _, task_path, model_path = cli_files
+    lists = {"--methods": "cdl", "--seeds": "0", flag: value}
+    out = tmp_path / "x.csv"
+    rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                   "--methods", lists["--methods"], "--seeds",
+                   lists["--seeds"], "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_usage_error_is_exit_2(capsys):

@@ -78,6 +78,14 @@ def test_evaluate_runs_one_forward(monkeypatch, task, model_text):
     assert res.predictions.shape == (1000,)
 
 
+def test_evaluate_rejects_labels_the_model_lacks(task):
+    net3 = network.init_network(network.default_spec(num_classes=3), seed=0)
+    with pytest.raises(ValueError, match="model has 3 classes"):
+        pipeline.evaluate(net3, task.test_x, task.test_y)
+    with pytest.raises(ValueError, match="model has 3 classes"):
+        pipeline.evaluate(net3, task.test_x[:2], np.array([0, -1]))
+
+
 # ------------------------------------------------------------ train_source
 
 def test_train_source_deterministic(task):
