@@ -122,12 +122,18 @@ def _apply_shift(spec: DomainShiftSpec, pts: np.ndarray) -> np.ndarray:
     return out + np.asarray(spec.shift_translation)
 
 
-def _draw(spec: DomainShiftSpec, labels: np.ndarray, shifted: bool,
-          rng: np.random.Generator) -> np.ndarray:
-    pts = _sample_class_points(spec, labels, rng)
-    if shifted:
-        pts = _apply_shift(spec, pts)
-    return pts + spec.noise_std * rng.normal(size=pts.shape)
+def _draw(spec: DomainShiftSpec, split: str, labels: np.ndarray,
+          shifted: bool, rng: np.random.Generator) -> np.ndarray:
+    """The split's samples; a ValueError if finite spec values overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _sample_class_points(spec, labels, rng)
+        if shifted:
+            pts = _apply_shift(spec, pts)
+        pts = pts + spec.noise_std * rng.normal(size=pts.shape)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"split {split}: the spec draws non-finite sample "
+                         f"values")
+    return pts
 
 
 def _balanced_labels(n: int, c: int) -> np.ndarray:
@@ -196,7 +202,9 @@ def generate_task(spec: DomainShiftSpec, n_source: int = 2000, shots: int = 3,
 
     Source classes are sampled with weight ratio^(-c/(C-1)) so class 0
     outnumbers class C-1 by the imbalance ratio. Target splits are
-    class-balanced draws from the shifted geometry.
+    class-balanced draws from the shifted geometry. A spec whose finite
+    values make a split's draws overflow raises ValueError naming the
+    split.
     """
     spec.validate()
     for name, n in (("n_source", n_source), ("shots", shots),
@@ -219,18 +227,20 @@ def generate_task(spec: DomainShiftSpec, n_source: int = 2000, shots: int = 3,
     weights = spec.source_imbalance_ratio ** (-np.arange(c) / (c - 1))
     weights /= weights.sum()
     source_y = rng_source.choice(c, size=n_source, p=weights)
-    source_x = _draw(spec, source_y, shifted=False, rng=rng_source)
+    source_x = _draw(spec, "source", source_y, shifted=False, rng=rng_source)
 
     labeled_y = np.repeat(np.arange(c), shots)
-    labeled_x = _draw(spec, labeled_y, shifted=True, rng=rng_labeled)
+    labeled_x = _draw(spec, "labeled", labeled_y, shifted=True,
+                      rng=rng_labeled)
 
     unlabeled_y = _balanced_labels(n_unlabeled, c)
     perm = rng_shuffle.permutation(n_unlabeled)
     unlabeled_y = unlabeled_y[perm]
-    unlabeled_x = _draw(spec, unlabeled_y, shifted=True, rng=rng_unlabeled)
+    unlabeled_x = _draw(spec, "unlabeled", unlabeled_y, shifted=True,
+                        rng=rng_unlabeled)
 
     test_y = _balanced_labels(n_test, c)
-    test_x = _draw(spec, test_y, shifted=True, rng=rng_test)
+    test_x = _draw(spec, "test", test_y, shifted=True, rng=rng_test)
 
     return DomainTask(spec=spec, seed=seed, source_x=source_x,
                       source_y=source_y, labeled_x=labeled_x,
@@ -246,7 +256,6 @@ class AugmentPolicy:
     strong_pool: Tuple[str, ...] = DEFAULT_STRONG_POOL
     rotate_max: float = math.pi / 12
     scale_range: Tuple[float, float] = (0.9, 1.15)
-    mirror: bool = False  # flip analog, only sound for mirror-symmetric geometry
 
     def validate(self) -> None:
         if self.weak_noise_std < 0.0 or self.strong_noise_std < 0.0:
@@ -273,13 +282,8 @@ def default_policy(spec: DomainShiftSpec) -> AugmentPolicy:
 
 def weak_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
                        rng: np.random.Generator) -> np.ndarray:
-    """Isotropic Gaussian jitter per row; when enabled, each row's second
-    coordinate is mirrored with probability 1/2."""
-    out = xs + policy.weak_noise_std * rng.normal(size=xs.shape)
-    if policy.mirror:
-        flip = rng.uniform(size=xs.shape[0]) < 0.5
-        out[flip, 1] = -out[flip, 1]
-    return out
+    """Isotropic Gaussian jitter per row."""
+    return xs + policy.weak_noise_std * rng.normal(size=xs.shape)
 
 
 def strong_augment_batch(xs: np.ndarray, policy: AugmentPolicy,

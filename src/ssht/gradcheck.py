@@ -104,8 +104,7 @@ def check_classification(trials: int = 6, seed: int = 1) -> SuiteReport:
         tape = _tape(net, x)
         lv = losses.classification_loss(
             network.softmax_rows(tape.logits), y)
-        exact = network.backward(net, tape,
-                                 lv.logit_grads[losses.PASS_LABELED_WEAK])
+        exact = network.backward(net, tape, lv.grad)
         fd = fd_param_grads(net, lambda: losses.classification_loss(
             _probs(net, x), y).value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
@@ -125,8 +124,7 @@ def check_consistency(trials: int = 6, seed: int = 2) -> SuiteReport:
         tape = _tape(net, xs)
         lv, _ = losses.consistency_loss(
             probs_w, network.softmax_rows(tape.logits), tau=0.4)
-        exact = network.backward(net, tape,
-                                 lv.logit_grads[losses.PASS_UNLABELED_STRONG])
+        exact = network.backward(net, tape, lv.grad)
         fd = fd_param_grads(net, lambda: losses.consistency_loss(
             probs_w, _probs(net, xs), tau=0.4)[0].value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
@@ -141,8 +139,7 @@ def check_entropy(trials: int = 6, seed: int = 3) -> SuiteReport:
         x = rng.normal(size=(6, 3))
         tape = _tape(net, x)
         lv = losses.entropy_loss(network.softmax_rows(tape.logits))
-        exact = network.backward(net, tape,
-                                 lv.logit_grads[losses.PASS_UNLABELED_WEAK])
+        exact = network.backward(net, tape, lv.grad)
         fd = fd_param_grads(net, lambda: losses.entropy_loss(
             _probs(net, x)).value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
@@ -157,20 +154,15 @@ def check_diversity(trials: int = 6, seed: int = 4) -> SuiteReport:
     while checked < trials and attempts < 20 * trials:
         attempts += 1
         net = _small_net(seed=5000 + attempts)
-        xw = rng.normal(size=(6, 3))
-        xs = rng.normal(size=(6, 3))
-        tw, ts = _tape(net, xw), _tape(net, xs)
-        pw, ps = network.softmax_rows(tw.logits), network.softmax_rows(ts.logits)
-        if _spectrum_degenerate(pw) or _spectrum_degenerate(ps):
+        x = rng.normal(size=(6, 3))
+        tape = _tape(net, x)
+        p = network.softmax_rows(tape.logits)
+        if _spectrum_degenerate(p):
             skipped += 1
             continue
-        lv = losses.diversity_loss(pw, ps)
-        exact = network.backward(net, tw,
-                                 lv.logit_grads[losses.PASS_UNLABELED_WEAK])
-        network.add_scaled(exact, network.backward(
-            net, ts, lv.logit_grads[losses.PASS_UNLABELED_STRONG]))
+        exact = network.backward(net, tape, losses.diversity_loss(p).grad)
         fd = fd_param_grads(net, lambda: losses.diversity_loss(
-            _probs(net, xw), _probs(net, xs)).value)
+            _probs(net, x)).value)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
         checked += 1
     return SuiteReport("diversity_loss", worst, checked, skipped,
@@ -178,8 +170,11 @@ def check_diversity(trials: int = 6, seed: int = 4) -> SuiteReport:
 
 
 def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
-    """Full three-pass objective, weights 2.5 and 1.0."""
+    """The cdl step's stacked objective, weights 2.5 and 1.0: 4 labeled
+    rows, then 6 weak and 6 strong rows, through losses.total_loss."""
     rng = np.random.default_rng(seed)
+    weak, strong = slice(4, 10), slice(10, 16)
+    weights = {"consistency": 2.5, "diversity": 1.0}
     worst = 0.0
     checked = skipped = 0
     attempts = 0
@@ -188,33 +183,23 @@ def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
         net = _small_net(seed=6000 + attempts)
         xl = rng.normal(size=(4, 3))
         yl = rng.integers(0, 3, size=4)
-        xw = rng.normal(size=(6, 3))
-        xs = rng.normal(size=(6, 3))
-        tl, tw, ts = _tape(net, xl), _tape(net, xw), _tape(net, xs)
-        pw, ps = network.softmax_rows(tw.logits), network.softmax_rows(ts.logits)
-        if _spectrum_degenerate(pw) or _spectrum_degenerate(ps):
+        x = np.concatenate([xl, rng.normal(size=(6, 3)),
+                            rng.normal(size=(6, 3))])
+        tape = _tape(net, x)
+        probs = network.softmax_rows(tape.logits)
+        if _spectrum_degenerate(probs[weak]) or \
+                _spectrum_degenerate(probs[strong]):
             skipped += 1
             continue
-        probs_w_const = pw  # pseudo-labels stay pinned at the base point
 
-        def value() -> float:
-            l_c = losses.classification_loss(_probs(net, xl), yl)
-            l_u, _ = losses.consistency_loss(probs_w_const, _probs(net, xs),
-                                             tau=0.4)
-            l_d = losses.diversity_loss(_probs(net, xw), _probs(net, xs))
-            return losses.total_loss(l_c, l_u, l_d, 2.5, 1.0).value
+        def step(p):
+            return losses.total_loss(p, yl, weak, strong, weights, tau=0.4)
 
-        l_c = losses.classification_loss(network.softmax_rows(tl.logits), yl)
-        l_u, _ = losses.consistency_loss(probs_w_const, ps, tau=0.4)
-        l_d = losses.diversity_loss(pw, ps)
-        total = losses.total_loss(l_c, l_u, l_d, 2.5, 1.0)
-        exact = network.zero_gradients(net)
-        for key, tape in ((losses.PASS_LABELED_WEAK, tl),
-                          (losses.PASS_UNLABELED_WEAK, tw),
-                          (losses.PASS_UNLABELED_STRONG, ts)):
-            network.add_scaled(exact, network.backward(
-                net, tape, total.logit_grads[key]))
-        fd = fd_param_grads(net, value)
+        # pseudo-labels and the mask are piecewise constant in the weak
+        # rows, so letting them move with the parameters does not change
+        # the derivative away from tau
+        exact = network.backward(net, tape, step(probs).grad)
+        fd = fd_param_grads(net, lambda: step(_probs(net, x)).total)
         worst = max(worst, max(_rel_err(a, b) for a, b in zip(exact, fd)))
         checked += 1
     return SuiteReport("total_loss", worst, checked, skipped,

@@ -1,35 +1,36 @@
-"""Training objectives, each returning a value plus logit gradients.
+"""Training objectives, each returning a value plus its logit gradient.
 
-Three forward passes can contribute to a step: the weakly augmented
-labeled batch, the weakly augmented unlabeled batch, and the strongly
-augmented unlabeled batch. A LossValue keeps one gradient matrix per
-pass it touches, keyed by the PASS_* constants, already expressed at
-the logits so the network backward pass can consume it directly.
+An adaptation step runs one forward pass over a stacked batch: the
+labeled rows first, then the weak view and the strong view of one
+unlabeled batch. Each objective takes the prediction matrix of the rows
+it reads, and its LossValue carries one gradient at the logits of that
+matrix. total_loss applies the step's terms to their row slices of the
+stacked predictions and writes every weighted gradient into those rows
+of one logit-gradient matrix, so one network backward pass follows.
 
 Objectives:
-  classification   mean cross-entropy on the labeled batch
+  classification   mean cross-entropy on the labeled rows
   consistency      confidence-thresholded cross-entropy from the weak
                    view's hard pseudo-label to the strong view, mean
-                   over the full batch, no gradient into the weak pass
-  diversity        negated mean nuclear norm of both unlabeled
-                   prediction matrices (maximizing it spreads batch
-                   predictions over more classes); one SVD per matrix
-                   gives both the norm and its subgradient
-  entropy          mean prediction entropy of the weak unlabeled view
-  total            classification + lambda_u * consistency_or_entropy
-                   + lambda_d * diversity
+                   over the full batch, no gradient into the weak rows
+  diversity        negated nuclear norm of one prediction matrix over
+                   its row count (maximizing it spreads batch
+                   predictions over more classes); one SVD gives both
+                   the norm and its subgradient. A step adds it for the
+                   weak and for the strong view
+  entropy          mean prediction entropy of the weak view
+  total            classification + the weighted unlabeled terms
 """
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
 from .linalg import nuclear_norm_and_subgradient
 
-PASS_LABELED_WEAK = "labeled_weak"
-PASS_UNLABELED_WEAK = "unlabeled_weak"
-PASS_UNLABELED_STRONG = "unlabeled_strong"
+# the unlabeled terms total_loss can add, in summation order
+TERMS = ("consistency", "entropy", "diversity")
 
 LOG_CLAMP = 1e-12
 
@@ -54,7 +55,7 @@ def _count_clamps(p: np.ndarray) -> None:
 @dataclass
 class LossValue:
     value: float
-    logit_grads: Dict[str, np.ndarray] = field(default_factory=dict)
+    grad: np.ndarray  # at the logits of the rows the loss was given
 
 
 def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
@@ -64,8 +65,8 @@ def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def classification_loss(probs_labeled: np.ndarray, labels: np.ndarray,
-                        pass_key: str = PASS_LABELED_WEAK) -> LossValue:
+def classification_loss(probs_labeled: np.ndarray,
+                        labels: np.ndarray) -> LossValue:
     """Mean cross-entropy against hard labels, gradient (p - onehot)/B."""
     p = _check_probs(probs_labeled, "probs_labeled")
     y = np.asarray(labels)
@@ -82,7 +83,7 @@ def classification_loss(probs_labeled: np.ndarray, labels: np.ndarray,
     grad = p.copy()
     grad[np.arange(b), y] -= 1.0
     grad /= b
-    return LossValue(value=value, logit_grads={pass_key: grad})
+    return LossValue(value=value, grad=grad)
 
 
 def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
@@ -91,7 +92,8 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
 
     Rows whose weak confidence does not exceed tau contribute zero, and
     the mean runs over the full batch. The pseudo-label is a constant:
-    no gradient reaches the weak pass. Returns (LossValue, mask_rate).
+    the gradient is at the strong view's logits only. Returns
+    (LossValue, mask_rate).
     """
     pw = _check_probs(probs_weak, "probs_weak")
     ps = _check_probs(probs_strong, "probs_strong")
@@ -110,9 +112,7 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
     grad[np.arange(b), pseudo] -= 1.0
     grad[~selected] = 0.0
     grad /= b
-    mask_rate = float(np.mean(selected))
-    return LossValue(value=value, logit_grads={PASS_UNLABELED_STRONG: grad}), \
-        mask_rate
+    return LossValue(value=value, grad=grad), float(np.mean(selected))
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -121,28 +121,21 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - inner)
 
 
-def diversity_loss(probs_weak: np.ndarray, probs_strong: np.ndarray) -> LossValue:
-    """Negated mean nuclear norm of both unlabeled prediction matrices.
+def diversity_loss(probs: np.ndarray) -> LossValue:
+    """Negated nuclear norm of one prediction matrix over its row count.
 
     Minimizing this pushes the batch prediction matrix toward higher
     rank, i.e. toward covering more classes; a collapsed batch scores
-    worst. Gradients flow into both the weak and strong passes.
+    worst.
     """
-    pw = _check_probs(probs_weak, "probs_weak")
-    ps = _check_probs(probs_strong, "probs_strong")
-    if pw.shape != ps.shape:
-        raise ValueError(f"shape mismatch: weak {pw.shape}, strong {ps.shape}")
-    b = pw.shape[0]
-    norm_w, sub_w = nuclear_norm_and_subgradient(pw)
-    norm_s, sub_s = nuclear_norm_and_subgradient(ps)
-    value = -(norm_w + norm_s) / b
-    grads = {PASS_UNLABELED_WEAK: softmax_backward(pw, -sub_w / b),
-             PASS_UNLABELED_STRONG: softmax_backward(ps, -sub_s / b)}
-    return LossValue(value=float(value), logit_grads=grads)
+    p = _check_probs(probs, "probs")
+    b = p.shape[0]
+    norm, sub = nuclear_norm_and_subgradient(p)
+    return LossValue(value=float(-norm / b),
+                     grad=softmax_backward(p, -sub / b))
 
 
-def entropy_loss(probs: np.ndarray,
-                 pass_key: str = PASS_UNLABELED_WEAK) -> LossValue:
+def entropy_loss(probs: np.ndarray) -> LossValue:
     """Mean prediction entropy; 0 log 0 counts as 0."""
     p = _check_probs(probs, "probs")
     b = p.shape[0]
@@ -151,19 +144,59 @@ def entropy_loss(probs: np.ndarray,
     h_rows = -np.sum(p * logp, axis=1)
     value = float(np.mean(h_rows))
     grad = np.where(p > 0.0, p * (-logp - h_rows[:, None]), 0.0) / b
-    return LossValue(value=value, logit_grads={pass_key: grad})
+    return LossValue(value=value, grad=grad)
 
 
-def total_loss(l_c: LossValue, l_u: LossValue, l_d: LossValue,
-               lambda_u: float, lambda_d: float) -> LossValue:
-    """Weighted sum; gradients merge additively per pass."""
-    value = l_c.value + lambda_u * l_u.value + lambda_d * l_d.value
-    grads: Dict[str, np.ndarray] = {}
-    for part, weight in ((l_c, 1.0), (l_u, lambda_u), (l_d, lambda_d)):
-        for key, g in part.logit_grads.items():
-            scaled = weight * g
-            if key in grads:
-                grads[key] = grads[key] + scaled
-            else:
-                grads[key] = scaled
-    return LossValue(value=float(value), logit_grads=grads)
+@dataclass
+class StepLoss:
+    l_c: float        # classification
+    l_u: float        # consistency or entropy, unweighted; 0 without either
+    l_d: float        # diversity of both views, unweighted; 0 without it
+    total: float
+    mask_rate: float  # share of weak rows above tau; 0 without a weak view
+    grad: np.ndarray  # at the logits of every stacked row
+
+
+def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
+               strong: Optional[slice], weights: Dict[str, float],
+               tau: float) -> StepLoss:
+    """An adaptation step's objective over its stacked predictions.
+
+    The first len(labels) rows of probs are the labeled rows; weak and
+    strong select the two unlabeled views' rows, None for a view the
+    step did not run (a term that reads it then raises ValueError).
+    weights maps each term of TERMS the method uses to its weight:
+    total = classification + weight * term, summed in TERMS order.
+    Every term writes its weighted gradient into its own rows of one
+    zero matrix of probs' shape.
+    """
+    p = _check_probs(probs, "probs")
+    if set(weights) - set(TERMS):
+        raise ValueError(f"loss terms must come from {TERMS}, "
+                         f"got {sorted(weights)}")
+    grad = np.zeros_like(p)
+    labeled = slice(0, len(labels))
+    l_c = classification_loss(p[labeled], labels)
+    grad[labeled] = l_c.grad
+    values = dict.fromkeys(TERMS, 0.0)
+
+    def add(term: str, rows: slice, lv: LossValue) -> None:
+        values[term] += lv.value
+        grad[rows] += weights[term] * lv.grad
+
+    if "consistency" in weights:
+        add("consistency", strong, consistency_loss(p[weak], p[strong], tau)[0])
+    if "entropy" in weights:
+        add("entropy", weak, entropy_loss(p[weak]))
+    if "diversity" in weights:
+        for rows in (weak, strong):
+            add("diversity", rows, diversity_loss(p[rows]))
+    total = l_c.value
+    for term in TERMS:
+        total += weights.get(term, 0.0) * values[term]
+    mask_rate = 0.0 if weak is None else \
+        float(np.mean(np.max(p[weak], axis=1) > tau))
+    return StepLoss(l_c=l_c.value,
+                    l_u=values["consistency"] + values["entropy"],
+                    l_d=values["diversity"], total=float(total),
+                    mask_rate=mask_rate, grad=grad)

@@ -5,10 +5,13 @@ nonlinearity) followed by a linear classifier head. Parameters live in a
 flat list [W1, b1, ..., Wk, bk, Wc, bc] with weights stored input x output,
 so a layer computes x @ W + b. Gradients come back in the same layout.
 A forward pass can keep its activations in a Tape; the backward pass
-consumes that tape instead of running the forward pass again. A pass
-that keeps no tape (evaluation, prediction) runs in blocks of at most
-FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall enough for
-OpenBLAS to hand it to a second thread.
+consumes that tape instead of running the forward pass again. An
+adaptation step keeps one tape for its whole stacked batch (labeled,
+weak and strong rows) and runs one backward pass from one logit
+gradient, so no gradient sets are summed. A pass that keeps no tape
+(evaluation, prediction) runs in blocks of at most FORWARD_BLOCK_ROWS
+rows, so that no matrix product grows tall enough for OpenBLAS to hand
+it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
@@ -215,16 +218,6 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> GradientSet:
         if layer > 0:
             da = dz @ net.params[2 * layer].T
     return grads
-
-
-def zero_gradients(net: Network) -> GradientSet:
-    return [np.zeros_like(p) for p in net.params]
-
-
-def add_scaled(acc: GradientSet, grads: GradientSet, scale: float = 1.0) -> None:
-    """acc += scale * grads, in place."""
-    for a, g in zip(acc, grads):
-        a += scale * g
 
 
 @dataclass

@@ -12,6 +12,12 @@ a task and runs one of five methods:
   s_plus_t   labeled classification only, no unlabeled passes at all
   ent        classification + entropy minimization on the weak view
 
+Each adaptation step stacks the labeled rows, then the weak and the
+strong view of one unlabeled batch (only the views its method reads),
+runs them through one taped forward pass and losses.total_loss, and
+takes one backward pass from the single logit-gradient matrix that
+total_loss returns.
+
 The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
 task are counted, so the source-free contract is testable.
@@ -37,7 +43,11 @@ import numpy as np
 from . import data, losses, metrics, network
 from .linalg import NumericalError
 
-METHODS = ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t", "ent")
+# method -> the unlabeled terms (losses.TERMS) it adds to classification
+METHOD_TERMS = {"cdl": ("consistency", "diversity"),
+                "cdl_no_cl": ("diversity",), "cdl_no_dl": ("consistency",),
+                "s_plus_t": (), "ent": ("entropy",)}
+METHODS = tuple(METHOD_TERMS)
 LABELED_AUG_MODES = ("none", "weak")
 
 
@@ -185,9 +195,7 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
             if not math.isfinite(lv.value):
                 raise NumericalError(f"source training diverged at epoch "
                                      f"{epoch}, step {start // bs}")
-            grads = network.backward(net, tape,
-                                     lv.logit_grads[losses.PASS_LABELED_WEAK])
-            network.sgd_step(net, grads, state)
+            network.sgd_step(net, network.backward(net, tape, lv.grad), state)
         val_acc = evaluate(net, val_x, val_y).accuracy
         if val_acc > best_acc:
             best_acc = val_acc
@@ -199,10 +207,6 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
                 "source_val_accuracy": repr(float(best_acc)),
                 "best_epoch": str(best_epoch)}
     return network.serialize(net)
-
-
-def _zero_loss() -> losses.LossValue:
-    return losses.LossValue(value=0.0, logit_grads={})
 
 
 def adapt(model_text: str, task, config: AdaptConfig,
@@ -247,8 +251,10 @@ def adapt(model_text: str, task, config: AdaptConfig,
     batches = data.sample_batches(view, labeled_batch, config.unlabeled_batch,
                                   rng_batch)
     steps = data.steps_per_epoch(view.num_unlabeled, config.unlabeled_batch)
-    needs_weak = config.method in ("cdl", "cdl_no_cl", "cdl_no_dl", "ent")
-    needs_strong = config.method in ("cdl", "cdl_no_cl", "cdl_no_dl")
+    weights = {term: config.lambda_d if term == "diversity" else config.lambda_u
+               for term in METHOD_TERMS[config.method]}
+    needs_weak = bool(weights)
+    needs_strong = bool(weights.keys() - {"entropy"})
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
@@ -261,61 +267,33 @@ def adapt(model_text: str, task, config: AdaptConfig,
             xl, yl, xu = next(batches)
             if config.labeled_aug == "weak":
                 xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
-            tapes = {losses.PASS_LABELED_WEAK: network.forward(net, xl, keep=True)}
-            logits_l = tapes[losses.PASS_LABELED_WEAK].logits
-
-            probs_w = probs_s = None
+            views = [xl]
             if needs_weak:
-                xw = data.weak_augment_batch(xu, policy, rng_weak)
-                tape = tapes[losses.PASS_UNLABELED_WEAK] = network.forward(
-                    net, xw, keep=True)
-                probs_w = network.softmax_rows(tape.logits)
+                views.append(data.weak_augment_batch(xu, policy, rng_weak))
                 report.unlabeled_weak_passes += 1
             if needs_strong:
-                xs_ = data.strong_augment_batch(xu, policy, rng_strong)
-                tape = tapes[losses.PASS_UNLABELED_STRONG] = network.forward(
-                    net, xs_, keep=True)
-                probs_s = network.softmax_rows(tape.logits)
+                views.append(data.strong_augment_batch(xu, policy, rng_strong))
                 report.unlabeled_strong_passes += 1
-
-            finite = bool(np.all(np.isfinite(logits_l)))
-            if probs_w is not None:
-                finite = finite and bool(np.all(np.isfinite(probs_w)))
-            if probs_s is not None:
-                finite = finite and bool(np.all(np.isfinite(probs_s)))
-            if not finite:
+            tape = network.forward(net, np.concatenate(views), keep=True)
+            if not np.all(np.isfinite(tape.logits)):
                 aborted = True
                 break
-            l_c = losses.classification_loss(network.softmax_rows(logits_l), yl)
-
-            mask_rate = 0.0
-            l_u = _zero_loss()
-            l_d = _zero_loss()
-            if config.method in ("cdl", "cdl_no_dl"):
-                l_u, mask_rate = losses.consistency_loss(probs_w, probs_s,
-                                                         config.tau)
-            elif config.method == "ent":
-                l_u = losses.entropy_loss(probs_w)
-            if config.method in ("cdl", "cdl_no_cl"):
-                l_d = losses.diversity_loss(probs_w, probs_s)
-            if probs_w is not None and config.method not in ("cdl", "cdl_no_dl"):
-                mask_rate = float(np.mean(np.max(probs_w, axis=1) > config.tau))
-
-            total = losses.total_loss(l_c, l_u, l_d, config.lambda_u,
-                                      config.lambda_d)
-            if not math.isfinite(total.value):
+            nl, nu = len(yl), len(xu)
+            step = losses.total_loss(
+                network.softmax_rows(tape.logits), yl,
+                slice(nl, nl + nu) if needs_weak else None,
+                slice(nl + nu, nl + 2 * nu) if needs_strong else None,
+                weights, config.tau)
+            if not math.isfinite(step.total):
                 aborted = True
                 break
-
-            acc = network.zero_gradients(net)
-            for key, g in total.logit_grads.items():
-                network.add_scaled(acc, network.backward(net, tapes[key], g))
             try:
-                network.sgd_step(net, acc, state, frozen=frozen)
+                network.sgd_step(net, network.backward(net, tape, step.grad),
+                                 state, frozen=frozen)
             except NumericalError:
                 aborted = True
                 break
-            sums += (l_c.value, l_u.value, l_d.value, total.value, mask_rate)
+            sums += (step.l_c, step.l_u, step.l_d, step.total, step.mask_rate)
 
         if aborted:
             report.aborted_epoch = epoch

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_bad_spec_rejected():
         data.generate_task(default_spec(shift_translation=(1.0,)), seed=0)
     with pytest.raises(ValueError):
         data.generate_task(default_spec(noise_std=float("inf")), seed=0)
+
+
+@pytest.mark.parametrize("field,split", [("noise_std", "source"),
+                                         ("shift_scale", "labeled")])
+def test_generate_rejects_overflowing_draws(field, split):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"split {split}: .*non-finite"):
+            small_task(**{field: 1e308})
 
 
 def test_access_counters():

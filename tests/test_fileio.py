@@ -80,3 +80,33 @@ def test_every_prefix_loads_or_raises_its_format_error(fmt, draw):
         load(text[:cut])
     except error:
         pass
+
+
+# characters of the format itself, plus any character at all
+EDIT_CHARS = st.sampled_from("0123456789.-+eE ,=_xnaif") | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FORMATS)), st.data())
+def test_corrupted_line_loads_or_raises_its_format_error(fmt, draw):
+    """Delete, duplicate or replace a run of characters in one line."""
+    text, load, error = FORMATS[fmt]
+    lines = text.splitlines()
+    i = draw.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    lo = draw.draw(st.integers(0, len(line)), label="start")
+    hi = draw.draw(st.integers(lo, len(line)), label="stop")
+    edit = draw.draw(st.sampled_from(["delete", "duplicate", "replace"]),
+                     label="edit")
+    if edit == "delete":
+        middle = ""
+    elif edit == "duplicate":
+        middle = line[lo:hi] * 2
+    else:
+        middle = draw.draw(st.text(EDIT_CHARS, min_size=1, max_size=12),
+                           label="new")
+    lines[i] = line[:lo] + middle + line[hi:]
+    try:
+        load("\n".join(lines) + "\n")
+    except error:
+        pass

@@ -10,6 +10,11 @@ def rand_probs(rng, b, c):
     return network.softmax_rows(rng.normal(size=(b, c)))
 
 
+def two_view_diversity(pw, ps):
+    """A step's diversity term: the weak view's loss plus the strong view's."""
+    return losses.diversity_loss(pw).value + losses.diversity_loss(ps).value
+
+
 def test_classification_perfect_prediction():
     p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     lv = losses.classification_loss(p, np.array([0, 1]))
@@ -35,7 +40,7 @@ def test_classification_gradient_form():
     lv = losses.classification_loss(p, y)
     onehot = np.zeros_like(p)
     onehot[np.arange(5), y] = 1.0
-    np.testing.assert_allclose(lv.logit_grads[losses.PASS_LABELED_WEAK],
+    np.testing.assert_allclose(lv.grad,
                                (p - onehot) / 5, atol=1e-12)
 
 
@@ -62,7 +67,7 @@ def test_consistency_below_threshold_is_zero():
     lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
     assert lv.value == 0.0
     assert mask == 0.0
-    assert np.all(lv.logit_grads[losses.PASS_UNLABELED_STRONG] == 0.0)
+    assert np.all(lv.grad == 0.0)
 
 
 def test_consistency_confident_and_correct_strong():
@@ -88,7 +93,7 @@ def test_consistency_full_batch_mean():
     lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
     assert lv.value == pytest.approx(-math.log(0.5) / 2)
     assert mask == 0.5
-    g = lv.logit_grads[losses.PASS_UNLABELED_STRONG]
+    g = lv.grad
     assert np.all(g[1] == 0.0)
     np.testing.assert_allclose(g[0], (ps[0] - [1.0, 0.0]) / 2, atol=1e-12)
 
@@ -121,31 +126,28 @@ def test_consistency_rejects_mismatched_shapes():
 
 def test_diversity_single_one_hot_rows():
     p = np.array([[1.0, 0.0, 0.0]])
-    lv = losses.diversity_loss(p, p)
-    assert lv.value == pytest.approx(-2.0, abs=1e-10)
+    assert two_view_diversity(p, p) == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_diversity_collapsed_batch():
     p = np.zeros((4, 4))
     p[:, 0] = 1.0
-    lv = losses.diversity_loss(p, p)
-    assert lv.value == pytest.approx(-1.0, abs=1e-10)
+    assert two_view_diversity(p, p) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_diversity_spread_batch():
     p = np.eye(4)
-    lv = losses.diversity_loss(p, p)
-    assert lv.value == pytest.approx(-2.0, abs=1e-10)
+    assert two_view_diversity(p, p) == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_diversity_prefers_coverage():
     # every one-hot 4x4 configuration scores no better than full coverage
-    spread = losses.diversity_loss(np.eye(4), np.eye(4)).value
+    spread = two_view_diversity(np.eye(4), np.eye(4))
     collapsed = []
     for assign in np.ndindex(4, 4, 4, 4):
         p = np.zeros((4, 4))
         p[np.arange(4), list(assign)] = 1.0
-        v = losses.diversity_loss(p, p).value
+        v = two_view_diversity(p, p)
         counts = np.bincount(list(assign), minlength=4)
         expected = -2.0 * sum(math.sqrt(k) for k in counts if k) / 4.0
         assert v == pytest.approx(expected, abs=1e-8)
@@ -157,24 +159,21 @@ def test_diversity_prefers_coverage():
 def test_diversity_permutation_invariance():
     rng = np.random.default_rng(2)
     pw, ps = rand_probs(rng, 6, 4), rand_probs(rng, 6, 4)
-    base = losses.diversity_loss(pw, ps).value
+    base = two_view_diversity(pw, ps)
     rows = rng.permutation(6)
     cols = rng.permutation(4)
-    assert losses.diversity_loss(pw[rows], ps[rows]).value == \
+    assert two_view_diversity(pw[rows], ps[rows]) == \
         pytest.approx(base, rel=1e-10)
-    assert losses.diversity_loss(pw[:, cols], ps[:, cols]).value == \
+    assert two_view_diversity(pw[:, cols], ps[:, cols]) == \
         pytest.approx(base, rel=1e-10)
 
 
-def seed_diversity_loss(pw, ps):
+def seed_diversity_loss(p):
     """The two-decompositions-per-matrix formula, kept as the oracle."""
-    b = pw.shape[0]
-    value = -(linalg.nuclear_norm(pw) + linalg.nuclear_norm(ps)) / b
-    grads = {key: losses.softmax_backward(
-                 p, -linalg.nuclear_norm_subgradient(p) / b)
-             for key, p in ((losses.PASS_UNLABELED_WEAK, pw),
-                            (losses.PASS_UNLABELED_STRONG, ps))}
-    return float(value), grads
+    b = p.shape[0]
+    value = -linalg.nuclear_norm(p) / b
+    grad = losses.softmax_backward(p, -linalg.nuclear_norm_subgradient(p) / b)
+    return float(value), grad
 
 
 def test_diversity_bit_identical_to_two_decomposition_oracle():
@@ -189,19 +188,18 @@ def test_diversity_bit_identical_to_two_decomposition_oracle():
              (zero_col, zero_col[::-1].copy()),
              (rand_probs(rng, 40, 4), rand_probs(rng, 40, 4))]
     for pw, ps in cases:
-        lv = losses.diversity_loss(pw, ps)
-        value, grads = seed_diversity_loss(pw, ps)
-        assert lv.value == value
-        assert lv.logit_grads.keys() == grads.keys()
-        for key in grads:
-            assert np.array_equal(lv.logit_grads[key], grads[key]), key
+        for p in (pw, ps):
+            lv = losses.diversity_loss(p)
+            value, grad = seed_diversity_loss(p)
+            assert lv.value == value
+            assert np.array_equal(lv.grad, grad)
 
 
 def test_entropy_one_hot_rows():
     p = np.array([[1.0, 0.0], [0.0, 1.0]])
     lv = losses.entropy_loss(p)
     assert lv.value == 0.0
-    assert np.all(np.isfinite(lv.logit_grads[losses.PASS_UNLABELED_WEAK]))
+    assert np.all(np.isfinite(lv.grad))
 
 
 def test_entropy_uniform():
@@ -216,40 +214,46 @@ def test_entropy_hand_value():
 
 
 def test_total_arithmetic():
-    mk = lambda v: losses.LossValue(value=v)
-    total = losses.total_loss(mk(1.0), mk(0.4), mk(-2.0),
-                              lambda_u=2.5, lambda_d=1.0)
-    assert total.value == pytest.approx(0.0, abs=1e-12)
+    rng = np.random.default_rng(4)
+    labels = np.array([0, 1])
+    probs = np.concatenate([rand_probs(rng, 2, 4), rand_probs(rng, 3, 4),
+                            rand_probs(rng, 3, 4)])
+    step = losses.total_loss(probs, labels, slice(2, 5), slice(5, 8),
+                             {"consistency": 2.5, "diversity": 1.0}, tau=0.3)
+    assert step.l_c == losses.classification_loss(probs[:2], labels).value
+    assert step.l_u == losses.consistency_loss(probs[2:5], probs[5:],
+                                               0.3)[0].value
+    assert step.l_d == two_view_diversity(probs[2:5], probs[5:])
+    assert step.total - (step.l_c + 2.5 * step.l_u + 1.0 * step.l_d) == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_zero_lambdas_equals_classification():
     rng = np.random.default_rng(3)
     p = rand_probs(rng, 4, 3)
-    l_c = losses.classification_loss(p, np.array([0, 1, 2, 0]))
+    labels = np.array([0, 1, 2, 0])
+    l_c = losses.classification_loss(p, labels)
     pw, ps = rand_probs(rng, 5, 3), rand_probs(rng, 5, 3)
-    l_u, _ = losses.consistency_loss(pw, ps, tau=0.8)
-    l_d = losses.diversity_loss(pw, ps)
-    total = losses.total_loss(l_c, l_u, l_d, lambda_u=0.0, lambda_d=0.0)
-    assert total.value == l_c.value
-    np.testing.assert_array_equal(
-        total.logit_grads[losses.PASS_LABELED_WEAK],
-        l_c.logit_grads[losses.PASS_LABELED_WEAK])
-    assert np.all(total.logit_grads[losses.PASS_UNLABELED_WEAK] == 0.0)
-    assert np.all(total.logit_grads[losses.PASS_UNLABELED_STRONG] == 0.0)
+    total = losses.total_loss(np.concatenate([p, pw, ps]), labels,
+                              slice(4, 9), slice(9, 14),
+                              {"consistency": 0.0, "diversity": 0.0}, tau=0.8)
+    assert total.total == l_c.value
+    np.testing.assert_array_equal(total.grad[:4], l_c.grad)
+    assert np.all(total.grad[4:9] == 0.0)
+    assert np.all(total.grad[9:] == 0.0)
 
 
 def test_total_merges_gradients_per_pass():
     rng = np.random.default_rng(4)
     pw, ps = rand_probs(rng, 3, 4), rand_probs(rng, 3, 4)
     l_u, _ = losses.consistency_loss(pw, ps, tau=0.1)
-    l_d = losses.diversity_loss(pw, ps)
-    l_c = losses.classification_loss(rand_probs(rng, 2, 4), np.array([0, 1]))
-    total = losses.total_loss(l_c, l_u, l_d, lambda_u=2.5, lambda_d=1.0)
-    expected_strong = 2.5 * l_u.logit_grads[losses.PASS_UNLABELED_STRONG] + \
-        l_d.logit_grads[losses.PASS_UNLABELED_STRONG]
-    np.testing.assert_allclose(
-        total.logit_grads[losses.PASS_UNLABELED_STRONG], expected_strong,
-        atol=1e-15)
+    l_d = losses.diversity_loss(ps)
+    pl = rand_probs(rng, 2, 4)
+    total = losses.total_loss(np.concatenate([pl, pw, ps]), np.array([0, 1]),
+                              slice(2, 5), slice(5, 8),
+                              {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
+    expected_strong = 2.5 * l_u.grad + l_d.grad
+    np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
 
 
 def fd_logit_grad(fn, z, h=1e-5):
@@ -275,7 +279,7 @@ def test_classification_gradient_finite_differences():
     lv = losses.classification_loss(network.softmax_rows(z), y)
     fd = fd_logit_grad(
         lambda zz: losses.classification_loss(network.softmax_rows(zz), y).value, z)
-    assert rel_err(lv.logit_grads[losses.PASS_LABELED_WEAK], fd) <= 1e-4
+    assert rel_err(lv.grad, fd) <= 1e-4
 
 
 def test_consistency_gradient_finite_differences():
@@ -288,7 +292,7 @@ def test_consistency_gradient_finite_differences():
     fd = fd_logit_grad(
         lambda zz: losses.consistency_loss(
             pw, network.softmax_rows(zz), tau=0.5)[0].value, zs)
-    assert rel_err(lv.logit_grads[losses.PASS_UNLABELED_STRONG], fd) <= 1e-4
+    assert rel_err(lv.grad, fd) <= 1e-4
 
 
 def test_entropy_gradient_finite_differences():
@@ -297,7 +301,7 @@ def test_entropy_gradient_finite_differences():
     lv = losses.entropy_loss(network.softmax_rows(z))
     fd = fd_logit_grad(
         lambda zz: losses.entropy_loss(network.softmax_rows(zz)).value, z)
-    assert rel_err(lv.logit_grads[losses.PASS_UNLABELED_WEAK], fd) <= 1e-4
+    assert rel_err(lv.grad, fd) <= 1e-4
 
 
 def test_diversity_gradient_finite_differences():
@@ -316,15 +320,12 @@ def test_diversity_gradient_finite_differences():
                 ok = False
         if not ok:
             continue
-        lv = losses.diversity_loss(pw, ps)
         fd_w = fd_logit_grad(
-            lambda zz: losses.diversity_loss(
-                network.softmax_rows(zz), ps).value, zw)
+            lambda zz: losses.diversity_loss(network.softmax_rows(zz)).value, zw)
         fd_s = fd_logit_grad(
-            lambda zz: losses.diversity_loss(
-                pw, network.softmax_rows(zz)).value, zs)
-        assert rel_err(lv.logit_grads[losses.PASS_UNLABELED_WEAK], fd_w) <= 1e-4
-        assert rel_err(lv.logit_grads[losses.PASS_UNLABELED_STRONG], fd_s) <= 1e-4
+            lambda zz: losses.diversity_loss(network.softmax_rows(zz)).value, zs)
+        assert rel_err(losses.diversity_loss(pw).grad, fd_w) <= 1e-4
+        assert rel_err(losses.diversity_loss(ps).grad, fd_s) <= 1e-4
         tried += 1
 
 

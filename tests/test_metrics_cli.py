@@ -214,7 +214,8 @@ def test_cli_train_source_bad_loop_size_is_exit_1(cli_files, tmp_path, capsys,
 
 def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     _, task_path, model_path = cli_files
-    lines = open(task_path).read().splitlines()
+    with open(task_path) as f:
+        lines = f.read().splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("split.test.x = "):
             head, vals = ln.split(" = ", 1)
@@ -228,6 +229,15 @@ def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise-std", "--scale"])
+def test_cli_gen_data_overflowing_spec_is_exit_1(tmp_path, capsys, flag):
+    out = tmp_path / "task.txt"
+    rc = cli.main(["gen-data", flag, "1e308", "--out", str(out)])
+    assert rc == 1
+    assert "non-finite sample values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_method_is_exit_1(cli_files, tmp_path, capsys):

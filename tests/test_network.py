@@ -225,7 +225,7 @@ def test_sgd_matches_scalar_recurrence():
     w, v = w0, 0.0
     for step in range(2):
         g_raw = 0.5 + 0.1 * step
-        grads = network.zero_gradients(net)
+        grads = [np.zeros_like(p) for p in net.params]
         grads[0][0, 0] = g_raw
         network.sgd_step(net, grads, state)
         g = g_raw + decay * w
@@ -249,7 +249,7 @@ def test_sgd_frozen_indices():
 def test_sgd_rejects_non_finite():
     net = network.init_network(small_spec(), seed=12)
     state = network.init_sgd(net, learning_rate=0.1)
-    grads = network.zero_gradients(net)
+    grads = [np.zeros_like(p) for p in net.params]
     grads[2][0, 0] = np.nan
     with pytest.raises(NumericalError, match="2"):
         network.sgd_step(net, grads, state)

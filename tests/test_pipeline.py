@@ -179,8 +179,10 @@ def test_adapt_bookkeeping_identity(task, model_text):
 
 
 def test_adapt_zero_weights_match_labeled_only(task, model_text):
-    """With both unlabeled weights at zero the extra passes must not move
-    a single parameter bit relative to the labeled-only method."""
+    """With both unlabeled weights at zero the unlabeled rows contribute
+    zero gradient, so the parameters match the labeled-only method's up
+    to rounding (the labeled rows' backward products run inside the
+    stacked batch) and every evaluation and l_c is unchanged."""
     zero = short_config(method="cdl", lambda_u=0.0, lambda_d=0.0, seed=3)
     base = short_config(method="s_plus_t", seed=3)
     rep_z, text_z = pipeline.adapt(model_text, task, zero)
@@ -188,7 +190,7 @@ def test_adapt_zero_weights_match_labeled_only(task, model_text):
     net_z = network.deserialize(text_z)
     net_b = network.deserialize(text_b)
     for pz, pb in zip(net_z.params, net_b.params):
-        np.testing.assert_array_equal(pz, pb)
+        np.testing.assert_allclose(pz, pb, rtol=0, atol=1e-12)
     assert rep_z.final_accuracy == rep_b.final_accuracy
     assert rep_z.confusion == rep_b.confusion
     for rz, rb in zip(rep_z.records, rep_b.records):
@@ -303,8 +305,14 @@ def test_adapt_evaluates_the_test_split_once_per_epoch(monkeypatch, task,
     rows = _count_forward_rows(monkeypatch)
     pipeline.adapt(model_text, task, short_config(method="cdl", epochs=2))
     steps = data.steps_per_epoch(task.num_unlabeled, 48)
-    # three passes per step, then one test and one labeled pass per epoch
-    assert len(rows) == 2 * (3 * steps + 2)
+    # one stacked pass per step (12 labeled, 48 weak and 48 strong rows;
+    # the epoch's last unlabeled batch is shorter), then one test and one
+    # labeled pass per epoch
+    step_rows = [12 + 2 * min(48, task.num_unlabeled - 48 * k)
+                 for k in range(steps)]
+    assert step_rows[0] == 108
+    assert len(rows) == 2 * (steps + 2)
+    assert rows == 2 * (step_rows + [len(task.test_y), len(task.labeled_y)])
     assert rows.count(len(task.test_y)) == 2
 
 
