@@ -207,6 +207,7 @@ def _cmd_ablate(args) -> int:
         raise ValueError(f"--seeds must be comma-separated integers, "
                          f"got {args.seeds!r}") from None
     base = _config_from_args(args, methods[0], seeds[0])
+    base.validate()  # a bad setting would fail every cell alike
     suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
 
     buf = io.StringIO()

@@ -188,8 +188,3 @@ def nuclear_norm_subgradient(a, rank_tol: float = 1e-8) -> np.ndarray:
     `nuclear_norm_and_subgradient`."""
     return nuclear_norm_and_subgradient(a, rank_tol)[1]
 
-
-def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared entries."""
-    m = as_matrix(a)
-    return float(np.sqrt(np.sum(m * m)))

@@ -7,34 +7,7 @@ A collapsed model (everything mapped to the majority class) scores near
 exceed 1 when the model predicts more classes than the batch contains.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class DiversityRecord:
-    batch_index: int
-    predicted_categories: int
-    true_categories: int
-    ratio: float
-
-
-def diversity_ratio(predictions, true_labels, batch_index: int = 0
-                    ) -> DiversityRecord:
-    """Distinct predicted classes over distinct true classes, one batch."""
-    pred = np.asarray(predictions)
-    true = np.asarray(true_labels)
-    if pred.size == 0 or true.size == 0:
-        raise ValueError("diversity_ratio needs non-empty batches")
-    if pred.shape != true.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {true.shape}")
-    n_pred = int(np.unique(pred).size)
-    n_true = int(np.unique(true).size)
-    return DiversityRecord(batch_index=batch_index,
-                           predicted_categories=n_pred,
-                           true_categories=n_true,
-                           ratio=n_pred / n_true)
 
 
 def _distinct_per_row(values: np.ndarray) -> np.ndarray:

@@ -1,28 +1,32 @@
 """Small feedforward networks with hand-written reverse-mode gradients.
 
 A network is a feature extractor (a stack of dense layers with a pointwise
-nonlinearity) followed by a linear classifier head. Parameters live in a
-flat list [W1, b1, ..., Wk, bk, Wc, bc] with weights stored input x output,
-so a layer computes x @ W + b. Gradients come back in the same layout.
+nonlinearity) followed by a linear classifier head. The parameter
+tensors [W1, b1, ..., Wk, bk, Wc, bc] (weights stored input x output, so
+a layer computes x @ W + b) lie one after another, row-major, in one
+float64 vector, `Network.flat`; `Network.params` is a tuple of views
+into it. `backward` returns one gradient vector in the same layout, so
+the optimizer, checkpoints and rollbacks are whole-vector operations.
 A forward pass can keep its activations in a Tape; the backward pass
 consumes that tape instead of running the forward pass again. An
 adaptation step keeps one tape for its whole stacked batch (labeled,
 weak and strong rows) and runs one backward pass from one logit
-gradient, so no gradient sets are summed. A pass that keeps no tape
+gradient, so no per-pass gradients are summed. A pass that keeps no tape
 (evaluation, prediction) runs in blocks of at most FORWARD_BLOCK_ROWS
 rows, so that no matrix product grows tall enough for OpenBLAS to hand
 it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
-update, the classic formulation).
+update, the classic formulation). A step updates each contiguous run
+of unfrozen tensors, and its velocity, as one vector each.
 
 Models serialize to an "ssht-model/1" key-value document (see fileio),
 bit exact on a round trip; a non-finite parameter is rejected on load.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,16 +69,38 @@ class NetworkSpec:
         dims.append((self.feature_dim, self.num_classes))
         return dims
 
+    def param_shapes(self) -> List[Tuple[int, ...]]:
+        """The shape of every parameter tensor: W1, b1, ..., Wc, bc."""
+        return [s for pair in self.layer_dims() for s in (pair, (pair[1],))]
 
-# A gradient set is one array per parameter, same order and shapes.
-GradientSet = List[np.ndarray]
 
-
-@dataclass
 class Network:
-    spec: NetworkSpec
-    params: List[np.ndarray]
-    meta: Dict[str, str] = field(default_factory=dict)
+    """A spec, its parameters in one flat vector, and free-form metadata.
+    The constructor copies `params`, given in `spec.param_shapes()` order."""
+
+    def __init__(self, spec: NetworkSpec, params: Sequence[np.ndarray],
+                 meta: Optional[Dict[str, str]] = None):
+        self.spec = spec
+        self.meta = {} if meta is None else meta
+        shapes = spec.param_shapes()
+        arrays = [np.asarray(p, dtype=float) for p in params]
+        if [a.shape for a in arrays] != shapes:
+            raise ValueError(f"parameter shapes {[a.shape for a in arrays]} "
+                             f"do not match the spec's {shapes}")
+        # tensor i is flat[offsets[i]:offsets[i + 1]]
+        self.offsets = np.cumsum([0] + [a.size for a in arrays]).tolist()
+        self._layout = [(slice(a, b), shape) for a, b, shape in
+                        zip(self.offsets, self.offsets[1:], shapes)]
+        self._flat = np.concatenate([a.ravel() for a in arrays])
+        self._params = self.split(self._flat)
+
+    # read-only: rebinding either would detach the views from `flat`
+    flat = property(lambda self: self._flat)
+    params = property(lambda self: self._params)
+
+    def split(self, vec: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Views of a vector in the flat layout, one per parameter tensor."""
+        return tuple([vec[s].reshape(shape) for s, shape in self._layout])
 
     def num_extractor_layers(self) -> int:
         return len(self.spec.hidden_dims) + 1
@@ -191,12 +217,13 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> GradientSet:
+def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
     """Reverse-mode gradients of any loss whose logit gradient is given.
 
     Backpropagates logit_grad (shape B x C) through the activations that
     `forward(net, x, keep=True)` stored in `tape`, to every parameter
-    tensor. The parameters must not have changed since that forward.
+    tensor, and returns them as one vector in the layout of `net.flat`.
+    The parameters must not have changed since that forward.
     """
     g = np.asarray(logit_grad, dtype=float)
     if g.shape != tape.logits.shape:
@@ -204,20 +231,20 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> GradientSet:
                          f"got {g.shape}")
     kind = net.spec.activation
     acts, pre = tape.acts, tape.pre
-    grads: GradientSet = [np.empty(0)] * len(net.params)
+    grad = np.empty_like(net.flat)
+    out = net.split(grad)
 
-    features = acts[-1]
-    grads[-2] = features.T @ g
-    grads[-1] = np.sum(g, axis=0)
+    np.matmul(acts[-1].T, g, out=out[-2])
+    np.sum(g, axis=0, out=out[-1])
     da = g @ net.params[-2].T
 
     for layer in range(net.num_extractor_layers() - 1, -1, -1):
         dz = da * _activate_grad(pre[layer], acts[layer + 1], kind)
-        grads[2 * layer] = acts[layer].T @ dz
-        grads[2 * layer + 1] = np.sum(dz, axis=0)
+        np.matmul(acts[layer].T, dz, out=out[2 * layer])
+        np.sum(dz, axis=0, out=out[2 * layer + 1])
         if layer > 0:
             da = dz @ net.params[2 * layer].T
-    return grads
+    return grad
 
 
 @dataclass
@@ -226,56 +253,68 @@ class SgdState:
     momentum: float = 0.9
     nesterov: bool = True
     weight_decay: float = 0.0
-    velocity: List[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def validate(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        # chained comparisons, so that NaN fails them too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and non-negative, "
+                             f"got {self.weight_decay}")
 
 
 def init_sgd(net: Network, learning_rate: float, momentum: float = 0.9,
              nesterov: bool = True, weight_decay: float = 0.0) -> SgdState:
     state = SgdState(learning_rate=learning_rate, momentum=momentum,
                      nesterov=nesterov, weight_decay=weight_decay,
-                     velocity=[np.zeros_like(p) for p in net.params])
+                     velocity=np.zeros_like(net.flat))
     state.validate()
     return state
 
 
-def sgd_step(net: Network, grads: GradientSet, state: SgdState,
+def _live_runs(net: Network, frozen: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """(start, stop) in `flat` of each maximal run of unfrozen tensors."""
+    runs: List[Tuple[int, int]] = []
+    for i, (start, stop) in enumerate(zip(net.offsets, net.offsets[1:])):
+        if i not in frozen:
+            if runs and runs[-1][1] == start:
+                start = runs.pop()[0]
+            runs.append((start, stop))
+    return runs
+
+
+def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
              frozen: Tuple[int, ...] = ()) -> None:
-    """One optimizer step in place.
+    """One optimizer step in place, from a gradient in the flat layout.
 
     Weight decay is added to the raw gradient, then
         v <- momentum * v + g
         update = momentum * v + g   (nesterov)  or  v
         param <- param - lr * update
-    Parameter indices in `frozen` are skipped entirely. Every gradient is
-    checked before any tensor is written, so a rejected step leaves the
-    parameters and velocities untouched.
+    Parameter indices in `frozen` are skipped entirely. Every unfrozen
+    entry of the gradient is checked before anything is written, so a
+    rejected step leaves the parameters and velocity untouched.
     """
-    if len(grads) != len(net.params):
-        raise ValueError("gradient count does not match parameter count")
-    skip = set(frozen)
-    live = [i for i in range(len(net.params)) if i not in skip]
-    for i in live:
-        p, g = net.params[i], grads[i]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient {i} has shape {g.shape}, "
-                             f"parameter has {p.shape}")
-        if not np.all(np.isfinite(g)):
+    if grad.shape != net.flat.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, want {net.flat.shape}")
+    runs = _live_runs(net, frozen) if frozen else [(0, net.flat.size)]
+    for start, stop in runs:
+        finite = np.isfinite(grad[start:stop])
+        if not finite.all():  # name the tensor of the first bad entry
+            i = np.searchsorted(net.offsets, start + finite.argmin(), "right") - 1
             raise NumericalError(f"non-finite gradient in parameter tensor {i}")
-    for i in live:
-        p, g = net.params[i], grads[i]
-        g_eff = g + state.weight_decay * p
-        v = state.velocity[i]
+    for start, stop in runs:
+        p, v = net.flat[start:stop], state.velocity[start:stop]
+        g_eff = state.weight_decay * p
+        g_eff += grad[start:stop]  # g + decay * p: the sum commutes exactly
         v *= state.momentum
         v += g_eff
-        update = state.momentum * v + g_eff if state.nesterov else v
+        update = np.add(state.momentum * v, g_eff, out=g_eff) \
+            if state.nesterov else v
         p -= state.learning_rate * update
 
 
@@ -312,8 +351,7 @@ def deserialize(text: str) -> Network:
         activation=kv["spec.activation"]))
 
     params: List[np.ndarray] = []
-    expected = [d for pair in spec.layer_dims() for d in (pair, (pair[1],))]
-    for i, want in enumerate(expected):
+    for i, want in enumerate(spec.param_shapes()):
         shape = tuple(kv.parse(f"param.{i}.shape", _parse_dims))
         flat = kv.parse(f"param.{i}.data", parse_floats)
         if shape != want:

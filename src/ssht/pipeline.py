@@ -74,8 +74,13 @@ class AdaptConfig:
                              f"got {self.method!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.lambda_u < 0.0 or self.lambda_d < 0.0:
-            raise ValueError("lambda_u and lambda_d must be non-negative")
+        network.SgdState(self.lr, self.momentum,
+                         weight_decay=self.weight_decay).validate()
+        for name in ("lambda_u", "lambda_d"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.unlabeled_batch < 1:
@@ -165,25 +170,25 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
             spec.num_classes != task.spec.num_classes:
         raise ValueError("network spec does not match the task dimensions")
 
-    source_x, source_y = task.source()
-    n = source_x.shape[0]
     streams = np.random.SeedSequence(seed).spawn(3)
     rng_split = np.random.default_rng(streams[0])
     rng_batch = np.random.default_rng(streams[2])
+    net = network.init_network(spec, seed=int(streams[1].generate_state(1)[0]))
+    state = network.init_sgd(net, lr, momentum=momentum, nesterov=nesterov,
+                             weight_decay=weight_decay)
+
+    source_x, source_y = task.source()
+    n = source_x.shape[0]
 
     perm = rng_split.permutation(n)
     n_val = max(1, n // 10)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     train_x, train_y = source_x[train_idx], source_y[train_idx]
     val_x, val_y = source_x[val_idx], source_y[val_idx]
-
-    net = network.init_network(spec, seed=int(streams[1].generate_state(1)[0]))
-    state = network.init_sgd(net, lr, momentum=momentum, nesterov=nesterov,
-                             weight_decay=weight_decay)
     bs = min(batch_size, train_x.shape[0])
 
     best_acc = -1.0
-    best_params = None
+    best = None
     best_epoch = -1
     for epoch in range(1, epochs + 1):
         order = rng_batch.permutation(train_x.shape[0])
@@ -199,10 +204,10 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
         val_acc = evaluate(net, val_x, val_y).accuracy
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = [p.copy() for p in net.params]
+            best = net.flat.copy()
             best_epoch = epoch
 
-    net.params = best_params
+    net.flat[...] = best
     net.meta = {"seed": str(seed),
                 "source_val_accuracy": repr(float(best_acc)),
                 "best_epoch": str(best_epoch)}
@@ -259,8 +264,8 @@ def adapt(model_text: str, task, config: AdaptConfig,
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
     aborted = False
-    good_params = [p.copy() for p in net.params]  # as of the last epoch end
-    final: Optional[EvalResult] = None  # test evaluation of good_params
+    good = net.flat.copy()  # the parameters as of the last epoch end
+    final: Optional[EvalResult] = None  # test evaluation of good
     for epoch in range(1, config.epochs + 1):
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
         for _ in range(steps):
@@ -297,7 +302,7 @@ def adapt(model_text: str, task, config: AdaptConfig,
 
         if aborted:
             report.aborted_epoch = epoch
-            net.params = good_params
+            net.flat[...] = good
             break
         final = evaluate(net, view.test_x, view.test_y)
         labeled_acc = evaluate(net, view.labeled_x, view.labeled_y).accuracy
@@ -310,7 +315,7 @@ def adapt(model_text: str, task, config: AdaptConfig,
             total=float(m[3]), mask_rate=float(m[4]),
             labeled_acc=float(labeled_acc), test_acc=final.accuracy,
             diversity_ratio=float(div)))
-        good_params = [p.copy() for p in net.params]
+        good[...] = net.flat
 
     if final is None:  # aborted in the first epoch, back at the source model
         final = evaluate(net, view.test_x, view.test_y)

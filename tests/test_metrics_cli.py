@@ -212,6 +212,58 @@ def test_cli_train_source_bad_loop_size_is_exit_1(cli_files, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_train_source_non_finite_lr_is_exit_1(cli_files, tmp_path,
+                                                  capsys):
+    _, task_path, _ = cli_files
+    out = tmp_path / "m.txt"
+    for value in ("nan", "inf"):
+        rc = cli.main(["train-source", "--data", task_path, "--seed", "0",
+                       "--lr", value, "--out", str(out)])
+        assert rc == 1
+        assert f"error: learning_rate must be finite and positive, " \
+            f"got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# every adapt hyperparameter flag, with a value that NaN or inf slips past
+# a plain `x < 0` check, and the error it must give
+BAD_ADAPT_FLAGS = [
+    ("--lr", "nan", "learning_rate must be finite and positive, got nan"),
+    ("--lr", "inf", "learning_rate must be finite and positive, got inf"),
+    ("--lambda-u", "nan", "lambda_u must be finite and non-negative, got nan"),
+    ("--lambda-d", "inf", "lambda_d must be finite and non-negative, got inf"),
+    ("--weight-decay", "nan",
+     "weight_decay must be finite and non-negative, got nan"),
+    ("--momentum", "nan", "momentum must lie in [0, 1), got nan"),
+]
+
+
+@pytest.mark.parametrize("flag,value,message", BAD_ADAPT_FLAGS)
+def test_cli_adapt_non_finite_setting_is_exit_1(cli_files, tmp_path, capsys,
+                                                flag, value, message):
+    _, task_path, model_path = cli_files
+    rc = cli.main(["adapt", "--model", model_path, "--data", task_path,
+                   "--seed", "0", "--epochs", "1", flag, value,
+                   "--out-model", str(tmp_path / "m.txt"),
+                   "--report", str(tmp_path / "r.txt")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value,message", BAD_ADAPT_FLAGS)
+def test_cli_ablate_non_finite_setting_is_exit_1(cli_files, tmp_path, capsys,
+                                                 flag, value, message):
+    _, task_path, model_path = cli_files
+    out = tmp_path / "x.csv"
+    rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                   "--seeds", "0", "--epochs", "1", flag, value,
+                   "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     _, task_path, model_path = cli_files
     with open(task_path) as f:

@@ -93,8 +93,9 @@ def test_softmax_hand_value():
 def test_backward_zero_grad():
     net = network.init_network(small_spec(), seed=4)
     tape = network.forward(net, np.ones((2, 3)), keep=True)
-    grads = network.backward(net, tape, np.zeros((2, 4)))
-    assert all(np.all(g == 0.0) for g in grads)
+    grad = network.backward(net, tape, np.zeros((2, 4)))
+    assert grad.shape == net.flat.shape
+    assert np.all(grad == 0.0)
 
 
 def test_backward_single_linear_layer_closed_form():
@@ -105,27 +106,24 @@ def test_backward_single_linear_layer_closed_form():
     x = rng.normal(size=(7, 3))
     g = rng.normal(size=(7, 4))
     feats, _ = network.forward(net, x)
-    grads = network.backward(net, network.forward(net, x, keep=True), g)
+    grads = net.split(network.backward(net, network.forward(net, x, keep=True),
+                                       g))
     np.testing.assert_allclose(grads[-2], feats.T @ g, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[-1], g.sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def fd_param_grads(net, x, g, h=1e-5):
     """Central differences of L = sum(logits * g) w.r.t. every parameter."""
-    out = []
-    for p in net.params:
-        gp = np.zeros_like(p)
-        flat = p.ravel()
-        gflat = gp.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            _, lp = network.forward(net, x)
-            flat[k] = orig - h
-            _, lm = network.forward(net, x)
-            flat[k] = orig
-            gflat[k] = (np.sum(lp * g) - np.sum(lm * g)) / (2 * h)
-        out.append(gp)
+    flat = net.flat
+    out = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        _, lp = network.forward(net, x)
+        flat[k] = orig - h
+        _, lm = network.forward(net, x)
+        flat[k] = orig
+        out[k] = (np.sum(lp * g) - np.sum(lm * g)) / (2 * h)
     return out
 
 
@@ -139,10 +137,9 @@ def test_backward_matches_finite_differences(activation):
     g = rng.normal(size=(6, 3))
     exact = network.backward(net, network.forward(net, x, keep=True), g)
     approx = fd_param_grads(net, x, g)
-    for a, b in zip(exact, approx):
-        rel = np.abs(a - b) / np.maximum.reduce(
-            [np.abs(a), np.abs(b), np.full_like(a, 1e-6)])
-        assert np.max(rel) <= 1e-4
+    rel = np.abs(exact - approx) / np.maximum.reduce(
+        [np.abs(exact), np.abs(approx), np.full_like(exact, 1e-6)])
+    assert np.max(rel) <= 1e-4
 
 
 def test_backward_rejects_bad_grad_shape():
@@ -191,25 +188,108 @@ def test_blocked_forward_matches_one_shot(activation, rows):
     assert np.array_equal(logits, want_logits)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("rows", [1, 2, 95, 96, 97, 193, 250])
+def test_blocked_forward_matches_taped_pass(activation, rows):
+    # evaluation (blocked, no tape) and training (one taped pass) give the
+    # default network bit-identical logits for the same rows
+    net = network.init_network(network.default_spec(activation=activation),
+                               seed=24)
+    x = np.random.default_rng(100 + rows).normal(size=(rows, 2)) * 3.0
+    _, logits = network.forward(net, x)
+    assert np.array_equal(logits, network.forward(net, x, keep=True).logits)
+
+
+# ------------------------------------------------------- flat parameters
+
+def test_params_are_views_of_flat():
+    net = network.init_network(small_spec(), seed=30)
+    assert net.flat.shape == (sum(p.size for p in net.params),)
+    assert all(np.shares_memory(p, net.flat) for p in net.params)
+    net.params[2][1, 3] = 7.0
+    assert net.flat[net.offsets[2] + 1 * 4 + 3] == 7.0
+    net.flat[net.offsets[-2]] = -3.0
+    assert net.params[-1][0] == -3.0
+
+
+def test_params_cannot_be_rebound():
+    net = network.init_network(small_spec(), seed=31)
+    with pytest.raises(TypeError):
+        net.params[0] = np.zeros((3, 5))
+    with pytest.raises(AttributeError):
+        net.params = [p.copy() for p in net.params]
+    with pytest.raises(AttributeError):
+        net.flat = np.zeros_like(net.flat)
+
+
+def test_network_copies_the_callers_arrays():
+    src = network.init_network(small_spec(), seed=32)
+    arrays = [p.copy() for p in src.params]
+    net = network.Network(small_spec(), arrays)
+    arrays[0][0, 0] = 99.0
+    net.params[1][0] = -99.0
+    assert net.params[0][0, 0] == src.params[0][0, 0]
+    assert arrays[1][0] == 0.0
+    with pytest.raises(ValueError, match="shapes"):
+        network.Network(small_spec(), arrays[:-1])
+    with pytest.raises(ValueError, match="shapes"):
+        network.Network(small_spec(), [a.T for a in arrays])
+
+
+def _per_tensor_sgd_step(params, grads, velocity, state, frozen):
+    """The optimizer step as one loop over separate parameter tensors."""
+    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
+        if i in frozen:
+            continue
+        g_eff = g + state.weight_decay * p
+        v *= state.momentum
+        v += g_eff
+        update = state.momentum * v + g_eff if state.nesterov else v
+        p -= state.learning_rate * update
+
+
+@pytest.mark.parametrize("nesterov,decay,frozen,runs", [
+    (True, 0.0, (), 1),
+    (False, 0.0, (), 1),
+    (True, 5e-4, (), 1),
+    (False, 5e-4, (6, 7), 1),
+    (True, 5e-4, (2,), 2),
+    (True, 5e-4, (0, 3, 7), 2),
+], ids=["nesterov", "plain-momentum", "weight-decay", "frozen-classifier",
+        "frozen-middle-tensor", "frozen-ends-and-middle"])
+def test_flat_sgd_matches_per_tensor_loop(nesterov, decay, frozen, runs):
+    net = network.init_network(small_spec(), seed=33)
+    state = network.init_sgd(net, learning_rate=0.05, momentum=0.9,
+                             nesterov=nesterov, weight_decay=decay)
+    assert len(network._live_runs(net, frozen)) == runs
+    params = [p.copy() for p in net.params]
+    velocity = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        grad = rng.normal(size=net.flat.shape)
+        network.sgd_step(net, grad, state, frozen=frozen)
+        _per_tensor_sgd_step(params, net.split(grad), velocity, state, frozen)
+    assert np.array_equal(net.flat,
+                          np.concatenate([p.ravel() for p in params]))
+    assert np.array_equal(state.velocity,
+                          np.concatenate([v.ravel() for v in velocity]))
+
+
 def test_sgd_zero_lr_is_identity():
     net = network.init_network(small_spec(), seed=8)
-    before = [p.copy() for p in net.params]
+    before = net.flat.copy()
     state = network.init_sgd(net, learning_rate=1e-30)
-    grads = [np.ones_like(p) for p in net.params]
-    network.sgd_step(net, grads, state)
-    for b, p in zip(before, net.params):
-        np.testing.assert_allclose(p, b, atol=1e-25)
+    network.sgd_step(net, np.ones_like(net.flat), state)
+    np.testing.assert_allclose(net.flat, before, atol=1e-25)
 
 
 def test_sgd_plain_step():
     net = network.init_network(small_spec(), seed=9)
-    before = [p.copy() for p in net.params]
+    before = net.flat.copy()
     state = network.init_sgd(net, learning_rate=1.0, momentum=0.0,
                              nesterov=False, weight_decay=0.0)
-    grads = [np.full_like(p, 0.25) for p in net.params]
-    network.sgd_step(net, grads, state)
-    for b, p in zip(before, net.params):
-        np.testing.assert_allclose(b - p, 0.25, rtol=1e-12)
+    network.sgd_step(net, np.full_like(net.flat, 0.25), state)
+    np.testing.assert_allclose(before - net.flat, 0.25, rtol=1e-12)
 
 
 def test_sgd_matches_scalar_recurrence():
@@ -225,9 +305,9 @@ def test_sgd_matches_scalar_recurrence():
     w, v = w0, 0.0
     for step in range(2):
         g_raw = 0.5 + 0.1 * step
-        grads = [np.zeros_like(p) for p in net.params]
-        grads[0][0, 0] = g_raw
-        network.sgd_step(net, grads, state)
+        grad = np.zeros_like(net.flat)
+        net.split(grad)[0][0, 0] = g_raw
+        network.sgd_step(net, grad, state)
         g = g_raw + decay * w
         v = mom * v + g
         w = w - lr * (mom * v + g)
@@ -239,34 +319,65 @@ def test_sgd_frozen_indices():
     ci, bi = net.classifier_param_indices()
     head_before = net.params[ci].copy()
     state = network.init_sgd(net, learning_rate=0.5)
-    grads = [np.ones_like(p) for p in net.params]
-    network.sgd_step(net, grads, state, frozen=(ci, bi))
+    network.sgd_step(net, np.ones_like(net.flat), state, frozen=(ci, bi))
     assert np.array_equal(net.params[ci], head_before)
     assert not np.array_equal(net.params[0],
                               network.init_network(small_spec(), seed=11).params[0])
 
 
+def test_sgd_ignores_frozen_gradients():
+    net = network.init_network(small_spec(), seed=14)
+    ci, bi = net.classifier_param_indices()
+    head_before = net.params[ci].copy()
+    state = network.init_sgd(net, learning_rate=0.5)
+    grad = np.ones_like(net.flat)
+    net.split(grad)[ci][0, 0] = np.nan
+    network.sgd_step(net, grad, state, frozen=(ci, bi))
+    assert np.array_equal(net.params[ci], head_before)
+    assert np.all(np.isfinite(net.flat)) and np.all(np.isfinite(state.velocity))
+
+
 def test_sgd_rejects_non_finite():
     net = network.init_network(small_spec(), seed=12)
     state = network.init_sgd(net, learning_rate=0.1)
-    grads = [np.zeros_like(p) for p in net.params]
-    grads[2][0, 0] = np.nan
+    grad = np.zeros_like(net.flat)
+    net.split(grad)[2][0, 0] = np.nan
     with pytest.raises(NumericalError, match="2"):
-        network.sgd_step(net, grads, state)
+        network.sgd_step(net, grad, state)
 
 
 def test_sgd_non_finite_last_tensor_leaves_state_untouched():
     net = network.init_network(small_spec(), seed=13)
     state = network.init_sgd(net, learning_rate=0.1)
-    network.sgd_step(net, [np.ones_like(p) for p in net.params], state)
-    params = [p.copy() for p in net.params]
-    velocity = [v.copy() for v in state.velocity]
-    grads = [np.ones_like(p) for p in net.params]
+    network.sgd_step(net, np.ones_like(net.flat), state)
+    params = net.flat.copy()
+    velocity = state.velocity.copy()
+    grad = np.ones_like(net.flat)
+    grads = net.split(grad)
     grads[-1][0] = np.nan
     with pytest.raises(NumericalError, match=str(len(grads) - 1)):
-        network.sgd_step(net, grads, state)
-    assert all(np.array_equal(p, q) for p, q in zip(net.params, params))
-    assert all(np.array_equal(v, w) for v, w in zip(state.velocity, velocity))
+        network.sgd_step(net, grad, state)
+    assert np.array_equal(net.flat, params)
+    assert np.array_equal(state.velocity, velocity)
+
+
+def test_sgd_rejects_a_gradient_of_the_wrong_shape():
+    net = network.init_network(small_spec(), seed=15)
+    state = network.init_sgd(net, learning_rate=0.1)
+    with pytest.raises(ValueError, match="shape"):
+        network.sgd_step(net, np.ones(net.flat.size - 1), state)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", np.nan),
+    ("learning_rate", np.inf), ("momentum", np.nan),
+    ("weight_decay", -1.0), ("weight_decay", np.nan),
+    ("weight_decay", np.inf)])
+def test_init_sgd_rejects_bad_hyperparameters(field, value):
+    net = network.init_network(small_spec(), seed=16)
+    kw = {"learning_rate": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must .* got {value}"):
+        network.init_sgd(net, **kw)
 
 
 def test_serialize_round_trip_bit_exact():

@@ -35,12 +35,12 @@ def test_evaluate_perfect_predictor():
     spec = network.NetworkSpec(input_dim=2, hidden_dims=[2], feature_dim=2,
                                num_classes=2, activation="tanh")
     net = network.init_network(spec, seed=0)
-    net.params[0] = np.eye(2)
-    net.params[1] = np.zeros(2)
-    net.params[2] = np.eye(2)
-    net.params[3] = np.zeros(2)
-    net.params[4] = np.array([[5.0, -5.0], [-5.0, 5.0]])
-    net.params[5] = np.zeros(2)
+    net.params[0][...] = np.eye(2)
+    net.params[1][...] = np.zeros(2)
+    net.params[2][...] = np.eye(2)
+    net.params[3][...] = np.zeros(2)
+    net.params[4][...] = np.array([[5.0, -5.0], [-5.0, 5.0]])
+    net.params[5][...] = np.zeros(2)
     xs = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     ys = np.array([0, 1, 0])
     res = pipeline.evaluate(net, xs, ys)
@@ -117,6 +117,18 @@ def test_train_source_reads_source_once():
 def test_train_source_rejects_bad_loop_sizes(task, kw, name):
     with pytest.raises(ValueError, match=name):
         pipeline.train_source(task, seed=0, **kw)
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"lr": float("nan")}, "learning_rate must be finite and positive"),
+    ({"lr": float("inf")}, "learning_rate must be finite and positive"),
+    ({"weight_decay": float("nan")}, "weight_decay must be finite"),
+    ({"momentum": 1.0}, "momentum must lie in")])
+def test_train_source_rejects_bad_settings_before_reading(kw, message):
+    task = data.generate_task(data.DomainShiftSpec(), seed=6)
+    with pytest.raises(ValueError, match=message):
+        pipeline.train_source(task, seed=0, **kw)
+    assert task.source_reads == 0
 
 
 def test_train_source_dimension_mismatch(task):
