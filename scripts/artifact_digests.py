@@ -1,0 +1,88 @@
+"""Print a sha256 digest of every artifact the CLI writes for some seeds.
+
+For each seed it runs, in a temporary directory:
+
+  gen-data      the task file
+  train-source  the source model
+  adapt         every method, plus cdl with --freeze-classifier: the
+                adapted model, the report and its CSV sidecar
+  ablate        the default method grid over that one seed
+
+and prints one `<sha256>  seed<N>/<file>` line per file, in a fixed
+order. Two trees that print the same lines wrote byte-identical
+artifacts, so a change that claims to alter no output can be checked
+by diffing this script's output on both:
+
+  PYTHONPATH=src python scripts/artifact_digests.py --seeds 0,1,2
+
+`--epochs` shortens train-source, adapt and ablate; without it every
+command runs at its own default. The script imports `ssht` from
+wherever PYTHONPATH points and names that location on stderr.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from ssht import cli
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"ssht {' '.join(argv)} exited {rc}")
+
+
+def _seed_artifacts(seed: int, epochs, root: str):
+    """Run every command for one seed; yield the paths written, in order."""
+    loop = [] if epochs is None else ["--epochs", str(epochs)]
+    d = os.path.join(root, f"seed{seed}")
+    os.mkdir(d)
+    task, model = os.path.join(d, "task.txt"), os.path.join(d, "source.txt")
+    _run(["gen-data", "--seed", str(seed), "--out", task])
+    yield task
+    _run(["train-source", "--data", task, "--seed", str(seed), "--out", model]
+         + loop)
+    yield model
+    runs = [(m, []) for m in cli.pipeline.METHODS] + \
+        [("cdl", ["--freeze-classifier"])]
+    for method, extra in runs:
+        name = method + ("_frozen" if extra else "")
+        adapted = os.path.join(d, f"{name}.model.txt")
+        report = os.path.join(d, f"{name}.report.txt")
+        _run(["adapt", "--model", model, "--data", task, "--method", method,
+              "--seed", str(seed), "--out-model", adapted, "--report", report]
+             + loop + extra)
+        yield from (adapted, report, report + ".csv")
+    grid = os.path.join(d, "ablate.csv")
+    _run(["ablate", "--model", model, "--data", task, "--seeds", str(seed),
+          "--out", grid] + loop)
+    yield grid
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", default="0",
+                        help="comma-separated integer seeds")
+    parser.add_argument("--epochs", type=int, default=None,
+                        help="epochs for train-source, adapt and ablate")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    print(f"ssht from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as root:
+        for seed in seeds:
+            for path in _seed_artifacts(seed, args.epochs, root):
+                with open(path, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+                print(f"{digest}  {os.path.relpath(path, root)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,13 +3,20 @@
 Subcommands: gen-data, train-source, adapt, evaluate, ablate,
 gradcheck, version. Exit codes: 0 success, 1 runtime or file error,
 2 usage error (argparse), 3 gradient-check failure.
+
+A flag that sets a library setting has no default of its own: its
+destination is the name of that setting, it is absent from the parsed
+arguments unless given, and each command passes on only the flags
+given, so the library's defaults apply to the rest.
 """
 
 import argparse
 import csv
+import inspect
 import io
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,35 +25,43 @@ from .fileio import atomic_write_text, read_text
 from .linalg import NumericalError
 
 
+def _given(args, target) -> dict:
+    """The parsed flags that name a parameter of `target` (a wrapper of
+    a function must keep its signature, as functools.wraps does)."""
+    names = inspect.signature(target).parameters
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--input-dim", type=int, default=2)
+    p.add_argument("--classes", type=int, dest="num_classes",
+                   metavar="CLASSES")
+    p.add_argument("--input-dim", type=int)
     p.add_argument("--geometry", choices=data.GEOMETRIES,
-                   default="gaussian_ring")
-    p.add_argument("--rotation-deg", type=float, default=30.0,
+                   dest="class_geometry")
+    p.add_argument("--rotation-deg", type=float,
                    help="target rotation shift in degrees")
-    p.add_argument("--translation", default="0.0,1.75",
+    p.add_argument("--translation",
                    help="comma-separated target translation shift")
-    p.add_argument("--scale", type=float, default=0.85)
-    p.add_argument("--imbalance", type=float, default=10.0,
+    p.add_argument("--scale", type=float, dest="shift_scale", metavar="SCALE")
+    p.add_argument("--imbalance", type=float, dest="source_imbalance_ratio",
+                   metavar="IMBALANCE",
                    help="source majority:minority class ratio")
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--noise-std", type=float)
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=0.8)
-    p.add_argument("--lambda-u", type=float, default=2.5)
-    p.add_argument("--lambda-d", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--unlabeled-batch", type=int, default=48)
-    p.add_argument("--labeled-batch", type=int, default=None,
+    p.add_argument("--tau", type=float)
+    p.add_argument("--lambda-u", type=float)
+    p.add_argument("--lambda-d", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--unlabeled-batch", type=int)
+    p.add_argument("--labeled-batch", type=int,
                    help="defaults to min(labeled set size, unlabeled batch)")
     p.add_argument("--freeze-classifier", action="store_true")
-    p.add_argument("--labeled-aug", choices=pipeline.LABELED_AUG_MODES,
-                   default="weak")
+    p.add_argument("--labeled-aug", choices=pipeline.LABELED_AUG_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,31 +70,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Source-free semi-supervised adaptation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a domain-shift task file")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary,
+                              argument_default=argparse.SUPPRESS)
+
+    p = add("gen-data", "generate a domain-shift task file")
     _add_spec_flags(p)
-    p.add_argument("--n-source", type=int, default=2000)
-    p.add_argument("--shots", type=int, default=3)
-    p.add_argument("--n-unlabeled", type=int, default=1000)
-    p.add_argument("--n-test", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-source", type=int)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--n-unlabeled", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-source", help="train and checkpoint a source model")
+    p = add("train-source", "train and checkpoint a source model")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--batch-size", type=int, default=96)
-    p.add_argument("--hidden", default="64,64",
-                   help="comma-separated extractor layer widths")
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--activation", choices=network.ACTIVATIONS, default="tanh")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--hidden", help="comma-separated extractor layer widths")
+    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--activation", choices=network.ACTIVATIONS)
 
-    p = sub.add_parser("adapt", help="adapt a source model to the target split")
+    p = add("adapt", "adapt a source model to the target split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=pipeline.METHODS, default="cdl")
+    p.add_argument("--method", choices=pipeline.METHODS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--report", required=True)
@@ -91,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("test", "labeled", "unlabeled"),
                    default="test")
 
-    p = sub.add_parser("ablate", help="run a method x seed comparison grid")
+    p = add("ablate", "run a method x seed comparison grid")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--methods", default="cdl,cdl_no_cl,cdl_no_dl,s_plus_t",
@@ -101,42 +119,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV table destination")
     _add_adapt_flags(p)
 
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of every gradient path")
-    p.add_argument("--seed", type=int, default=0)
+    p = add("gradcheck", "finite-difference check of every gradient path")
+    p.add_argument("--seed", type=int)
 
     sub.add_parser("version", help="print the package version")
     return parser
 
 
 def _cmd_gen_data(args) -> int:
-    translation = tuple(float(t) for t in args.translation.split(","))
-    spec = data.DomainShiftSpec(
-        num_classes=args.classes, input_dim=args.input_dim,
-        class_geometry=args.geometry,
-        shift_rotation=math.radians(args.rotation_deg),
-        shift_translation=translation, shift_scale=args.scale,
-        source_imbalance_ratio=args.imbalance, noise_std=args.noise_std)
-    task = data.generate_task(spec, n_source=args.n_source, shots=args.shots,
-                              n_unlabeled=args.n_unlabeled,
-                              n_test=args.n_test, seed=args.seed)
+    if "rotation_deg" in args:
+        args.shift_rotation = math.radians(args.rotation_deg)
+    if "translation" in args:
+        args.shift_translation = tuple(float(t)
+                                       for t in args.translation.split(","))
+    spec = data.DomainShiftSpec(**_given(args, data.DomainShiftSpec))
+    task = data.generate_task(spec, **_given(args, data.generate_task))
     data.save_task(task, args.out)
     print(f"wrote task file {args.out} "
-          f"({args.n_source} source, {args.shots * args.classes} labeled, "
-          f"{args.n_unlabeled} unlabeled, {args.n_test} test)")
+          f"({task.source_x.shape[0]} source, {task.labeled_x.shape[0]} "
+          f"labeled, {task.num_unlabeled} unlabeled, {task.test_x.shape[0]} "
+          f"test)")
     return 0
 
 
 def _cmd_train_source(args) -> int:
     task = data.load_task(args.data)
-    spec = network.NetworkSpec(
-        input_dim=task.spec.input_dim,
-        hidden_dims=[int(h) for h in args.hidden.split(",")],
-        feature_dim=args.feature_dim, num_classes=task.spec.num_classes,
-        activation=args.activation)
-    model_text = pipeline.train_source(task, spec=spec, epochs=args.epochs,
-                                       seed=args.seed, lr=args.lr,
-                                       batch_size=args.batch_size)
+    if "hidden" in args:
+        args.hidden_dims = [int(h) for h in args.hidden.split(",")]
+    spec = replace(network.default_spec(input_dim=task.spec.input_dim,
+                                        num_classes=task.spec.num_classes),
+                   **_given(args, network.NetworkSpec))
+    model_text = pipeline.train_source(task, spec=spec,
+                                       **_given(args, pipeline.train_source))
     atomic_write_text(args.out, model_text)
     net = network.deserialize(model_text)
     print(f"wrote model {args.out} "
@@ -145,24 +159,14 @@ def _cmd_train_source(args) -> int:
     return 0
 
 
-def _config_from_args(args, method: str, seed: int) -> pipeline.AdaptConfig:
-    return pipeline.AdaptConfig(
-        method=method, tau=args.tau, lambda_u=args.lambda_u,
-        lambda_d=args.lambda_d, lr=args.lr, momentum=args.momentum,
-        weight_decay=args.weight_decay, labeled_batch=args.labeled_batch,
-        unlabeled_batch=args.unlabeled_batch, epochs=args.epochs, seed=seed,
-        freeze_classifier=args.freeze_classifier,
-        labeled_aug=args.labeled_aug)
-
-
 def _cmd_adapt(args) -> int:
     model_text = read_text(args.model)
     task = data.load_task(args.data)
-    config = _config_from_args(args, args.method, args.seed)
+    config = pipeline.AdaptConfig(**_given(args, pipeline.AdaptConfig))
     report, adapted_text = pipeline.adapt(model_text, task, config)
     atomic_write_text(args.out_model, adapted_text)
     reports.write_report(report, args.report)
-    print(f"method {args.method} seed {args.seed}: "
+    print(f"method {config.method} seed {config.seed}: "
           f"final test accuracy {report.final_accuracy:.4f} "
           f"over {len(report.records)} epochs")
     if report.aborted_epoch is not None:
@@ -206,8 +210,7 @@ def _cmd_ablate(args) -> int:
     except ValueError:
         raise ValueError(f"--seeds must be comma-separated integers, "
                          f"got {args.seeds!r}") from None
-    base = _config_from_args(args, methods[0], seeds[0])
-    base.validate()  # a bad setting would fail every cell alike
+    base = pipeline.AdaptConfig(**_given(args, pipeline.AdaptConfig))
     suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
 
     buf = io.StringIO()
@@ -244,7 +247,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = gradcheck.run_all(seed=args.seed)
+    results = gradcheck.run_all(**_given(args, gradcheck.run_all))
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

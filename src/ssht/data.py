@@ -13,8 +13,9 @@ A task file is an "ssht-data/1" key-value document (see fileio).
 
 Augmentation operators are vector stand-ins for the usual image ones:
 weak is small isotropic jitter (a translation analog), strong composes
-random transforms drawn from a pool (jitter, rotation, scaling,
-coordinate dropout), in the spirit of randomized augmentation policies.
+random transforms drawn from a pool (jitter, rotation, scaling), in the
+spirit of randomized augmentation policies. `adapt` always uses
+`default_policy`, whose parameters scale with the class separation.
 Both work on whole batches: every row draws its own ops and parameters,
 but the draws and transforms run as array operations over the batch,
 not as one call per row.
@@ -34,8 +35,7 @@ DATA_FORMAT = "ssht-data/1"
 
 RING_RADIUS = 3.0
 GEOMETRIES = ("gaussian_ring", "two_moons_multi")
-STRONG_OPS = ("coordinate_dropout", "jitter", "rotate", "scale")
-DEFAULT_STRONG_POOL = ("jitter", "rotate", "scale")
+STRONG_OPS = ("jitter", "rotate", "scale")
 
 # fraction of each class's angular slot actually covered by its arc in
 # the multi-crescent geometry; the rest is the gap between classes
@@ -253,7 +253,7 @@ class AugmentPolicy:
     weak_noise_std: float
     strong_noise_std: float
     strong_num_ops: int = 2
-    strong_pool: Tuple[str, ...] = DEFAULT_STRONG_POOL
+    strong_pool: Tuple[str, ...] = STRONG_OPS
     rotate_max: float = math.pi / 12
     scale_range: Tuple[float, float] = (0.9, 1.15)
 
@@ -315,11 +315,9 @@ def strong_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
                 x0, x1 = out[rows, 0], out[rows, 1]
                 out[rows, 0] = c * x0 - s * x1
                 out[rows, 1] = s * x0 + c * x1
-            elif op == "scale":
+            else:  # scale
                 lo, hi = policy.scale_range
                 out[rows] *= rng.uniform(lo, hi, size=m)[:, None]
-            else:  # coordinate_dropout
-                out[rows, rng.integers(0, d, size=m)] = 0.0
     return out
 
 
@@ -405,6 +403,9 @@ def deserialize_task(text: str) -> DomainTask:
     arrays = {}
     for name, ykey in _LABEL_KEYS.items():
         count = kv.parse(f"split.{name}.count", int)
+        if count < 1:
+            raise DataFormatError(f"split {name}: count must be >= 1, "
+                                  f"got {count}")
         flat = kv.parse(f"split.{name}.x", parse_floats)
         y = kv.parse(f"split.{name}.{ykey}", parse_ints)
         if flat.size != count * spec.input_dim:
@@ -415,7 +416,7 @@ def deserialize_task(text: str) -> DomainTask:
         if y.size != count:
             raise DataFormatError(f"split {name}: {y.size} labels for "
                                   f"{count} samples")
-        if count > 0 and (y.min() < 0 or y.max() >= spec.num_classes):
+        if y.min() < 0 or y.max() >= spec.num_classes:
             raise DataFormatError(f"split {name}: label outside [0, "
                                   f"{spec.num_classes})")
         arrays[name] = (flat.reshape(count, spec.input_dim), y)

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: SVD, nuclear norm, and the nuclear-norm subgradient.
+"""Dense matrix kernels: SVD, and the nuclear norm with its subgradient.
 
 The nuclear norm ||A||_* (sum of singular values) is the quantity the
 diversity objective maximizes over batch prediction matrices, so the
@@ -8,7 +8,9 @@ matrices this package produces (batch x classes, both <= 128).
 
 The decomposition dominates the cost of the diversity objective, which
 needs both the norm and its subgradient of each prediction matrix:
-`nuclear_norm_and_subgradient` returns the pair from a single `svd`.
+`nuclear_norm_and_subgradient` returns the pair from a single `svd`,
+with singular values at or below RANK_TOL times the largest left out
+of the subgradient.
 At these sizes a Jacobi sweep costs Python calls per column pair, not
 arithmetic, so `svd` keeps the working columns and the accumulated
 rotation side by side as rows of one array: each pair visit is one 2x2
@@ -22,6 +24,7 @@ import numpy as np
 
 JACOBI_MAX_SWEEPS = 60
 JACOBI_REL_TOL = 1e-12
+RANK_TOL = 1e-8
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -163,28 +166,18 @@ def nuclear_norm(a) -> float:
     return float(np.sum(svd(a).sigma))
 
 
-def nuclear_norm_and_subgradient(a, rank_tol: float = 1e-8
-                                 ) -> Tuple[float, np.ndarray]:
+def nuclear_norm_and_subgradient(a) -> Tuple[float, np.ndarray]:
     """Nuclear norm of `a` and a subgradient U_r V_r^T there, from one SVD.
 
     The norm is the sum of all singular values, as in `nuclear_norm`.
-    The subgradient keeps singular triples with sigma > rank_tol *
+    The subgradient keeps singular triples with sigma > RANK_TOL *
     sigma_max (thin truncation, the stable choice at rank-deficient
     points). The zero matrix maps to the zero matrix, which is a valid
     subgradient.
     """
-    if rank_tol <= 0.0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     r = svd(a)
     norm = float(np.sum(r.sigma))
-    keep = r.sigma > rank_tol * r.sigma[0]
+    keep = r.sigma > RANK_TOL * r.sigma[0]
     if not np.any(keep):
         return norm, np.zeros((r.u.shape[0], r.v.shape[0]))
     return norm, r.u[:, keep] @ r.v[:, keep].T
-
-
-def nuclear_norm_subgradient(a, rank_tol: float = 1e-8) -> np.ndarray:
-    """Subgradient of the nuclear norm at `a`: U_r V_r^T, truncated as in
-    `nuclear_norm_and_subgradient`."""
-    return nuclear_norm_and_subgradient(a, rank_tol)[1]
-

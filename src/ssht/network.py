@@ -7,14 +7,14 @@ a layer computes x @ W + b) lie one after another, row-major, in one
 float64 vector, `Network.flat`; `Network.params` is a tuple of views
 into it. `backward` returns one gradient vector in the same layout, so
 the optimizer, checkpoints and rollbacks are whole-vector operations.
-A forward pass can keep its activations in a Tape; the backward pass
-consumes that tape instead of running the forward pass again. An
-adaptation step keeps one tape for its whole stacked batch (labeled,
-weak and strong rows) and runs one backward pass from one logit
-gradient, so no per-pass gradients are summed. A pass that keeps no tape
-(evaluation, prediction) runs in blocks of at most FORWARD_BLOCK_ROWS
-rows, so that no matrix product grows tall enough for OpenBLAS to hand
-it to a second thread.
+A forward pass returns the logits, or, asked to keep its activations,
+a Tape; the backward pass consumes that tape instead of running the
+forward pass again. An adaptation step keeps one tape for its whole
+stacked batch (labeled, weak and strong rows) and runs one backward
+pass from one logit gradient, so no per-pass gradients are summed. A
+pass that keeps no tape (evaluation, prediction) runs in blocks of at
+most FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall
+enough for OpenBLAS to hand it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
@@ -185,7 +185,7 @@ def _layers(net: Network, x: np.ndarray) -> Tape:
 
 
 def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
-    """Return (features, logits) for a batch; pure function.
+    """Return the logits of a batch; pure function.
 
     Without a tape the batch runs in blocks of FORWARD_BLOCK_ROWS rows.
     With keep=True, return the whole pass's Tape instead, for `backward`.
@@ -199,14 +199,10 @@ def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
         # numpy multiplies a 1-row block by gemv, whose sums round
         # differently from gemm's; end on a 2-row block instead
         starts[-1] -= 1
-    features = np.empty((n, net.spec.feature_dim))
     logits = np.empty((n, net.spec.num_classes))
     for start, stop in zip(starts, starts[1:] + [n]):
-        rows = slice(start, stop)
-        tape = _layers(net, x[rows])
-        features[rows] = tape.acts[-1]
-        logits[rows] = tape.logits
-    return features, logits
+        logits[start:stop] = _layers(net, x[start:stop]).logits
+    return logits
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """End-to-end workflows around a serialized source model.
 
 train_source fits a classifier on the imbalanced source split (with a
-9:1 train/validation split and best-validation checkpointing) and emits
-a model document. adapt consumes that document plus the target half of
-a task and runs one of five methods:
+9:1 train/validation split, best-validation checkpointing and a fixed
+SGD recipe) and emits a model document. adapt consumes that document
+plus the target half of a task and runs one of five methods:
 
   cdl        classification + thresholded consistency + batch
              nuclear-norm diversity on both unlabeled views
@@ -13,10 +13,10 @@ a task and runs one of five methods:
   ent        classification + entropy minimization on the weak view
 
 Each adaptation step stacks the labeled rows, then the weak and the
-strong view of one unlabeled batch (only the views its method reads),
-runs them through one taped forward pass and losses.total_loss, and
-takes one backward pass from the single logit-gradient matrix that
-total_loss returns.
+strong view of one unlabeled batch (only the views its method reads;
+both drawn under data.default_policy for the task), runs them through
+one taped forward pass and losses.total_loss, and takes one backward
+pass from the single logit-gradient matrix that total_loss returns.
 
 The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
@@ -30,7 +30,8 @@ Per-epoch prediction-diversity is measured on held-out test batches,
 from the predictions of that epoch's test evaluation.
 The unlabeled split's private labels stay untouched during adaptation;
 suite-level diversity on the unlabeled split is computed afterwards
-through the counting accessor.
+through the counting accessor. run_ablation_suite checks the settings
+its cells share before the first cell runs.
 """
 
 import hashlib
@@ -136,7 +137,7 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
     if ys.size and (ys.min() < 0 or ys.max() >= c):
         raise ValueError(f"model has {c} classes, labels span "
                          f"{ys.min()} to {ys.max()}")
-    _, logits = network.forward(net, xs)
+    logits = network.forward(net, xs)
     pred = np.argmax(logits, axis=1)
     confusion = np.zeros((c, c), dtype=int)
     np.add.at(confusion, (ys, pred), 1)
@@ -151,13 +152,13 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
 
 def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = None,
                  epochs: int = 30, seed: int = 0, lr: float = 0.005,
-                 momentum: float = 0.9, nesterov: bool = True,
-                 weight_decay: float = 0.0005, batch_size: int = 96) -> str:
+                 batch_size: int = 96) -> str:
     """Fit on 90% of the source split, checkpoint on the other 10%.
 
-    Returns the serialized model document of the epoch with the best
-    validation accuracy (earliest epoch wins ties). The counted source
-    accessor is used exactly once.
+    The optimizer is SGD with nesterov momentum 0.9 and weight decay
+    0.0005. Returns the serialized model document of the epoch with the
+    best validation accuracy (earliest epoch wins ties). The counted
+    source accessor is used exactly once.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -174,8 +175,8 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     rng_split = np.random.default_rng(streams[0])
     rng_batch = np.random.default_rng(streams[2])
     net = network.init_network(spec, seed=int(streams[1].generate_state(1)[0]))
-    state = network.init_sgd(net, lr, momentum=momentum, nesterov=nesterov,
-                             weight_decay=weight_decay)
+    state = network.init_sgd(net, lr, momentum=0.9, nesterov=True,
+                             weight_decay=0.0005)
 
     source_x, source_y = task.source()
     n = source_x.shape[0]
@@ -214,8 +215,7 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     return network.serialize(net)
 
 
-def adapt(model_text: str, task, config: AdaptConfig,
-          policy: Optional[data.AugmentPolicy] = None
+def adapt(model_text: str, task, config: AdaptConfig
           ) -> Tuple[RunReport, str]:
     """Adapt a serialized source model on the target half of a task.
 
@@ -232,9 +232,7 @@ def adapt(model_text: str, task, config: AdaptConfig,
     if net.spec.num_classes != view.spec.num_classes:
         raise ValueError(f"model has {net.spec.num_classes} classes, "
                          f"task has {view.spec.num_classes}")
-    if policy is None:
-        policy = data.default_policy(view.spec)
-    policy.validate()
+    policy = data.default_policy(view.spec)
 
     n_labeled = view.labeled_x.shape[0]
     labeled_batch = config.labeled_batch if config.labeled_batch is not None \
@@ -348,27 +346,27 @@ class SuiteResult:
 
 def run_ablation_suite(task: data.DomainTask, model_text: str,
                        base_config: AdaptConfig, methods: Sequence[str],
-                       seeds: Sequence[int],
-                       policy: Optional[data.AugmentPolicy] = None
-                       ) -> SuiteResult:
+                       seeds: Sequence[int]) -> SuiteResult:
     """Adapt the same source model under every (method, seed) pair.
 
     The diversity column is the mean prediction-diversity ratio over
     random unlabeled batches, measured after adaptation through the
-    counting label accessor. A failed cell is recorded and the rest of
-    the grid still runs.
+    counting label accessor. The settings every cell shares (all but
+    the method and the seed) are validated before the first cell, so a
+    bad one raises ValueError and nothing runs; a cell that fails on
+    its own is recorded and the rest of the grid still runs.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
+    replace(base_config, method=METHODS[0]).validate()
     rows: List[SuiteRow] = []
     for method in methods:
         for seed in seeds:
             cfg = replace(base_config, method=method, seed=seed)
             try:
-                report, adapted_text = adapt(model_text, task, cfg,
-                                             policy=policy)
-                _, logits = network.forward(network.deserialize(adapted_text),
-                                            task.unlabeled_x)
+                report, adapted_text = adapt(model_text, task, cfg)
+                logits = network.forward(network.deserialize(adapted_text),
+                                         task.unlabeled_x)
                 div = metrics.aggregate_diversity(
                     np.argmax(logits, axis=1), task.unlabeled_labels(),
                     batch_size=min(48, task.num_unlabeled), num_batches=50,

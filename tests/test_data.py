@@ -262,17 +262,6 @@ def test_strong_scale_one_factor_per_row_within_range():
     assert np.unique(factors[:, 0]).size > 1
 
 
-def test_strong_dropout_zeroes_exactly_one_coordinate_per_row():
-    policy = single_op_policy("coordinate_dropout", strong_num_ops=1)
-    xs = np.random.default_rng(34).uniform(1.0, 2.0, size=(400, 3))
-    out = data.strong_augment_batch(xs, policy, np.random.default_rng(35))
-    zeroed = out == 0.0
-    assert np.all(zeroed.sum(axis=1) == 1)
-    np.testing.assert_array_equal(out[~zeroed], xs[~zeroed])
-    # every coordinate gets dropped somewhere in a batch this size
-    assert np.all(zeroed.any(axis=0))
-
-
 def test_strong_jitter_std_matches_policy():
     policy = single_op_policy("jitter", strong_noise_std=0.4, strong_num_ops=1)
     xs = np.tile([1.0, -1.0], (20_000, 1))

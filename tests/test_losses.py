@@ -172,7 +172,8 @@ def seed_diversity_loss(p):
     """The two-decompositions-per-matrix formula, kept as the oracle."""
     b = p.shape[0]
     value = -linalg.nuclear_norm(p) / b
-    grad = losses.softmax_backward(p, -linalg.nuclear_norm_subgradient(p) / b)
+    sub = linalg.nuclear_norm_and_subgradient(p)[1]
+    grad = losses.softmax_backward(p, -sub / b)
     return float(value), grad
 
 
@@ -377,7 +378,7 @@ def test_aggregate_diversity_perfect_predictor():
     net.params[0][0, 0] = -5.0  # first hidden unit reads -x0
     net.params[2][0, :] = 1.0
     net.params[4][:, 1] = 5.0   # class 1 logit rises with -x0
-    pred = np.argmax(network.forward(net, xs)[1], axis=1)
+    pred = np.argmax(network.forward(net, xs), axis=1)
     ratios = metrics.aggregate_diversity(pred, ys, batch_size=10,
                                          num_batches=20,
                                          rng=np.random.default_rng(11))
@@ -392,7 +393,7 @@ def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
     rng = np.random.default_rng(32)
     xs = rng.normal(size=(60, 2)) * 4.0
     ys = rng.integers(0, 5, size=60)
-    pred = np.argmax(network.forward(net, xs)[1], axis=1)
+    pred = np.argmax(network.forward(net, xs), axis=1)
     got = metrics.aggregate_diversity(pred, ys, batch_size=batch_size,
                                       num_batches=num_batches,
                                       rng=np.random.default_rng(33))

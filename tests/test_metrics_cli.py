@@ -1,6 +1,8 @@
 """Report persistence and command-line round-trip tests."""
 
 import csv
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +283,106 @@ def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+def _empty_split(text, split):
+    """`text` with every line of one split emptied and its count set to 0."""
+    lines = []
+    for ln in text.splitlines():
+        head = ln.split(" = ", 1)[0]
+        if head.startswith(f"split.{split}."):
+            ln = head + (" = 0" if head.endswith(".count") else " = ")
+        lines.append(ln)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("split", ["source", "labeled", "unlabeled", "test"])
+def test_cli_empty_split_is_exit_1(cli_files, tmp_path, capsys, split):
+    _, task_path, model_path = cli_files
+    with open(task_path) as f:
+        bad_path = tmp_path / "bad_task.txt"
+        bad_path.write_text(_empty_split(f.read(), split))
+    message = f"split {split}: count must be >= 1, got 0"
+    with pytest.raises(data.DataFormatError, match=message):
+        data.load_task(str(bad_path))
+    out = tmp_path / "out"
+    for argv in (["evaluate", "--model", model_path],
+                 ["adapt", "--model", model_path, "--seed", "0",
+                  "--out-model", str(out / "m.txt"),
+                  "--report", str(out / "r.txt")],
+                 ["train-source", "--seed", "0", "--out", str(out / "s.txt")]):
+        assert cli.main(argv + ["--data", str(bad_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ------------------------------------------- cli flags and library defaults
+
+def _capture(monkeypatch, module, name):
+    """Replace module.name with a stub that records its arguments and
+    fails, so the command stops with exit 1 right after the call. The
+    stub keeps the signature the CLI matches its flags against."""
+    calls = []
+
+    @functools.wraps(getattr(module, name))
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise ValueError("stub")
+
+    monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+def test_cli_gen_data_defaults_are_the_library_defaults(tmp_path, monkeypatch,
+                                                        capsys):
+    calls = _capture(monkeypatch, data, "generate_task")
+    assert cli.main(["gen-data", "--out", str(tmp_path / "t.txt")]) == 1
+    assert calls == [((data.DomainShiftSpec(),), {})]
+    capsys.readouterr()
+
+
+def test_cli_gen_data_converts_given_flags(tmp_path, monkeypatch, capsys):
+    calls = _capture(monkeypatch, data, "generate_task")
+    assert cli.main(["gen-data", "--classes", "3", "--rotation-deg", "45",
+                     "--translation", "1,-2", "--imbalance", "4",
+                     "--n-test", "50", "--seed", "9",
+                     "--out", str(tmp_path / "t.txt")]) == 1
+    spec = data.DomainShiftSpec(num_classes=3, shift_rotation=math.pi / 4,
+                                shift_translation=(1.0, -2.0),
+                                source_imbalance_ratio=4.0)
+    assert calls == [((spec,), {"n_test": 50, "seed": 9})]
+    capsys.readouterr()
+
+
+def test_cli_train_source_defaults_are_the_library_defaults(
+        cli_files, tmp_path, monkeypatch, capsys):
+    _, task_path, _ = cli_files
+    calls = _capture(monkeypatch, pipeline, "train_source")
+    assert cli.main(["train-source", "--data", task_path, "--seed", "4",
+                     "--out", str(tmp_path / "m.txt")]) == 1
+    (args, kwargs), = calls
+    assert kwargs == {"spec": network.default_spec(input_dim=2, num_classes=4),
+                      "seed": 4}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["adapt", "ablate"])
+def test_cli_adapt_defaults_are_the_library_defaults(cli_files, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command):
+    _, task_path, model_path = cli_files
+    calls = _capture(monkeypatch, pipeline, "adapt")
+    files = {"adapt": ["--seed", "3", "--out-model", str(tmp_path / "m.txt"),
+                       "--report", str(tmp_path / "r.txt")],
+             "ablate": ["--seeds", "3", "--out", str(tmp_path / "x.csv")]}
+    cli.main([command, "--model", model_path, "--data", task_path]
+             + files[command])
+    methods = ["cdl"] if command == "adapt" else \
+        ["cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t"]
+    assert [args[2] for args, _ in calls] == \
+        [pipeline.AdaptConfig(method=m, seed=3) for m in methods]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", ["--noise-std", "--scale"])

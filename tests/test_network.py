@@ -52,9 +52,8 @@ def test_forward_zero_params():
     net = network.init_network(small_spec(), seed=1)
     for p in net.params:
         p[...] = 0.0
-    feats, logits = network.forward(net, np.ones((3, 3)))
+    logits = network.forward(net, np.ones((3, 3)))
     assert np.all(logits == 0.0)
-    assert feats.shape == (3, 6)
     assert logits.shape == (3, 4)
 
 
@@ -62,7 +61,7 @@ def test_forward_rowwise_independent():
     net = network.init_network(small_spec(), seed=2)
     x = np.random.default_rng(0).normal(size=(1, 3))
     tiled = np.repeat(x, 5, axis=0)
-    _, logits = network.forward(net, tiled)
+    logits = network.forward(net, tiled)
     assert np.allclose(logits, logits[0])
 
 
@@ -105,9 +104,9 @@ def test_backward_single_linear_layer_closed_form():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(7, 3))
     g = rng.normal(size=(7, 4))
-    feats, _ = network.forward(net, x)
-    grads = net.split(network.backward(net, network.forward(net, x, keep=True),
-                                       g))
+    tape = network.forward(net, x, keep=True)
+    grads = net.split(network.backward(net, tape, g))
+    feats = tape.acts[-1]
     np.testing.assert_allclose(grads[-2], feats.T @ g, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[-1], g.sum(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -119,9 +118,9 @@ def fd_param_grads(net, x, g, h=1e-5):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + h
-        _, lp = network.forward(net, x)
+        lp = network.forward(net, x)
         flat[k] = orig - h
-        _, lm = network.forward(net, x)
+        lm = network.forward(net, x)
         flat[k] = orig
         out[k] = (np.sum(lp * g) - np.sum(lm * g)) / (2 * h)
     return out
@@ -155,10 +154,10 @@ def test_forward_tape_matches_plain_forward(activation):
                                num_classes=3, activation=activation)
     net = network.init_network(spec, seed=21)
     x = np.random.default_rng(22).normal(size=(9, 3))
-    feats, logits = network.forward(net, x)
+    logits = network.forward(net, x)
     tape = network.forward(net, x, keep=True)
     assert np.array_equal(tape.logits, logits)
-    assert np.array_equal(tape.acts[-1], feats)
+    assert np.array_equal(tape.acts[-1], _one_shot(net, x)[0])
     assert np.array_equal(tape.acts[0], x)
     assert [a.shape[1] for a in tape.acts] == [3, 4, 6, 5]
     assert [z.shape[1] for z in tape.pre] == [4, 6, 5]
@@ -181,11 +180,9 @@ def test_blocked_forward_matches_one_shot(activation, rows):
     net = network.init_network(network.default_spec(activation=activation),
                                seed=23)
     x = np.random.default_rng(rows).normal(size=(rows, 2)) * 3.0
-    feats, logits = network.forward(net, x)
-    want_feats, want_logits = _one_shot(net, x)
-    assert feats.shape == (rows, 16) and logits.shape == (rows, 4)
-    assert np.array_equal(feats, want_feats)
-    assert np.array_equal(logits, want_logits)
+    logits = network.forward(net, x)
+    assert logits.shape == (rows, 4)
+    assert np.array_equal(logits, _one_shot(net, x)[1])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -196,7 +193,7 @@ def test_blocked_forward_matches_taped_pass(activation, rows):
     net = network.init_network(network.default_spec(activation=activation),
                                seed=24)
     x = np.random.default_rng(100 + rows).normal(size=(rows, 2)) * 3.0
-    _, logits = network.forward(net, x)
+    logits = network.forward(net, x)
     assert np.array_equal(logits, network.forward(net, x, keep=True).logits)
 
 
