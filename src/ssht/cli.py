@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__, data, gradcheck, network, pipeline, reports
 from .fileio import atomic_write_text, read_text
 from .linalg import NumericalError
@@ -30,6 +28,16 @@ def _given(args, target) -> dict:
     a function must keep its signature, as functools.wraps does)."""
     names = inspect.signature(target).parameters
     return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _parse_list(flag: str, text: str, kind, what: str) -> list:
+    """A comma-separated flag value as a list of kind; a ValueError that
+    names the flag if an item does not convert."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated {what}, "
+                         f"got {text!r}") from None
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -130,8 +138,8 @@ def _cmd_gen_data(args) -> int:
     if "rotation_deg" in args:
         args.shift_rotation = math.radians(args.rotation_deg)
     if "translation" in args:
-        args.shift_translation = tuple(float(t)
-                                       for t in args.translation.split(","))
+        args.shift_translation = tuple(_parse_list(
+            "--translation", args.translation, float, "numbers"))
     spec = data.DomainShiftSpec(**_given(args, data.DomainShiftSpec))
     task = data.generate_task(spec, **_given(args, data.generate_task))
     data.save_task(task, args.out)
@@ -145,7 +153,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_source(args) -> int:
     task = data.load_task(args.data)
     if "hidden" in args:
-        args.hidden_dims = [int(h) for h in args.hidden.split(",")]
+        args.hidden_dims = _parse_list("--hidden", args.hidden, int,
+                                       "integers")
     spec = replace(network.default_spec(input_dim=task.spec.input_dim,
                                         num_classes=task.spec.num_classes),
                    **_given(args, network.NetworkSpec))
@@ -205,11 +214,7 @@ def _cmd_ablate(args) -> int:
     if not methods or not set(methods) <= set(pipeline.METHODS):
         raise ValueError(f"--methods must name methods from "
                          f"{', '.join(pipeline.METHODS)}, got {args.methods!r}")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError:
-        raise ValueError(f"--seeds must be comma-separated integers, "
-                         f"got {args.seeds!r}") from None
+    seeds = _parse_list("--seeds", args.seeds, int, "integers")
     base = pipeline.AdaptConfig(**_given(args, pipeline.AdaptConfig))
     suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
 

@@ -22,8 +22,8 @@ not as one call per row.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -35,7 +35,14 @@ DATA_FORMAT = "ssht-data/1"
 
 RING_RADIUS = 3.0
 GEOMETRIES = ("gaussian_ring", "two_moons_multi")
-STRONG_OPS = ("jitter", "rotate", "scale")
+
+# the strong transform: STRONG_NUM_OPS ops per row, each drawn from
+# STRONG_POOL; a rotation turns by at most ROTATE_MAX radians and a
+# scaling multiplies by a factor drawn from SCALE_RANGE
+STRONG_POOL = ("jitter", "rotate", "scale")
+STRONG_NUM_OPS = 2
+ROTATE_MAX = math.pi / 12
+SCALE_RANGE = (0.9, 1.15)
 
 # fraction of each class's angular slot actually covered by its arc in
 # the multi-crescent geometry; the rest is the gap between classes
@@ -250,34 +257,15 @@ def generate_task(spec: DomainShiftSpec, n_source: int = 2000, shots: int = 3,
 
 @dataclass
 class AugmentPolicy:
+    """The two jitter scales; the rest of the strong transform is fixed
+    by STRONG_POOL, STRONG_NUM_OPS, ROTATE_MAX and SCALE_RANGE."""
     weak_noise_std: float
     strong_noise_std: float
-    strong_num_ops: int = 2
-    strong_pool: Tuple[str, ...] = STRONG_OPS
-    rotate_max: float = math.pi / 12
-    scale_range: Tuple[float, float] = (0.9, 1.15)
-
-    def validate(self) -> None:
-        if self.weak_noise_std < 0.0 or self.strong_noise_std < 0.0:
-            raise ValueError("noise stds must be non-negative")
-        if self.strong_noise_std < self.weak_noise_std:
-            raise ValueError("strong_noise_std must be >= weak_noise_std")
-        if self.strong_num_ops < 1:
-            raise ValueError("strong_num_ops must be >= 1")
-        bad = set(self.strong_pool) - set(STRONG_OPS)
-        if not self.strong_pool or bad:
-            raise ValueError(f"strong_pool must be non-empty ops from "
-                             f"{STRONG_OPS}, offending: {sorted(bad)}")
-        lo, hi = self.scale_range
-        if not lo <= 1.0 <= hi:
-            raise ValueError(f"scale_range must bracket 1, got {self.scale_range}")
 
 
 def default_policy(spec: DomainShiftSpec) -> AugmentPolicy:
     sep = class_separation(spec)
-    policy = AugmentPolicy(weak_noise_std=0.03 * sep, strong_noise_std=0.15 * sep)
-    policy.validate()
-    return policy
+    return AugmentPolicy(weak_noise_std=0.03 * sep, strong_noise_std=0.15 * sep)
 
 
 def weak_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
@@ -288,20 +276,19 @@ def weak_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
 
 def strong_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
                          rng: np.random.Generator) -> np.ndarray:
-    """Compose strong_num_ops transforms per row, each drawn uniformly
-    (with replacement) from the pool and applied in the sampled order.
+    """Compose STRONG_NUM_OPS transforms per row, each drawn uniformly
+    (with replacement) from STRONG_POOL and applied in the sampled order.
 
     One draw picks every row's ops. Then, for each op position and each
-    pool op in sorted order, the rows that picked it are transformed
+    pool op in pool order, the rows that picked it are transformed
     together with one vectorized draw of their parameters. The input is
     not modified.
     """
     out = np.array(xs, dtype=float)
     n, d = out.shape
-    pool = sorted(policy.strong_pool)
-    picks = rng.integers(0, len(pool), size=(n, policy.strong_num_ops))
-    for position in range(policy.strong_num_ops):
-        for k, op in enumerate(pool):
+    picks = rng.integers(0, len(STRONG_POOL), size=(n, STRONG_NUM_OPS))
+    for position in range(STRONG_NUM_OPS):
+        for k, op in enumerate(STRONG_POOL):
             rows = np.flatnonzero(picks[:, position] == k)
             m = rows.size
             if m == 0:
@@ -309,16 +296,24 @@ def strong_augment_batch(xs: np.ndarray, policy: AugmentPolicy,
             if op == "jitter":
                 out[rows] += policy.strong_noise_std * rng.normal(size=(m, d))
             elif op == "rotate":
-                theta = rng.uniform(-policy.rotate_max, policy.rotate_max,
-                                    size=m)
+                theta = rng.uniform(-ROTATE_MAX, ROTATE_MAX, size=m)
                 c, s = np.cos(theta), np.sin(theta)
                 x0, x1 = out[rows, 0], out[rows, 1]
                 out[rows, 0] = c * x0 - s * x1
                 out[rows, 1] = s * x0 + c * x1
             else:  # scale
-                lo, hi = policy.scale_range
-                out[rows] *= rng.uniform(lo, hi, size=m)[:, None]
+                out[rows] *= rng.uniform(*SCALE_RANGE, size=m)[:, None]
     return out
+
+
+def check_batch_sizes(view, labeled_batch: int, unlabeled_batch: int) -> None:
+    """Raise ValueError unless each batch size lies in [1, its split's size]."""
+    n_lab = view.labeled_x.shape[0]
+    n_unl = view.unlabeled_x.shape[0]
+    if labeled_batch < 1 or labeled_batch > n_lab:
+        raise ValueError(f"labeled_batch must be in [1, {n_lab}]")
+    if unlabeled_batch < 1 or unlabeled_batch > n_unl:
+        raise ValueError(f"unlabeled_batch must be in [1, {n_unl}]")
 
 
 def sample_batches(view, labeled_batch: int, unlabeled_batch: int,
@@ -329,14 +324,12 @@ def sample_batches(view, labeled_batch: int, unlabeled_batch: int,
     Labeled batches resample with replacement (the labeled set is tiny).
     Unlabeled batches partition a fresh permutation each epoch, so one
     epoch of ceil(N_u / unlabeled_batch) steps touches every unlabeled
-    sample exactly once.
+    sample exactly once. The sizes are checked (check_batch_sizes) when
+    the first batch is drawn.
     """
+    check_batch_sizes(view, labeled_batch, unlabeled_batch)
     n_lab = view.labeled_x.shape[0]
     n_unl = view.unlabeled_x.shape[0]
-    if labeled_batch < 1 or labeled_batch > n_lab:
-        raise ValueError(f"labeled_batch must be in [1, {n_lab}]")
-    if unlabeled_batch < 1 or unlabeled_batch > n_unl:
-        raise ValueError(f"unlabeled_batch must be in [1, {n_unl}]")
     while True:
         perm = rng.permutation(n_unl)
         for start in range(0, n_unl, unlabeled_batch):

@@ -1,14 +1,23 @@
 """End-to-end finite-difference verification of every gradient path.
 
-Each suite builds a small network, evaluates one objective through it,
-and compares the assembled analytic parameter gradients against central
-finite differences of the scalar loss, entry by entry. The relative
-error of entry pairs (a, b) is |a - b| / max(|a|, |b|, 1e-6).
+Each suite builds small networks, evaluates one objective through them,
+and compares the analytic parameter gradient against central finite
+differences of the scalar objective, entry by entry. The relative error
+of entry pairs (a, b) is |a - b| / max(|a|, |b|, 1e-6).
 
-Instances where a prediction matrix has near-degenerate singular values
-(any gap below 1e-3 of the largest value) are skipped and counted: the
-nuclear norm is not differentiable there, so finite differences are not
-a valid oracle at such points.
+network_backward checks raw reverse mode. Then there is one suite per
+method of pipeline.METHODS, named after it: the method's whole step
+objective, built from pipeline.step_layout and losses.total_loss as
+adapt builds it, so a new method is checked with no edit here. Its tau
+is TAU, 0.4. Two kinds of instance are skipped and counted, and a suite
+draws more until it has checked its quota (at most 20 attempts per
+instance wanted):
+  - under the diversity term, a view whose prediction matrix has
+    near-degenerate singular values (a gap or the smallest value below
+    1e-3 of the largest): the nuclear norm is not differentiable there,
+    so finite differences are not a valid oracle;
+  - under the consistency term, a batch with no weak row above tau,
+    where the term would contribute nothing to check.
 """
 
 from dataclasses import dataclass
@@ -16,11 +25,14 @@ from typing import Callable, List
 
 import numpy as np
 
-from . import linalg, losses, network
+from . import linalg, losses, network, pipeline
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
 SPECTRUM_GAP = 1e-3
+# consistency threshold of the method suites: AdaptConfig's 0.8 would
+# mask every row of a random 3-class network, leaving the term untested
+TAU = 0.4
 
 
 @dataclass
@@ -91,96 +103,35 @@ def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
     return SuiteReport("network_backward", worst, trials, 0, worst <= TOLERANCE)
 
 
-def _loss_error(net, x, loss) -> float:
-    """Worst relative error of the backward gradient of loss(probs of x)
-    against central differences of its value."""
-    tape = _tape(net, x)
-    exact = network.backward(
-        net, tape, loss(network.softmax_rows(tape.logits)).grad)
-    return _rel_err(exact, fd_param_grads(
-        net, lambda: loss(_probs(net, x)).value))
-
-
-def check_classification(trials: int = 6, seed: int = 1) -> SuiteReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(trials):
-        net = _small_net(seed=2000 + t)
-        x = rng.normal(size=(6, 3))
-        y = rng.integers(0, 3, size=6)
-        worst = max(worst, _loss_error(
-            net, x, lambda p: losses.classification_loss(p, y)))
-    return SuiteReport("classification_loss", worst, trials, 0,
-                       worst <= TOLERANCE)
-
-
-def check_consistency(trials: int = 6, seed: int = 2) -> SuiteReport:
-    # the weak view is a constant target, so only the strong pass moves
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(trials):
-        net = _small_net(seed=3000 + t)
-        xw = rng.normal(size=(8, 3))
-        xs = rng.normal(size=(8, 3))
-        probs_w = _probs(net, xw)
-        worst = max(worst, _loss_error(
-            net, xs, lambda p: losses.consistency_loss(probs_w, p, tau=0.4)[0]))
-    return SuiteReport("consistency_loss", worst, trials, 0, worst <= TOLERANCE)
-
-
-def check_entropy(trials: int = 6, seed: int = 3) -> SuiteReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(trials):
-        net = _small_net(seed=4000 + t)
-        x = rng.normal(size=(6, 3))
-        worst = max(worst, _loss_error(net, x, losses.entropy_loss))
-    return SuiteReport("entropy_loss", worst, trials, 0, worst <= TOLERANCE)
-
-
-def check_diversity(trials: int = 6, seed: int = 4) -> SuiteReport:
+def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
+    """One method's step objective, built as adapt builds it: 4 labeled
+    rows, then 6 rows for each unlabeled view the method reads, with the
+    term weights and row slices of pipeline.step_layout for the default
+    config, through losses.total_loss at tau TAU."""
+    weights, weak, strong = pipeline.step_layout(
+        pipeline.AdaptConfig(method=method), 4, 6)
+    views = [rows for rows in (weak, strong) if rows is not None]
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = skipped = 0
     attempts = 0
     while checked < trials and attempts < 20 * trials:
         attempts += 1
-        net = _small_net(seed=5000 + attempts)
-        x = rng.normal(size=(6, 3))
-        if _spectrum_degenerate(_probs(net, x)):
-            skipped += 1
-            continue
-        worst = max(worst, _loss_error(net, x, losses.diversity_loss))
-        checked += 1
-    return SuiteReport("diversity_loss", worst, checked, skipped,
-                       checked == trials and worst <= TOLERANCE)
-
-
-def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
-    """The cdl step's stacked objective, weights 2.5 and 1.0: 4 labeled
-    rows, then 6 weak and 6 strong rows, through losses.total_loss."""
-    rng = np.random.default_rng(seed)
-    weak, strong = slice(4, 10), slice(10, 16)
-    weights = {"consistency": 2.5, "diversity": 1.0}
-    worst = 0.0
-    checked = skipped = 0
-    attempts = 0
-    while checked < trials and attempts < 20 * trials:
-        attempts += 1
-        net = _small_net(seed=6000 + attempts)
-        xl = rng.normal(size=(4, 3))
+        net = _small_net(seed=int(rng.integers(2 ** 31)))
         yl = rng.integers(0, 3, size=4)
-        x = np.concatenate([xl, rng.normal(size=(6, 3)),
-                            rng.normal(size=(6, 3))])
+        x = rng.normal(size=(4 + 6 * len(views), 3))
         tape = _tape(net, x)
         probs = network.softmax_rows(tape.logits)
-        if _spectrum_degenerate(probs[weak]) or \
-                _spectrum_degenerate(probs[strong]):
+        degenerate = "diversity" in weights and any(
+            _spectrum_degenerate(probs[rows]) for rows in views)
+        all_masked = "consistency" in weights and \
+            not np.any(np.max(probs[weak], axis=1) > TAU)
+        if degenerate or all_masked:
             skipped += 1
             continue
 
         def step(p):
-            return losses.total_loss(p, yl, weak, strong, weights, tau=0.4)
+            return losses.total_loss(p, yl, weak, strong, weights, TAU)
 
         # pseudo-labels and the mask are piecewise constant in the weak
         # rows, so letting them move with the parameters does not change
@@ -189,14 +140,12 @@ def check_total(trials: int = 4, seed: int = 5) -> SuiteReport:
         fd = fd_param_grads(net, lambda: step(_probs(net, x)).total)
         worst = max(worst, _rel_err(exact, fd))
         checked += 1
-    return SuiteReport("total_loss", worst, checked, skipped,
+    return SuiteReport(method, worst, checked, skipped,
                        checked == trials and worst <= TOLERANCE)
 
 
 def run_all(seed: int = 0) -> List[SuiteReport]:
-    return [check_network_backward(seed=seed),
-            check_classification(seed=seed + 1),
-            check_consistency(seed=seed + 2),
-            check_entropy(seed=seed + 3),
-            check_diversity(seed=seed + 4),
-            check_total(seed=seed + 5)]
+    """The network backward suite, then one suite per pipeline.METHODS."""
+    return [check_network_backward(seed=seed)] + [
+        check_method(method, seed=seed + 1 + i)
+        for i, method in enumerate(pipeline.METHODS)]

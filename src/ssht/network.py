@@ -18,8 +18,9 @@ enough for OpenBLAS to hand it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
-update, the classic formulation). A step updates each contiguous run
-of unfrozen tensors, and its velocity, as one vector each.
+update, the classic formulation). A step updates the parameters, and
+their velocity, as one vector each; freezing the classifier head, the
+tail of that vector, shortens both.
 
 Models serialize to an "ssht-model/1" key-value document (see fileio),
 bit exact on a round trip; a non-finite parameter is rejected on load.
@@ -104,10 +105,6 @@ class Network:
 
     def num_extractor_layers(self) -> int:
         return len(self.spec.hidden_dims) + 1
-
-    def classifier_param_indices(self) -> Tuple[int, int]:
-        n = len(self.params)
-        return (n - 2, n - 1)
 
 
 def default_spec(input_dim: int = 2, num_classes: int = 4,
@@ -246,9 +243,9 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
 @dataclass
 class SgdState:
     learning_rate: float
-    momentum: float = 0.9
-    nesterov: bool = True
-    weight_decay: float = 0.0
+    momentum: float
+    nesterov: bool
+    weight_decay: float
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def validate(self) -> None:
@@ -263,8 +260,8 @@ class SgdState:
                              f"got {self.weight_decay}")
 
 
-def init_sgd(net: Network, learning_rate: float, momentum: float = 0.9,
-             nesterov: bool = True, weight_decay: float = 0.0) -> SgdState:
+def init_sgd(net: Network, learning_rate: float, momentum: float,
+             nesterov: bool, weight_decay: float) -> SgdState:
     state = SgdState(learning_rate=learning_rate, momentum=momentum,
                      nesterov=nesterov, weight_decay=weight_decay,
                      velocity=np.zeros_like(net.flat))
@@ -272,46 +269,35 @@ def init_sgd(net: Network, learning_rate: float, momentum: float = 0.9,
     return state
 
 
-def _live_runs(net: Network, frozen: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    """(start, stop) in `flat` of each maximal run of unfrozen tensors."""
-    runs: List[Tuple[int, int]] = []
-    for i, (start, stop) in enumerate(zip(net.offsets, net.offsets[1:])):
-        if i not in frozen:
-            if runs and runs[-1][1] == start:
-                start = runs.pop()[0]
-            runs.append((start, stop))
-    return runs
-
-
 def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
-             frozen: Tuple[int, ...] = ()) -> None:
+             freeze_classifier: bool = False) -> None:
     """One optimizer step in place, from a gradient in the flat layout.
 
     Weight decay is added to the raw gradient, then
         v <- momentum * v + g
         update = momentum * v + g   (nesterov)  or  v
         param <- param - lr * update
-    Parameter indices in `frozen` are skipped entirely. Every unfrozen
-    entry of the gradient is checked before anything is written, so a
-    rejected step leaves the parameters and velocity untouched.
+    With freeze_classifier, the classifier head (the tail of `flat`) and
+    its velocity are skipped entirely. Every other entry of the gradient
+    is checked before anything is written, so a rejected step leaves
+    the parameters and velocity untouched.
     """
     if grad.shape != net.flat.shape:
         raise ValueError(f"gradient has shape {grad.shape}, want {net.flat.shape}")
-    runs = _live_runs(net, frozen) if frozen else [(0, net.flat.size)]
-    for start, stop in runs:
-        finite = np.isfinite(grad[start:stop])
-        if not finite.all():  # name the tensor of the first bad entry
-            i = np.searchsorted(net.offsets, start + finite.argmin(), "right") - 1
-            raise NumericalError(f"non-finite gradient in parameter tensor {i}")
-    for start, stop in runs:
-        p, v = net.flat[start:stop], state.velocity[start:stop]
-        g_eff = state.weight_decay * p
-        g_eff += grad[start:stop]  # g + decay * p: the sum commutes exactly
-        v *= state.momentum
-        v += g_eff
-        update = np.add(state.momentum * v, g_eff, out=g_eff) \
-            if state.nesterov else v
-        p -= state.learning_rate * update
+    live = net.offsets[-3] if freeze_classifier else net.flat.size
+    g = grad[:live]
+    finite = np.isfinite(g)
+    if not finite.all():  # name the tensor of the first bad entry
+        i = np.searchsorted(net.offsets, finite.argmin(), "right") - 1
+        raise NumericalError(f"non-finite gradient in parameter tensor {i}")
+    p, v = net.flat[:live], state.velocity[:live]
+    g_eff = state.weight_decay * p
+    g_eff += g  # g + decay * p: the sum commutes exactly
+    v *= state.momentum
+    v += g_eff
+    update = np.add(state.momentum * v, g_eff, out=g_eff) \
+        if state.nesterov else v
+    p -= state.learning_rate * update
 
 
 def serialize(net: Network) -> str:

@@ -17,6 +17,8 @@ strong view of one unlabeled batch (only the views its method reads;
 both drawn under data.default_policy for the task), runs them through
 one taped forward pass and losses.total_loss, and takes one backward
 pass from the single logit-gradient matrix that total_loss returns.
+step_layout gives a step's term weights and view rows; gradcheck
+builds its method suites from the same function.
 
 The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
@@ -30,8 +32,9 @@ Per-epoch prediction-diversity is measured on held-out test batches,
 from the predictions of that epoch's test evaluation.
 The unlabeled split's private labels stay untouched during adaptation;
 suite-level diversity on the unlabeled split is computed afterwards
-through the counting accessor. run_ablation_suite checks the settings
-its cells share before the first cell runs.
+through the counting accessor. run_ablation_suite runs adapt's checks
+on the model, the task and the settings its cells share before the
+first cell runs.
 """
 
 import hashlib
@@ -75,8 +78,8 @@ class AdaptConfig:
                              f"got {self.method!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        network.SgdState(self.lr, self.momentum,
-                         weight_decay=self.weight_decay).validate()
+        network.SgdState(self.lr, self.momentum, self.nesterov,
+                         self.weight_decay).validate()
         for name in ("lambda_u", "lambda_d"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails it too
@@ -215,6 +218,42 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     return network.serialize(net)
 
 
+def step_layout(config: AdaptConfig, n_labeled: int, n_unlabeled: int
+                ) -> Tuple[Dict[str, float], Optional[slice], Optional[slice]]:
+    """The term weights of config.method, and the rows of the weak and of
+    the strong view in a step that stacks n_labeled labeled rows, then
+    n_unlabeled rows of each unlabeled view the method reads (weak
+    first); a view it does not read is None. What losses.total_loss
+    takes besides the predictions, the labels and tau."""
+    weights = {term: config.lambda_d if term == "diversity" else config.lambda_u
+               for term in METHOD_TERMS[config.method]}
+    weak = slice(n_labeled, n_labeled + n_unlabeled) if weights else None
+    strong = slice(n_labeled + n_unlabeled, n_labeled + 2 * n_unlabeled) \
+        if weights.keys() - {"entropy"} else None
+    return weights, weak, strong
+
+
+def _source_network(model_text: str, view, config: AdaptConfig
+                    ) -> Tuple[network.Network, AdaptConfig]:
+    """The checks adapt makes before its first step: the config, the
+    model document, the model's dimensions against the task's and the
+    batch sizes against the split sizes. Returns the source network and
+    the config with its labeled batch resolved."""
+    config.validate()
+    net = network.deserialize(model_text)
+    if net.spec.input_dim != view.labeled_x.shape[1]:
+        raise ValueError(f"model expects input_dim {net.spec.input_dim}, "
+                         f"task provides {view.labeled_x.shape[1]}")
+    if net.spec.num_classes != view.spec.num_classes:
+        raise ValueError(f"model has {net.spec.num_classes} classes, "
+                         f"task has {view.spec.num_classes}")
+    labeled_batch = config.labeled_batch if config.labeled_batch is not None \
+        else min(view.labeled_x.shape[0], config.unlabeled_batch)
+    config = replace(config, labeled_batch=labeled_batch)
+    data.check_batch_sizes(view, config.labeled_batch, config.unlabeled_batch)
+    return net, config
+
+
 def adapt(model_text: str, task, config: AdaptConfig
           ) -> Tuple[RunReport, str]:
     """Adapt a serialized source model on the target half of a task.
@@ -224,20 +263,8 @@ def adapt(model_text: str, task, config: AdaptConfig
     labels are reachable below this line.
     """
     view = task.adaptation_view() if hasattr(task, "adaptation_view") else task
-    config.validate()
-    net = network.deserialize(model_text)
-    if net.spec.input_dim != view.labeled_x.shape[1]:
-        raise ValueError(f"model expects input_dim {net.spec.input_dim}, "
-                         f"task provides {view.labeled_x.shape[1]}")
-    if net.spec.num_classes != view.spec.num_classes:
-        raise ValueError(f"model has {net.spec.num_classes} classes, "
-                         f"task has {view.spec.num_classes}")
+    net, config = _source_network(model_text, view, config)
     policy = data.default_policy(view.spec)
-
-    n_labeled = view.labeled_x.shape[0]
-    labeled_batch = config.labeled_batch if config.labeled_batch is not None \
-        else min(n_labeled, config.unlabeled_batch)
-    config = replace(config, labeled_batch=labeled_batch)
 
     streams = np.random.SeedSequence(config.seed).spawn(5)
     rng_batch = np.random.default_rng(streams[0])
@@ -246,18 +273,11 @@ def adapt(model_text: str, task, config: AdaptConfig
     rng_strong = np.random.default_rng(streams[3])
     rng_diversity = np.random.default_rng(streams[4])
 
-    state = network.init_sgd(net, config.lr, momentum=config.momentum,
-                             nesterov=config.nesterov,
-                             weight_decay=config.weight_decay)
-    frozen = net.classifier_param_indices() if config.freeze_classifier else ()
-
-    batches = data.sample_batches(view, labeled_batch, config.unlabeled_batch,
-                                  rng_batch)
+    state = network.init_sgd(net, config.lr, config.momentum, config.nesterov,
+                             config.weight_decay)
+    batches = data.sample_batches(view, config.labeled_batch,
+                                  config.unlabeled_batch, rng_batch)
     steps = data.steps_per_epoch(view.num_unlabeled, config.unlabeled_batch)
-    weights = {term: config.lambda_d if term == "diversity" else config.lambda_u
-               for term in METHOD_TERMS[config.method]}
-    needs_weak = bool(weights)
-    needs_strong = bool(weights.keys() - {"entropy"})
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
@@ -268,31 +288,28 @@ def adapt(model_text: str, task, config: AdaptConfig
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
         for _ in range(steps):
             xl, yl, xu = next(batches)
+            weights, weak, strong = step_layout(config, len(yl), len(xu))
             if config.labeled_aug == "weak":
                 xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
             views = [xl]
-            if needs_weak:
+            if weak is not None:
                 views.append(data.weak_augment_batch(xu, policy, rng_weak))
                 report.unlabeled_weak_passes += 1
-            if needs_strong:
+            if strong is not None:
                 views.append(data.strong_augment_batch(xu, policy, rng_strong))
                 report.unlabeled_strong_passes += 1
             tape = network.forward(net, np.concatenate(views), keep=True)
             if not np.all(np.isfinite(tape.logits)):
                 aborted = True
                 break
-            nl, nu = len(yl), len(xu)
-            step = losses.total_loss(
-                network.softmax_rows(tape.logits), yl,
-                slice(nl, nl + nu) if needs_weak else None,
-                slice(nl + nu, nl + 2 * nu) if needs_strong else None,
-                weights, config.tau)
+            step = losses.total_loss(network.softmax_rows(tape.logits), yl,
+                                     weak, strong, weights, config.tau)
             if not math.isfinite(step.total):
                 aborted = True
                 break
             try:
                 network.sgd_step(net, network.backward(net, tape, step.grad),
-                                 state, frozen=frozen)
+                                 state, config.freeze_classifier)
             except NumericalError:
                 aborted = True
                 break
@@ -351,14 +368,16 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
 
     The diversity column is the mean prediction-diversity ratio over
     random unlabeled batches, measured after adaptation through the
-    counting label accessor. The settings every cell shares (all but
-    the method and the seed) are validated before the first cell, so a
-    bad one raises ValueError and nothing runs; a cell that fails on
-    its own is recorded and the rest of the grid still runs.
+    counting label accessor. Before the first cell, the checks adapt
+    makes before its first step run once on what every cell shares
+    (the model, the task and all settings but the method and the seed),
+    so a bad one raises ValueError and nothing runs; a cell that fails
+    on its own is recorded and the rest of the grid still runs.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
-    replace(base_config, method=METHODS[0]).validate()
+    _source_network(model_text, task.adaptation_view(),
+                    replace(base_config, method=METHODS[0]))
     rows: List[SuiteRow] = []
     for method in methods:
         for seed in seeds:

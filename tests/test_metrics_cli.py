@@ -450,3 +450,52 @@ def test_cli_gradcheck_failure_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli.gradcheck, "run_all", fake)
     assert cli.main(["gradcheck"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen-data", "--translation", "a,b"], "--translation"),
+    (["train-source", "--seed", "0", "--hidden", "64,,64"], "--hidden")])
+def test_cli_unparsable_list_flag_is_exit_1(cli_files, tmp_path, capsys, argv,
+                                            flag):
+    _, task_path, _ = cli_files
+    data_flag = ["--data", task_path] if argv[0] == "train-source" else []
+    rc = cli.main(argv + data_flag + ["--out", str(tmp_path / "out.txt")])
+    assert rc == 1
+    assert f"error: {flag} must be comma-separated " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["garbage-model", "class-mismatch",
+                                  "unlabeled-batch"])
+def test_cli_ablate_stops_before_a_grid_every_cell_would_fail(
+        cli_files, tmp_path, monkeypatch, capsys, case):
+    _, task_path, model_path = cli_files
+    extra = []
+    if case == "garbage-model":
+        model_path = str(tmp_path / "garbage.txt")
+        with open(model_path, "w") as f:
+            f.write("garbage\n")
+        message = "expected header 'ssht-model/1'"
+    elif case == "class-mismatch":
+        task_path = str(tmp_path / "task3.txt")
+        assert cli.main(["gen-data", "--classes", "3", "--out", task_path]) == 0
+        message = "model has 4 classes, task has 3"
+    else:
+        extra = ["--unlabeled-batch", "5000"]
+        message = "unlabeled_batch must be in [1, 1000]"
+    capsys.readouterr()
+    loaded, adapts = [], []
+    load_task, adapt = data.load_task, pipeline.adapt
+    monkeypatch.setattr(data, "load_task",
+                        lambda path: loaded.append(load_task(path)) or loaded[-1])
+    monkeypatch.setattr(pipeline, "adapt",
+                        lambda *a: adapts.append(1) or adapt(*a))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                   "--seeds", "0,1", "--epochs", "1", "--out", str(out)]
+                  + extra)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() and adapts == []
+    task, = loaded
+    assert (task.source_reads, task.unlabeled_label_reads) == (0, 0)

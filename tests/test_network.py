@@ -233,11 +233,15 @@ def test_network_copies_the_callers_arrays():
         network.Network(small_spec(), [a.T for a in arrays])
 
 
-def _per_tensor_sgd_step(params, grads, velocity, state, frozen):
+def _sgd(net, learning_rate, momentum=0.9, nesterov=True, weight_decay=0.0):
+    return network.init_sgd(net, learning_rate, momentum, nesterov,
+                            weight_decay)
+
+
+def _per_tensor_sgd_step(params, grads, velocity, state, freeze_classifier):
     """The optimizer step as one loop over separate parameter tensors."""
-    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
-        if i in frozen:
-            continue
+    live = len(params) - 2 if freeze_classifier else len(params)
+    for p, g, v in list(zip(params, grads, velocity))[:live]:
         g_eff = g + state.weight_decay * p
         v *= state.momentum
         v += g_eff
@@ -245,27 +249,22 @@ def _per_tensor_sgd_step(params, grads, velocity, state, frozen):
         p -= state.learning_rate * update
 
 
-@pytest.mark.parametrize("nesterov,decay,frozen,runs", [
-    (True, 0.0, (), 1),
-    (False, 0.0, (), 1),
-    (True, 5e-4, (), 1),
-    (False, 5e-4, (6, 7), 1),
-    (True, 5e-4, (2,), 2),
-    (True, 5e-4, (0, 3, 7), 2),
-], ids=["nesterov", "plain-momentum", "weight-decay", "frozen-classifier",
-        "frozen-middle-tensor", "frozen-ends-and-middle"])
-def test_flat_sgd_matches_per_tensor_loop(nesterov, decay, frozen, runs):
+@pytest.mark.parametrize("nesterov,decay,freeze", [
+    (True, 0.0, False),
+    (False, 0.0, False),
+    (True, 5e-4, False),
+    (False, 5e-4, True),
+], ids=["nesterov", "plain-momentum", "weight-decay", "frozen-classifier"])
+def test_flat_sgd_matches_per_tensor_loop(nesterov, decay, freeze):
     net = network.init_network(small_spec(), seed=33)
-    state = network.init_sgd(net, learning_rate=0.05, momentum=0.9,
-                             nesterov=nesterov, weight_decay=decay)
-    assert len(network._live_runs(net, frozen)) == runs
+    state = _sgd(net, 0.05, nesterov=nesterov, weight_decay=decay)
     params = [p.copy() for p in net.params]
     velocity = [np.zeros_like(p) for p in params]
     rng = np.random.default_rng(34)
     for _ in range(5):
         grad = rng.normal(size=net.flat.shape)
-        network.sgd_step(net, grad, state, frozen=frozen)
-        _per_tensor_sgd_step(params, net.split(grad), velocity, state, frozen)
+        network.sgd_step(net, grad, state, freeze_classifier=freeze)
+        _per_tensor_sgd_step(params, net.split(grad), velocity, state, freeze)
     assert np.array_equal(net.flat,
                           np.concatenate([p.ravel() for p in params]))
     assert np.array_equal(state.velocity,
@@ -275,7 +274,7 @@ def test_flat_sgd_matches_per_tensor_loop(nesterov, decay, frozen, runs):
 def test_sgd_zero_lr_is_identity():
     net = network.init_network(small_spec(), seed=8)
     before = net.flat.copy()
-    state = network.init_sgd(net, learning_rate=1e-30)
+    state = _sgd(net, 1e-30)
     network.sgd_step(net, np.ones_like(net.flat), state)
     np.testing.assert_allclose(net.flat, before, atol=1e-25)
 
@@ -283,8 +282,7 @@ def test_sgd_zero_lr_is_identity():
 def test_sgd_plain_step():
     net = network.init_network(small_spec(), seed=9)
     before = net.flat.copy()
-    state = network.init_sgd(net, learning_rate=1.0, momentum=0.0,
-                             nesterov=False, weight_decay=0.0)
+    state = _sgd(net, 1.0, momentum=0.0, nesterov=False)
     network.sgd_step(net, np.full_like(net.flat, 0.25), state)
     np.testing.assert_allclose(before - net.flat, 0.25, rtol=1e-12)
 
@@ -296,8 +294,7 @@ def test_sgd_matches_scalar_recurrence():
     net = network.init_network(spec, seed=10)
     w0 = float(net.params[0][0, 0])
     lr, mom, decay = 0.1, 0.9, 0.01
-    state = network.init_sgd(net, lr, momentum=mom, nesterov=True,
-                             weight_decay=decay)
+    state = _sgd(net, lr, momentum=mom, weight_decay=decay)
 
     w, v = w0, 0.0
     for step in range(2):
@@ -313,30 +310,49 @@ def test_sgd_matches_scalar_recurrence():
 
 def test_sgd_frozen_indices():
     net = network.init_network(small_spec(), seed=11)
-    ci, bi = net.classifier_param_indices()
-    head_before = net.params[ci].copy()
-    state = network.init_sgd(net, learning_rate=0.5)
-    network.sgd_step(net, np.ones_like(net.flat), state, frozen=(ci, bi))
-    assert np.array_equal(net.params[ci], head_before)
+    head_before = [p.copy() for p in net.params[-2:]]
+    state = _sgd(net, 0.5)
+    network.sgd_step(net, np.ones_like(net.flat), state,
+                     freeze_classifier=True)
+    assert all(np.array_equal(p, q) for p, q in zip(net.params[-2:],
+                                                     head_before))
+    assert not np.any(net.split(state.velocity)[-2])
     assert not np.array_equal(net.params[0],
                               network.init_network(small_spec(), seed=11).params[0])
 
 
 def test_sgd_ignores_frozen_gradients():
     net = network.init_network(small_spec(), seed=14)
-    ci, bi = net.classifier_param_indices()
-    head_before = net.params[ci].copy()
-    state = network.init_sgd(net, learning_rate=0.5)
+    head_before = net.params[-2].copy()
+    state = _sgd(net, 0.5)
     grad = np.ones_like(net.flat)
-    net.split(grad)[ci][0, 0] = np.nan
-    network.sgd_step(net, grad, state, frozen=(ci, bi))
-    assert np.array_equal(net.params[ci], head_before)
+    net.split(grad)[-2][0, 0] = np.nan
+    net.split(grad)[-1][0] = np.inf
+    network.sgd_step(net, grad, state, freeze_classifier=True)
+    assert np.array_equal(net.params[-2], head_before)
     assert np.all(np.isfinite(net.flat)) and np.all(np.isfinite(state.velocity))
+
+
+def test_sgd_frozen_step_checks_every_live_tensor_first():
+    # the last extractor tensor is live, and its bad entry is named even
+    # though the frozen head holds a bad entry too; nothing is written
+    net = network.init_network(small_spec(), seed=17)
+    state = _sgd(net, 0.1)
+    network.sgd_step(net, np.ones_like(net.flat), state)
+    params, velocity = net.flat.copy(), state.velocity.copy()
+    grad = np.ones_like(net.flat)
+    grads = net.split(grad)
+    grads[-1][0] = np.nan
+    grads[-3][-1] = np.inf
+    with pytest.raises(NumericalError, match=f"tensor {len(grads) - 3}$"):
+        network.sgd_step(net, grad, state, freeze_classifier=True)
+    assert np.array_equal(net.flat, params)
+    assert np.array_equal(state.velocity, velocity)
 
 
 def test_sgd_rejects_non_finite():
     net = network.init_network(small_spec(), seed=12)
-    state = network.init_sgd(net, learning_rate=0.1)
+    state = _sgd(net, 0.1)
     grad = np.zeros_like(net.flat)
     net.split(grad)[2][0, 0] = np.nan
     with pytest.raises(NumericalError, match="2"):
@@ -345,7 +361,7 @@ def test_sgd_rejects_non_finite():
 
 def test_sgd_non_finite_last_tensor_leaves_state_untouched():
     net = network.init_network(small_spec(), seed=13)
-    state = network.init_sgd(net, learning_rate=0.1)
+    state = _sgd(net, 0.1)
     network.sgd_step(net, np.ones_like(net.flat), state)
     params = net.flat.copy()
     velocity = state.velocity.copy()
@@ -360,7 +376,7 @@ def test_sgd_non_finite_last_tensor_leaves_state_untouched():
 
 def test_sgd_rejects_a_gradient_of_the_wrong_shape():
     net = network.init_network(small_spec(), seed=15)
-    state = network.init_sgd(net, learning_rate=0.1)
+    state = _sgd(net, 0.1)
     with pytest.raises(ValueError, match="shape"):
         network.sgd_step(net, np.ones(net.flat.size - 1), state)
 
@@ -372,7 +388,8 @@ def test_sgd_rejects_a_gradient_of_the_wrong_shape():
     ("weight_decay", np.inf)])
 def test_init_sgd_rejects_bad_hyperparameters(field, value):
     net = network.init_network(small_spec(), seed=16)
-    kw = {"learning_rate": 0.1, field: value}
+    kw = {"learning_rate": 0.1, "momentum": 0.9, "nesterov": True,
+          "weight_decay": 0.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must .* got {value}"):
         network.init_sgd(net, **kw)
 

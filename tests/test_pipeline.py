@@ -235,9 +235,8 @@ def test_adapt_freeze_classifier(task, model_text):
     cfg = short_config(freeze_classifier=True, seed=5)
     _, text = pipeline.adapt(model_text, task, cfg)
     adapted = network.deserialize(text)
-    head_w, head_b = adapted.classifier_param_indices()
-    np.testing.assert_array_equal(adapted.params[head_w], src.params[head_w])
-    np.testing.assert_array_equal(adapted.params[head_b], src.params[head_b])
+    np.testing.assert_array_equal(adapted.params[-2], src.params[-2])
+    np.testing.assert_array_equal(adapted.params[-1], src.params[-1])
     assert not np.array_equal(adapted.params[0], src.params[0])
 
 
@@ -394,3 +393,16 @@ def test_adapt_and_suite_on_splits_smaller_than_a_diversity_batch():
         ("cdl", "s_plus_t"), (0,))
     assert all(r.error is None for r in res.rows)
     assert all(np.isfinite(r.diversity_ratio) for r in res.rows)
+
+
+@pytest.mark.parametrize("method,weights,weak,strong", [
+    ("cdl", {"consistency": 2.0, "diversity": 3.0}, (5, 12), (12, 19)),
+    ("cdl_no_cl", {"diversity": 3.0}, (5, 12), (12, 19)),
+    ("cdl_no_dl", {"consistency": 2.0}, (5, 12), (12, 19)),
+    ("s_plus_t", {}, None, None),
+    ("ent", {"entropy": 2.0}, (5, 12), None)])
+def test_step_layout_follows_the_method_table(method, weights, weak, strong):
+    cfg = pipeline.AdaptConfig(method=method, lambda_u=2.0, lambda_d=3.0)
+    got = pipeline.step_layout(cfg, 5, 7)
+    assert got == (weights, weak and slice(*weak), strong and slice(*strong))
+    assert set(got[0]) == set(pipeline.METHOD_TERMS[method])
