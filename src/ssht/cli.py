@@ -40,6 +40,19 @@ def _parse_list(flag: str, text: str, kind, what: str) -> list:
                          f"got {text!r}") from None
 
 
+def _check_seed(flag: str, seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"{flag} must be non-negative, got {seed}")
+
+
+def _distinct(flag: str, values: list) -> list:
+    """values, or a ValueError that names the first one repeated."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{flag} repeats {v}")
+    return values
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, dest="num_classes",
                    metavar="CLASSES")
@@ -208,13 +221,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    model_text = read_text(args.model)
-    task = data.load_task(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or not set(methods) <= set(pipeline.METHODS):
         raise ValueError(f"--methods must name methods from "
                          f"{', '.join(pipeline.METHODS)}, got {args.methods!r}")
-    seeds = _parse_list("--seeds", args.seeds, int, "integers")
+    _distinct("--methods", methods)
+    seeds = _distinct("--seeds", _parse_list("--seeds", args.seeds, int,
+                                             "integers"))
+    for seed in seeds:
+        _check_seed("--seeds", seed)
+    model_text = read_text(args.model)
+    task = data.load_task(args.data)
     base = pipeline.AdaptConfig(**_given(args, pipeline.AdaptConfig))
     suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
 
@@ -271,6 +288,8 @@ def main(argv=None) -> int:
         print(__version__)
         return 0
     try:
+        if "seed" in args:
+            _check_seed("--seed", args.seed)
         return handlers[args.command](args)
     except (OSError, ValueError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,11 +13,11 @@ Objectives:
   consistency      confidence-thresholded cross-entropy from the weak
                    view's hard pseudo-label to the strong view, mean
                    over the full batch, no gradient into the weak rows
-  diversity        negated nuclear norm of one prediction matrix over
+  diversity        negated nuclear norm of a prediction matrix over
                    its row count (maximizing it spreads batch
                    predictions over more classes); one SVD gives both
                    the norm and its subgradient. A step adds it for the
-                   weak and for the strong view
+                   weak and for the strong view, both in one kernel call
   entropy          mean prediction entropy of the weak view
   total            classification + the weighted unlabeled terms
 """
@@ -116,22 +116,28 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Chain a gradient at softmax outputs back to the logits."""
-    inner = np.sum(grad_probs * probs, axis=1, keepdims=True)
+    """Chain a gradient at softmax outputs (rows along the last axis)
+    back to the logits."""
+    inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
     return probs * (grad_probs - inner)
 
 
 def diversity_loss(probs: np.ndarray) -> LossValue:
-    """Negated nuclear norm of one prediction matrix over its row count.
+    """Negated nuclear norm of a prediction matrix over its row count.
 
     Minimizing this pushes the batch prediction matrix toward higher
     rank, i.e. toward covering more classes; a collapsed batch scores
-    worst.
+    worst. probs may also be a (views, rows, classes) stack, decomposed
+    in one kernel call: the value is then the sum over the views, and
+    the gradient a stack of each view's.
     """
-    p = _check_probs(probs, "probs")
-    b = p.shape[0]
-    norm, sub = nuclear_norm_and_subgradient(p)
-    return LossValue(value=float(-norm / b),
+    p = np.asarray(probs, dtype=float)
+    if p.ndim not in (2, 3):
+        raise ValueError(f"probs must be 2-D or a 3-D stack, got shape "
+                         f"{p.shape}")
+    b = p.shape[-2]
+    norms, sub = nuclear_norm_and_subgradient(p)
+    return LossValue(value=float(np.sum(-norms / b)),
                      grad=softmax_backward(p, -sub / b))
 
 
@@ -184,18 +190,22 @@ def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
         values[term] += lv.value
         grad[rows] += weights[term] * lv.grad
 
+    mask_rate = 0.0
     if "consistency" in weights:
-        add("consistency", strong, consistency_loss(p[weak], p[strong], tau)[0])
+        lv, mask_rate = consistency_loss(p[weak], p[strong], tau)
+        add("consistency", strong, lv)
+    elif weak is not None:
+        mask_rate = float(np.mean(np.max(p[weak], axis=1) > tau))
     if "entropy" in weights:
         add("entropy", weak, entropy_loss(p[weak]))
     if "diversity" in weights:
-        for rows in (weak, strong):
-            add("diversity", rows, diversity_loss(p[rows]))
+        lv = diversity_loss(np.stack((p[weak], p[strong])))
+        values["diversity"] += lv.value
+        grad[weak] += weights["diversity"] * lv.grad[0]
+        grad[strong] += weights["diversity"] * lv.grad[1]
     total = l_c.value
     for term in TERMS:
         total += weights.get(term, 0.0) * values[term]
-    mask_rate = 0.0 if weak is None else \
-        float(np.mean(np.max(p[weak], axis=1) > tau))
     return StepLoss(l_c=l_c.value,
                     l_u=values["consistency"] + values["entropy"],
                     l_d=values["diversity"], total=float(total),

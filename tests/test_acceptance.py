@@ -19,6 +19,10 @@ GRID_METHODS = ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
 GRID_SEEDS = (0, 1, 2, 3, 4)
 
 
+def nuclear_norm(a):
+    return linalg.nuclear_norm_and_subgradient(a)[0]
+
+
 @pytest.fixture(scope="module")
 def suite():
     task = data.generate_task(data.DomainShiftSpec(), seed=0)
@@ -67,7 +71,7 @@ def test_nuclear_norm_oracle_suite():
         rows = []
         for cls, n in enumerate(counts):
             rows.extend([np.eye(4)[cls]] * n)
-        got = linalg.nuclear_norm(np.array(rows))
+        got = nuclear_norm(np.array(rows))
         want = sum(np.sqrt(n) for n in counts)
         worst_onehot = max(worst_onehot, abs(got - want))
     ok = count == 35 and worst_onehot <= 1e-8
@@ -75,12 +79,12 @@ def test_nuclear_norm_oracle_suite():
     worst_rel = 0.0
     for c in (-2.0, 0.5, 10.0):
         a = rng.normal(size=(9, 5))
-        got = linalg.nuclear_norm(c * a)
-        want = abs(c) * linalg.nuclear_norm(a)
+        got = nuclear_norm(c * a)
+        want = abs(c) * nuclear_norm(a)
         worst_rel = max(worst_rel, abs(got - want) / want)
     a = rng.normal(size=(8, 6))
-    base = linalg.nuclear_norm(a)
-    perm = linalg.nuclear_norm(a[rng.permutation(8)][:, rng.permutation(6)])
+    base = nuclear_norm(a)
+    perm = nuclear_norm(a[rng.permutation(8)][:, rng.permutation(6)])
     worst_rel = max(worst_rel, abs(perm - base) / base)
     ok = ok and worst_rel <= 1e-10
 
@@ -89,7 +93,7 @@ def test_nuclear_norm_oracle_suite():
         m, n = rng.integers(1, 13, size=2)
         a = rng.normal(size=(m, n))
         fro = np.linalg.norm(a)
-        nuc = linalg.nuclear_norm(a)
+        nuc = nuclear_norm(a)
         chain_ok = chain_ok and \
             fro <= nuc + 1e-10 and nuc <= np.sqrt(min(m, n)) * fro + 1e-10
     dt = time.perf_counter() - t0

@@ -8,6 +8,10 @@ from hypothesis.extra import numpy as hnp
 from ssht import linalg
 
 
+def nuclear_norm(a):
+    return linalg.nuclear_norm_and_subgradient(a)[0]
+
+
 def check_svd_contract(a):
     a = np.asarray(a, dtype=float)
     r = linalg.svd(a)
@@ -206,11 +210,11 @@ def test_svd_rejects_bad_shape():
 
 
 def test_nuclear_norm_identity():
-    assert linalg.nuclear_norm(np.eye(5)) == pytest.approx(5.0)
+    assert nuclear_norm(np.eye(5)) == pytest.approx(5.0)
 
 
 def test_nuclear_norm_diag():
-    assert linalg.nuclear_norm([[3.0, 0.0], [0.0, -4.0]]) == pytest.approx(7.0)
+    assert nuclear_norm([[3.0, 0.0], [0.0, -4.0]]) == pytest.approx(7.0)
 
 
 def one_hot_matrix(counts, num_classes):
@@ -227,7 +231,7 @@ def test_nuclear_norm_one_hot_example():
     a = one_hot_matrix([2, 1, 1], 3)
     assert a.shape == (4, 3)
     expected = np.sqrt(2.0) + 1.0 + 1.0
-    assert linalg.nuclear_norm(a) == pytest.approx(expected, abs=1e-8)
+    assert nuclear_norm(a) == pytest.approx(expected, abs=1e-8)
 
 
 def test_nuclear_norm_one_hot_all_compositions():
@@ -237,16 +241,16 @@ def test_nuclear_norm_one_hot_all_compositions():
     for counts in comps:
         a = one_hot_matrix(counts, 4)
         expected = sum(np.sqrt(n_c) for n_c in counts if n_c > 0)
-        assert linalg.nuclear_norm(a) == pytest.approx(expected, abs=1e-8)
+        assert nuclear_norm(a) == pytest.approx(expected, abs=1e-8)
 
 
 def test_nuclear_norm_scale_homogeneity():
     rng = np.random.default_rng(23)
     for _ in range(10):
         a = rng.normal(size=(6, 9))
-        base = linalg.nuclear_norm(a)
+        base = nuclear_norm(a)
         for c in (-2.0, 0.5, 10.0):
-            assert linalg.nuclear_norm(c * a) == pytest.approx(abs(c) * base, rel=1e-10)
+            assert nuclear_norm(c * a) == pytest.approx(abs(c) * base, rel=1e-10)
 
 
 def test_nuclear_norm_unitary_invariance():
@@ -254,8 +258,8 @@ def test_nuclear_norm_unitary_invariance():
     for _ in range(10):
         a = rng.normal(size=(8, 5))
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        assert linalg.nuclear_norm(q @ a) == pytest.approx(
-            linalg.nuclear_norm(a), rel=1e-8)
+        assert nuclear_norm(q @ a) == pytest.approx(
+            nuclear_norm(a), rel=1e-8)
 
 
 def test_norm_bound_chain():
@@ -265,7 +269,7 @@ def test_norm_bound_chain():
         m, n = rng.integers(1, 9, size=2)
         a = rng.normal(size=(m, n))
         fro = np.linalg.norm(a)
-        nuc = linalg.nuclear_norm(a)
+        nuc = nuclear_norm(a)
         slack = 1e-10 * (1.0 + fro)
         assert fro <= nuc + slack
         assert nuc <= np.sqrt(min(m, n)) * fro + slack
@@ -302,8 +306,8 @@ def test_norm_and_subgradient_match_the_separate_kernels():
     for a in (rng.normal(size=(7, 4)), rng.normal(size=(3, 6)),
               np.zeros((4, 2)), np.outer([1.0, 2.0, 3.0], [1.0, -1.0])):
         norm, sub = linalg.nuclear_norm_and_subgradient(a)
-        assert norm == linalg.nuclear_norm(a)
         r = linalg.svd(a)
+        assert norm == float(np.sum(r.sigma))
         keep = r.sigma > linalg.RANK_TOL * r.sigma[0]
         assert np.array_equal(sub, r.u[:, keep] @ r.v[:, keep].T)
 
@@ -325,7 +329,7 @@ def fd_nuclear_gradient(a, h=1e-5):
             am = a.copy()
             ap[i, j] += h
             am[i, j] -= h
-            g[i, j] = (linalg.nuclear_norm(ap) - linalg.nuclear_norm(am)) / (2 * h)
+            g[i, j] = (nuclear_norm(ap) - nuclear_norm(am)) / (2 * h)
     return g
 
 
@@ -360,3 +364,61 @@ def test_frobenius_equals_root_sum_sigma_squared():
     a = rng.normal(size=(9, 6))
     sig = linalg.svd(a).sigma
     assert np.linalg.norm(a) == pytest.approx(np.sqrt(np.sum(sig**2)), rel=1e-10)
+
+
+def softmax_stack(rng, k, m, n, temperature=1.0):
+    z = rng.normal(size=(k, m, n)) * temperature
+    p = np.exp(z - z.max(axis=2, keepdims=True))
+    return p / p.sum(axis=2, keepdims=True)
+
+
+def assert_stacked_equals_single(stack):
+    norms, subs = linalg.nuclear_norm_and_subgradient(stack)
+    assert norms.shape == (len(stack),) and subs.shape == stack.shape
+    for a, norm, sub in zip(stack, norms, subs):
+        one_norm, one_sub = linalg.nuclear_norm_and_subgradient(a)
+        assert norm == one_norm
+        assert np.array_equal(sub, one_sub)
+
+
+def test_stacked_call_equals_single_calls_bit_for_bit():
+    rng = np.random.default_rng(59)
+    orthogonal = np.eye(4)[np.arange(48) % 4]  # converges on the first Gram
+    collapsed = np.zeros((48, 4))
+    collapsed[:, 1] = 1.0
+    near_collapsed = np.full((48, 4), 1e-6)
+    near_collapsed[:, 0] = 1.0 - 3e-6
+    soft = softmax_stack(rng, 3, 48, 4)
+    for stack in ([orthogonal, soft[0]], [soft[1], orthogonal],
+                  [collapsed, soft[2]], [near_collapsed, orthogonal, soft[0]],
+                  [orthogonal, collapsed], softmax_stack(rng, 2, 6, 9, 3.0)):
+        assert_stacked_equals_single(np.array(stack))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), SEEDS,
+       st.sampled_from([0.3, 1.0, 3.0, 10.0]))
+def test_stacked_softmax_batches_equal_single_calls(k, m, n, seed, temp):
+    assert_stacked_equals_single(
+        softmax_stack(np.random.default_rng(seed), k, m, n, temp))
+
+
+def test_one_stacked_call_reproduces_the_one_hot_oracle_for_each_view():
+    views = ((5, 1, 2, 0), (0, 3, 1, 4), (8, 0, 0, 0))  # rows per class
+    stack = np.array([one_hot_matrix(counts, 4) for counts in views])
+    norms, _ = linalg.nuclear_norm_and_subgradient(stack)
+    for counts, norm in zip(views, norms):
+        assert norm == pytest.approx(sum(np.sqrt(n_c) for n_c in counts),
+                                     abs=1e-8)
+
+
+def test_stacks_are_validated():
+    with pytest.raises(ValueError, match="ndim=4"):
+        linalg.nuclear_norm_and_subgradient(np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ValueError, match="positive"):
+        linalg.nuclear_norm_and_subgradient(np.zeros((0, 3, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.nuclear_norm_and_subgradient(
+            np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="ndim=3"):
+        linalg.svd(np.zeros((2, 3, 3)))

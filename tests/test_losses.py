@@ -171,7 +171,7 @@ def test_diversity_permutation_invariance():
 def seed_diversity_loss(p):
     """The two-decompositions-per-matrix formula, kept as the oracle."""
     b = p.shape[0]
-    value = -linalg.nuclear_norm(p) / b
+    value = -linalg.nuclear_norm_and_subgradient(p)[0] / b
     sub = linalg.nuclear_norm_and_subgradient(p)[1]
     grad = losses.softmax_backward(p, -sub / b)
     return float(value), grad
@@ -417,3 +417,16 @@ def test_aggregate_diversity_rejects_no_batches():
 def test_aggregate_diversity_rejects_mismatched_labels(pred, ys):
     with pytest.raises(ValueError, match="label vectors"):
         metrics.aggregate_diversity(pred, ys, batch_size=2, num_batches=1)
+
+
+def test_diversity_of_a_stack_equals_its_views_bit_for_bit():
+    rng = np.random.default_rng(41)
+    collapsed = np.zeros((8, 4))
+    collapsed[:, 2] = 1.0
+    for pw, ps in ((rand_probs(rng, 8, 4), rand_probs(rng, 8, 4)),
+                   (collapsed, rand_probs(rng, 8, 4)),
+                   (np.eye(4)[np.arange(8) % 4], collapsed)):
+        both = losses.diversity_loss(np.stack((pw, ps)))
+        weak, strong = losses.diversity_loss(pw), losses.diversity_loss(ps)
+        assert both.value == weak.value + strong.value
+        assert np.array_equal(both.grad, np.stack((weak.grad, strong.grad)))

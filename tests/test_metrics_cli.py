@@ -499,3 +499,53 @@ def test_cli_ablate_stops_before_a_grid_every_cell_would_fail(
     assert not out.exists() and adapts == []
     task, = loaded
     assert (task.source_reads, task.unlabeled_label_reads) == (0, 0)
+
+
+def _no_work(monkeypatch):
+    """Make every entry point a command could start its work at fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command started work")
+    for module, name in ((data, "generate_task"), (data, "load_task"),
+                         (cli, "read_text"), (cli.gradcheck, "run_all")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-source", "adapt",
+                                     "ablate", "gradcheck"])
+def test_cli_negative_seed_is_exit_1(cli_files, tmp_path, monkeypatch, capsys,
+                                     command):
+    _, task_path, model_path = cli_files
+    out = str(tmp_path / "out.txt")
+    argv = {
+        "gen-data": ["--seed", "-3", "--out", out],
+        "train-source": ["--data", task_path, "--seed", "-1", "--out", out],
+        "adapt": ["--model", model_path, "--data", task_path, "--seed", "-1",
+                  "--out-model", out, "--report", str(tmp_path / "r.txt")],
+        "ablate": ["--model", model_path, "--data", task_path,
+                   "--seeds", "0,-1", "--out", out],
+        "gradcheck": ["--seed", "-2"],
+    }[command]
+    _no_work(monkeypatch)
+    assert cli.main([command] + argv) == 1
+    flag = "--seeds" if command == "ablate" else "--seed"
+    assert f"error: {flag} must be non-negative, got -" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("methods,seeds,message", [
+    ("s_plus_t,s_plus_t", "0", "--methods repeats s_plus_t"),
+    ("cdl,s_plus_t,cdl", "0", "--methods repeats cdl"),
+    ("s_plus_t", "0,0", "--seeds repeats 0"),
+    ("s_plus_t", "3,1,3", "--seeds repeats 3")])
+def test_cli_ablate_repeated_cell_is_exit_1(cli_files, tmp_path, monkeypatch,
+                                            capsys, methods, seeds, message):
+    _, task_path, model_path = cli_files
+    _no_work(monkeypatch)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                   "--methods", methods, "--seeds", seeds, "--epochs", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

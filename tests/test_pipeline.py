@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssht import data, network, pipeline
+from ssht import data, linalg, losses, network, pipeline
 from ssht.linalg import NumericalError
 
 
@@ -406,3 +406,19 @@ def test_step_layout_follows_the_method_table(method, weights, weak, strong):
     got = pipeline.step_layout(cfg, 5, 7)
     assert got == (weights, weak and slice(*weak), strong and slice(*strong))
     assert set(got[0]) == set(pipeline.METHOD_TERMS[method])
+
+
+@pytest.mark.parametrize("method,calls", [("cdl", 1), ("cdl_no_cl", 1),
+                                          ("cdl_no_dl", 0), ("s_plus_t", 0),
+                                          ("ent", 0)])
+def test_adapt_makes_one_kernel_call_per_step_for_both_views(
+        monkeypatch, task, model_text, method, calls):
+    shapes = []
+    kernel = linalg.nuclear_norm_and_subgradient
+    monkeypatch.setattr(losses, "nuclear_norm_and_subgradient",
+                        lambda a: shapes.append(np.shape(a)) or kernel(a))
+    pipeline.adapt(model_text, task, short_config(method=method, seed=0,
+                                                  epochs=1))
+    steps = data.steps_per_epoch(task.num_unlabeled, 48)
+    assert len(shapes) == calls * steps
+    assert all(len(s) == 3 and s[0] == 2 for s in shapes)
