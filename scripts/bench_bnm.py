@@ -1,10 +1,11 @@
 """Time the nuclear-norm kernel of two `ssht` source trees side by side.
 
-    python scripts/bench_bnm.py BEFORE_SRC AFTER_SRC [--rounds 15]
+    python scripts/bench_bnm.py BEFORE_SRC AFTER_SRC
 
 Each argument is a `src` directory (the one holding `ssht/`). The
 script loads `ssht/linalg.py` from both into one process and times,
-with the two trees interleaved round by round:
+with the two trees interleaved round by round (ROUNDS rounds per step
+row, SVD_ROUNDS for the svd):
 
   step n=4..16   the diversity term's kernel work for one adaptation
                  step: both views' 48xn softmax batches. A tree whose
@@ -30,6 +31,9 @@ import numpy as np
 BATCH = 48
 CLASSES = (4, 8, 12, 16)
 TEMPERATURES = (0.3, 1.0, 3.0, 10.0)  # logit scales, soft to confident
+ROUNDS = 15
+SVD_ROUNDS = 3
+SEED = 0
 
 
 def load_linalg(src: str, name: str):
@@ -83,22 +87,17 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("before", help="src directory of the baseline tree")
     ap.add_argument("after", help="src directory of the changed tree")
-    ap.add_argument("--rounds", type=int, default=15,
-                    help="interleaved rounds per step row (default 15)")
-    ap.add_argument("--svd-rounds", type=int, default=3,
-                    help="interleaved rounds of the 128x128 svd (default 3)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     trees = [load_linalg(args.before, "linalg_before"),
              load_linalg(args.after, "linalg_after")]
     steps = [step_fn(t) for t in trees]
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
 
     print(f"{'operation':<14}{'before':>12}{'after':>12}{'ratio':>8}"
           f"{'max diff':>11}")
     for n in CLASSES:
         work = softmax_steps(rng, n, 20)
-        before, after = interleaved(steps, work, args.rounds)
+        before, after = interleaved(steps, work, ROUNDS)
         diff = 0.0
         for views in work:
             (nb, sb), (na, sa) = steps[0](views), steps[1](views)
@@ -108,7 +107,7 @@ def main(argv=None) -> None:
               f"{after * 1e6:>10.0f}us{after / before:>8.2f}{diff:>11.1e}")
 
     a = rng.normal(size=(128, 128))
-    before, after = interleaved([t.svd for t in trees], [a], args.svd_rounds)
+    before, after = interleaved([t.svd for t in trees], [a], SVD_ROUNDS)
     diff = float(np.max(np.abs(trees[0].svd(a).sigma - trees[1].svd(a).sigma)))
     print(f"{'svd 128x128':<14}{before:>11.2f}s{after:>11.2f}s"
           f"{after / before:>8.2f}{diff:>11.1e}")

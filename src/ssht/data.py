@@ -48,6 +48,11 @@ SCALE_RANGE = (0.9, 1.15)
 # the multi-crescent geometry; the rest is the gap between classes
 ARC_FILL = 0.8
 
+# the widest task: the diversity term decomposes batch x class matrices,
+# and linalg's block-step Jacobi SVD is measured faster than a per-pair
+# kernel only up to 16 columns (scripts/bench_bnm.py; see linalg)
+MAX_CLASSES = 16
+
 
 @dataclass
 class DomainShiftSpec:
@@ -61,8 +66,9 @@ class DomainShiftSpec:
     noise_std: float = 1.0
 
     def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must be in [2, {MAX_CLASSES}], "
+                             f"got {self.num_classes}")
         if self.input_dim < 2:
             raise ValueError(f"input_dim must be >= 2, got {self.input_dim}")
         if self.class_geometry not in GEOMETRIES:

@@ -4,7 +4,8 @@ The nuclear norm ||A||_* (sum of singular values) is the quantity the
 diversity objective maximizes over batch prediction matrices, so the
 decomposition is implemented here rather than delegated: a one-sided
 Jacobi SVD, which is simple and highly accurate for the small, skinny
-matrices this package produces (batch x classes, both <= 128).
+matrices this package produces (batch x classes, at most
+data.MAX_CLASSES = 16 classes).
 
 The decomposition dominates the cost of the diversity objective, which
 needs both the norm and its subgradient of each view's prediction
@@ -26,11 +27,13 @@ softmax batch takes two passes: one that rotates, one that confirms.
 A rotation of a Gram costs O(n) Python float operations, so block
 steps pay on narrow matrices and not on wide ones. Against a kernel
 that rotates one column pair per few numpy calls (scripts/bench_bnm.py
-against the version before block steps, 2-CPU host, two runs), both
-48 x n views of a step took 0.42-0.44 of its time at n = 4, 0.49-0.51
-at n = 8, 0.59-0.74 at n = 12 and 0.72-0.78 at n = 16; the two break
-even at about n = 22, and a 128x128 `svd` takes about 3 s instead of
-0.4-0.6 s. The diversity term only decomposes batch x class matrices.
+against the version before block steps, 2-CPU host, three runs), both
+48 x n views of a step took 0.42-0.44 of its time at n = 4, 0.44-0.51
+at n = 8, 0.59-0.74 at n = 12 and 0.70-0.78 at n = 16; the two break
+even at about n = 22, and a 128x128 `svd` takes 2.3-3.0 s instead of
+0.4-0.6 s. The diversity term only decomposes batch x class matrices,
+and a task has at most 16 classes (data.MAX_CLASSES), the widest n
+measured faster; `svd` itself takes any shape.
 
 JACOBI_MAX_SWEEPS caps the passes over one matrix (NumericalError
 beyond it) and the rotation sweeps over one Gram within a pass.

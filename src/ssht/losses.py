@@ -190,12 +190,8 @@ def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
         values[term] += lv.value
         grad[rows] += weights[term] * lv.grad
 
-    mask_rate = 0.0
     if "consistency" in weights:
-        lv, mask_rate = consistency_loss(p[weak], p[strong], tau)
-        add("consistency", strong, lv)
-    elif weak is not None:
-        mask_rate = float(np.mean(np.max(p[weak], axis=1) > tau))
+        add("consistency", strong, consistency_loss(p[weak], p[strong], tau)[0])
     if "entropy" in weights:
         add("entropy", weak, entropy_loss(p[weak]))
     if "diversity" in weights:
@@ -206,6 +202,8 @@ def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
     total = l_c.value
     for term in TERMS:
         total += weights.get(term, 0.0) * values[term]
+    mask_rate = 0.0 if weak is None else \
+        float(np.mean(np.max(p[weak], axis=1) > tau))
     return StepLoss(l_c=l_c.value,
                     l_u=values["consistency"] + values["entropy"],
                     l_d=values["diversity"], total=float(total),

@@ -201,6 +201,14 @@ def test_cli_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_gen_data_too_many_classes_is_exit_1(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert cli.main(["gen-data", "--classes", "17", "--out", str(out)]) == 1
+    assert "error: num_classes must be in [2, 16], got 17" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,name", [("--epochs", "epochs"),
                                        ("--batch-size", "batch_size")])
 def test_cli_train_source_bad_loop_size_is_exit_1(cli_files, tmp_path, capsys,
