@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train-source, adapt, evaluate, ablate,
 gradcheck, version. Exit codes: 0 success, 1 runtime or file error,
-2 usage error (argparse), 3 gradient-check failure.
+2 usage error (argparse), 3 gradient-check failure. A missing output
+directory fails a command before it starts any work.
 
 A flag that sets a library setting has no default of its own: its
 destination is the name of that setting, it is absent from the parsed
@@ -15,12 +16,17 @@ import csv
 import inspect
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 
 from . import __version__, data, gradcheck, network, pipeline, reports
 from .fileio import atomic_write_text, read_text
 from .linalg import NumericalError
+
+
+class _Output(str):
+    """The type of an output flag's path, which main checks up front."""
 
 
 def _given(args, target) -> dict:
@@ -102,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-unlabeled", type=int)
     p.add_argument("--n-test", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_Output)
 
     p = add("train-source", "train and checkpoint a source model")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_Output)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -120,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=pipeline.METHODS)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-model", required=True)
-    p.add_argument("--report", required=True)
+    p.add_argument("--out-model", required=True, type=_Output)
+    p.add_argument("--report", required=True, type=_Output)
     _add_adapt_flags(p)
 
     p = sub.add_parser("evaluate", help="accuracy of a model on a task split")
@@ -137,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated method names")
     p.add_argument("--seeds", required=True,
                    help="comma-separated integer seeds")
-    p.add_argument("--out", required=True, help="CSV table destination")
+    p.add_argument("--out", required=True, type=_Output,
+                   help="CSV table destination")
     _add_adapt_flags(p)
 
     p = add("gradcheck", "finite-difference check of every gradient path")
@@ -290,6 +297,11 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             _check_seed("--seed", args.seed)
+        for dest, path in vars(args).items():
+            if isinstance(path, _Output) and not os.path.isdir(
+                    os.path.dirname(os.path.abspath(path))):
+                raise FileNotFoundError(f"--{dest.replace('_', '-')} {path}: "
+                                        f"no such directory")
         return handlers[args.command](args)
     except (OSError, ValueError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)

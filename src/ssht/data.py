@@ -9,7 +9,7 @@ source geometry pushed through rotate / scale / translate.
 The unlabeled labels and the source samples sit behind counting
 accessors so a test can prove the adaptation loop never touched them;
 `adaptation_view` returns an object that lacks those fields outright.
-A task file is an "ssht-data/1" key-value document (see fileio).
+A task file is an "ssht-data/1" document; fileio's codec writes its spec.
 
 Augmentation operators are vector stand-ins for the usual image ones:
 weak is small isotropic jitter (a translation analog), strong composes
@@ -28,8 +28,8 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .fileio import (FormatError, atomic_write_text, format_document,
-                     format_floats, format_ints, parse_floats, parse_ints,
-                     read_document, read_text)
+                     format_floats, format_ints, format_settings, parse_floats,
+                     parse_ints, parse_settings, read_document, read_text)
 
 DATA_FORMAT = "ssht-data/1"
 
@@ -353,31 +353,18 @@ class DataFormatError(FormatError):
     """Raised when a dataset document fails to parse."""
 
 
-# split name -> key of its labels; the unlabeled split's are private
-_LABEL_KEYS = {"source": "y", "labeled": "y", "unlabeled": "private_y",
-               "test": "y"}
+# split name -> key and DomainTask field of its labels, in file order
+_SPLITS = {"source": ("y", "source_y"), "labeled": ("y", "labeled_y"),
+           "unlabeled": ("private_y", "_unlabeled_y"), "test": ("y", "test_y")}
 
 
 def serialize_task(task: DomainTask) -> str:
-    s = task.spec
-    fields = [("meta.seed", task.seed),
-              ("spec.num_classes", s.num_classes),
-              ("spec.input_dim", s.input_dim),
-              ("spec.class_geometry", s.class_geometry),
-              ("spec.shift_rotation", repr(float(s.shift_rotation))),
-              ("spec.shift_translation", format_floats(s.shift_translation)),
-              ("spec.shift_scale", repr(float(s.shift_scale))),
-              ("spec.source_imbalance_ratio",
-               repr(float(s.source_imbalance_ratio))),
-              ("spec.noise_std", repr(float(s.noise_std)))]
-    splits = [("source", task.source_x, task.source_y),
-              ("labeled", task.labeled_x, task.labeled_y),
-              ("unlabeled", task.unlabeled_x, task._unlabeled_y),
-              ("test", task.test_x, task.test_y)]
-    for name, x, y in splits:
+    fields = [("meta.seed", task.seed)] + format_settings("spec", task.spec)
+    for name, (ykey, yfield) in _SPLITS.items():
+        x = getattr(task, f"{name}_x")
         fields += [(f"split.{name}.count", x.shape[0]),
                    (f"split.{name}.x", format_floats(x)),
-                   (f"split.{name}.{_LABEL_KEYS[name]}", format_ints(y))]
+                   (f"split.{name}.{ykey}", format_ints(getattr(task, yfield)))]
     return format_document(DATA_FORMAT, fields)
 
 
@@ -387,20 +374,11 @@ def save_task(task: DomainTask, path: str) -> None:
 
 def deserialize_task(text: str) -> DomainTask:
     kv = read_document(text, DATA_FORMAT, DataFormatError)
-    spec = kv.checked(DomainShiftSpec(
-        num_classes=kv.parse("spec.num_classes", int),
-        input_dim=kv.parse("spec.input_dim", int),
-        class_geometry=kv["spec.class_geometry"],
-        shift_rotation=kv.parse("spec.shift_rotation", float),
-        shift_translation=tuple(
-            kv.parse("spec.shift_translation", parse_floats).tolist()),
-        shift_scale=kv.parse("spec.shift_scale", float),
-        source_imbalance_ratio=kv.parse("spec.source_imbalance_ratio", float),
-        noise_std=kv.parse("spec.noise_std", float)))
+    spec = parse_settings(kv, "spec", DomainShiftSpec)
     seed = kv.parse("meta.seed", int)
 
     arrays = {}
-    for name, ykey in _LABEL_KEYS.items():
+    for name, (ykey, yfield) in _SPLITS.items():
         count = kv.parse(f"split.{name}.count", int)
         if count < 1:
             raise DataFormatError(f"split {name}: count must be >= 1, "
@@ -418,14 +396,9 @@ def deserialize_task(text: str) -> DomainTask:
         if y.min() < 0 or y.max() >= spec.num_classes:
             raise DataFormatError(f"split {name}: label outside [0, "
                                   f"{spec.num_classes})")
-        arrays[name] = (flat.reshape(count, spec.input_dim), y)
-
-    return DomainTask(spec=spec, seed=seed,
-                      source_x=arrays["source"][0], source_y=arrays["source"][1],
-                      labeled_x=arrays["labeled"][0], labeled_y=arrays["labeled"][1],
-                      unlabeled_x=arrays["unlabeled"][0],
-                      _unlabeled_y=arrays["unlabeled"][1],
-                      test_x=arrays["test"][0], test_y=arrays["test"][1])
+        arrays[f"{name}_x"] = flat.reshape(count, spec.input_dim)
+        arrays[yfield] = y
+    return DomainTask(spec=spec, seed=seed, **arrays)
 
 
 def load_task(path: str) -> DomainTask:

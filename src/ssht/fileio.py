@@ -5,12 +5,15 @@ line, then one `key = value` line per field; blank lines are skipped.
 A key appears at most once. Float lists are written with repr(), so a
 write -> read -> write round trip is byte identical; int lists with
 str(). Each artifact module passes its own FormatError subclass, so a
-bad document raises that format's error and nothing else.
+bad document raises that format's error and nothing else. A settings
+dataclass is one `<prefix>.<field> = value` line per field, in field
+declaration order, each value in the format of its annotation (CODECS).
 """
 
+import dataclasses
 import os
 import tempfile
-from typing import Iterable, Tuple, Type
+from typing import Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -18,9 +21,12 @@ import numpy as np
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file and rename, never a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # os reads the umask only by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(fd, 0o666 & ~umask)  # open(path, "w")'s mode, not 0600
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -104,3 +110,44 @@ def parse_floats(value: str) -> np.ndarray:
 
 def parse_ints(value: str) -> np.ndarray:
     return np.array([int(t) for t in value.split()])
+
+
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"bad boolean {value!r}")
+    return value == "true"
+
+
+# annotation -> (format, parse): exactly the ones settings fields use
+CODECS = {
+    int: (str, int),
+    str: (str, str),
+    float: (lambda v: repr(float(v)), float),
+    bool: (lambda v: "true" if v else "false", _parse_bool),
+    Optional[int]: (str, lambda v: None if v == "None" else int(v)),
+    List[int]: (lambda v: ",".join(map(str, v)),
+                lambda v: [int(t) for t in v.split(",")]),
+    Tuple[float, ...]: (format_floats,
+                        lambda v: tuple(float(t) for t in v.split())),
+}
+
+
+def _codecs(cls):
+    """(name, (format, parse)) of each field of a settings dataclass."""
+    for f in dataclasses.fields(cls):
+        if f.type not in CODECS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no codec for {f.type!r}")
+        yield f.name, CODECS[f.type]
+
+
+def format_settings(prefix: str, obj) -> List[Tuple[str, str]]:
+    """One (`prefix.field`, value) pair per field of a settings object."""
+    return [(f"{prefix}.{name}", fmt(getattr(obj, name)))
+            for name, (fmt, _) in _codecs(type(obj))]
+
+
+def parse_settings(fields: Fields, prefix: str, cls):
+    """The validated settings object that format_settings(prefix) wrote."""
+    return fields.checked(cls(**{
+        name: fields.parse(f"{prefix}.{name}", parse)
+        for name, (_, parse) in _codecs(cls)}))

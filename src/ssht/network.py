@@ -22,8 +22,8 @@ update, the classic formulation). A step updates the parameters, and
 their velocity, as one vector each; freezing the classifier head, the
 tail of that vector, shortens both.
 
-Models serialize to an "ssht-model/1" key-value document (see fileio),
-bit exact on a round trip; a non-finite parameter is rejected on load.
+A model is an "ssht-model/1" document (see fileio, whose codec writes
+the spec), bit exact on a round trip; non-finite parameters fail load.
 """
 
 from dataclasses import dataclass, field
@@ -31,11 +31,14 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import (FormatError, format_document, format_floats,
-                     parse_floats, read_document)
+from .fileio import (CODECS, FormatError, format_document, format_floats,
+                     format_settings, parse_floats, parse_settings,
+                     read_document)
 from .linalg import NumericalError
 
 MODEL_FORMAT = "ssht-model/1"
+
+_format_shape, _parse_shape = CODECS[List[int]]
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -302,15 +305,10 @@ def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
 
 def serialize(net: Network) -> str:
     """Self-describing text form of a network, version ssht-model/1."""
-    s = net.spec
     fields = [(f"meta.{key}", net.meta[key]) for key in sorted(net.meta)]
-    fields += [("spec.input_dim", s.input_dim),
-               ("spec.hidden_dims", ",".join(str(h) for h in s.hidden_dims)),
-               ("spec.feature_dim", s.feature_dim),
-               ("spec.num_classes", s.num_classes),
-               ("spec.activation", s.activation)]
+    fields += format_settings("spec", net.spec)
     for i, p in enumerate(net.params):
-        fields.append((f"param.{i}.shape", ",".join(str(d) for d in p.shape)))
+        fields.append((f"param.{i}.shape", _format_shape(p.shape)))
         fields.append((f"param.{i}.data", format_floats(p)))
     return format_document(MODEL_FORMAT, fields)
 
@@ -319,22 +317,13 @@ class ModelFormatError(FormatError):
     """Raised when a model document fails to parse."""
 
 
-def _parse_dims(value: str) -> List[int]:
-    return [int(d) for d in value.split(",")]
-
-
 def deserialize(text: str) -> Network:
     kv = read_document(text, MODEL_FORMAT, ModelFormatError)
-    spec = kv.checked(NetworkSpec(
-        input_dim=kv.parse("spec.input_dim", int),
-        hidden_dims=kv.parse("spec.hidden_dims", _parse_dims),
-        feature_dim=kv.parse("spec.feature_dim", int),
-        num_classes=kv.parse("spec.num_classes", int),
-        activation=kv["spec.activation"]))
+    spec = parse_settings(kv, "spec", NetworkSpec)
 
     params: List[np.ndarray] = []
     for i, want in enumerate(spec.param_shapes()):
-        shape = tuple(kv.parse(f"param.{i}.shape", _parse_dims))
+        shape = tuple(kv.parse(f"param.{i}.shape", _parse_shape))
         flat = kv.parse(f"param.{i}.data", parse_floats)
         if shape != want:
             raise ModelFormatError(f"param {i} shape {shape} does not match "

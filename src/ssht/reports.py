@@ -2,8 +2,9 @@
 
 The document, an "ssht-report/1" key-value document (see fileio),
 round-trips every RunReport field losslessly: write -> read -> write is
-byte identical. The sidecar at <path>.csv holds the per-epoch curves
-with exactly the columns
+byte identical; fileio's settings codec writes the config, and each
+epoch line holds its EpochRecord's other fields in field order. The
+sidecar at <path>.csv holds the per-epoch curves with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -12,11 +13,12 @@ for external plotting tools.
 
 import csv
 import io
+import dataclasses
 from functools import partial
 
 from .fileio import (FormatError, atomic_write_text, format_document,
-                     format_floats, format_ints, parse_floats, parse_ints,
-                     read_document, read_text)
+                     format_floats, format_ints, format_settings, parse_floats,
+                     parse_ints, parse_settings, read_document, read_text)
 from .pipeline import AdaptConfig, EpochRecord, RunReport
 
 REPORT_FORMAT = "ssht-report/1"
@@ -24,38 +26,17 @@ REPORT_FORMAT = "ssht-report/1"
 CSV_COLUMNS = ("epoch", "l_c", "l_u", "l_d", "total", "mask_rate",
                "test_acc", "diversity_ratio")
 
-_EPOCH_FIELDS = ("l_c", "l_u", "l_d", "total", "mask_rate", "labeled_acc",
-                 "test_acc", "diversity_ratio")
-
-
-def _parse_bool(value: str) -> bool:
-    if value not in ("true", "false"):
-        raise ValueError(f"bad boolean {value!r}")
-    return value == "true"
-
-
-# AdaptConfig field -> parser of its value, in document order
-_CONFIG_FIELDS = {
-    "method": str, "tau": float, "lambda_u": float, "lambda_d": float,
-    "lr": float, "momentum": float, "nesterov": _parse_bool,
-    "weight_decay": float,
-    "labeled_batch": lambda v: None if v == "None" else int(v),
-    "unlabeled_batch": int, "epochs": int, "seed": int,
-    "freeze_classifier": _parse_bool, "labeled_aug": str}
+# the values of an epoch line; its key holds the epoch
+_EPOCH_FIELDS = tuple(f.name for f in dataclasses.fields(EpochRecord)
+                      if f.name != "epoch")
 
 
 class ReportFormatError(FormatError):
     """Raised when a report document fails to parse."""
 
 
-def _fmt(v):
-    """A config value as written: booleans in lower case, the rest str()."""
-    return ("true" if v else "false") if isinstance(v, bool) else v
-
-
 def serialize_report(report: RunReport) -> str:
-    fields = [(f"config.{name}", _fmt(getattr(report.config, name)))
-              for name in _CONFIG_FIELDS]
+    fields = format_settings("config", report.config)
     fields += [("fingerprint", report.model_fingerprint),
                ("passes.unlabeled_weak", report.unlabeled_weak_passes),
                ("passes.unlabeled_strong", report.unlabeled_strong_passes),
@@ -75,9 +56,8 @@ def report_csv(report: RunReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in report.records:
-        writer.writerow([rec.epoch, repr(rec.l_c), repr(rec.l_u),
-                         repr(rec.l_d), repr(rec.total), repr(rec.mask_rate),
-                         repr(rec.test_acc), repr(rec.diversity_ratio)])
+        writer.writerow([rec.epoch] + [repr(getattr(rec, c))
+                                       for c in CSV_COLUMNS[1:]])
     return buf.getvalue()
 
 
@@ -96,9 +76,7 @@ def _parse_epoch(key: str, value: str) -> EpochRecord:
 
 def deserialize_report(text: str) -> RunReport:
     kv = read_document(text, REPORT_FORMAT, ReportFormatError)
-    cfg = kv.checked(AdaptConfig(**{
-        name: kv.parse(f"config.{name}", parse)
-        for name, parse in _CONFIG_FIELDS.items()}))
+    cfg = parse_settings(kv, "config", AdaptConfig)
     records = sorted((kv.parse(key, partial(_parse_epoch, key))
                       for key in kv if key.startswith("epoch.")),
                      key=lambda rec: rec.epoch)

@@ -1,4 +1,10 @@
-"""The shared key-value document reader behind task, model and report files."""
+"""The shared key-value document reader behind task, model and report
+files, the settings codec and the atomic writer."""
+
+import dataclasses
+import os
+import stat
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,3 +116,125 @@ def test_corrupted_line_loads_or_raises_its_format_error(fmt, draw):
         load("\n".join(lines) + "\n")
     except error:
         pass
+
+
+# ------------------------------------------------------------ settings codec
+
+NON_DEFAULT_NETWORK = network.NetworkSpec(
+    input_dim=3, hidden_dims=[5, 4, 3], feature_dim=2, num_classes=3,
+    activation="relu")
+NON_DEFAULT_SHIFT = data.DomainShiftSpec(
+    num_classes=3, input_dim=3, class_geometry="two_moons_multi",
+    shift_rotation=-0.25, shift_translation=(0.5, -1.25, 0.1),
+    shift_scale=1.5, source_imbalance_ratio=4.0, noise_std=0.5)
+NON_DEFAULT_CONFIG = pipeline.AdaptConfig(
+    method="ent", tau=0.5, lambda_u=1.0, lambda_d=0.25, lr=0.01,
+    momentum=0.5, nesterov=False, weight_decay=0.0, labeled_batch=5,
+    unlabeled_batch=16, epochs=2, seed=7, freeze_classifier=True,
+    labeled_aug="none")
+
+
+@pytest.mark.parametrize("obj,default", [
+    (NON_DEFAULT_NETWORK, network.default_spec()),
+    (NON_DEFAULT_SHIFT, data.DomainShiftSpec()),
+    (NON_DEFAULT_CONFIG, pipeline.AdaptConfig())])
+def test_non_default_settings_change_every_field(obj, default):
+    """The round trips below cover every field with a value of its own."""
+    same = [f.name for f in dataclasses.fields(obj)
+            if getattr(obj, f.name) == getattr(default, f.name)]
+    assert same == []
+
+
+def _report(config):
+    return pipeline.RunReport(
+        config=config, model_fingerprint="0123456789abcdef", records=[],
+        final_accuracy=0.5, per_class_accuracy=[0.5, 0.5],
+        confusion=[[1, 1], [1, 1]], unlabeled_weak_passes=0,
+        unlabeled_strong_passes=0)
+
+
+def _round_trip(text, load, save, settings_of):
+    loaded = load(text)
+    assert save(loaded) == text
+    return settings_of(loaded)
+
+
+def test_network_spec_round_trips_through_a_model():
+    text = network.serialize(network.init_network(NON_DEFAULT_NETWORK, 0))
+    spec = _round_trip(text, network.deserialize, network.serialize,
+                       lambda net: net.spec)
+    assert spec == NON_DEFAULT_NETWORK
+    assert "\nspec.hidden_dims = 5,4,3\nspec.feature_dim = 2\n" in text
+    assert "\nspec.activation = relu\nparam.0.shape = 3,5\n" in text
+
+
+def test_domain_shift_spec_round_trips_through_a_task():
+    task = data.generate_task(NON_DEFAULT_SHIFT, n_source=9, shots=1,
+                              n_unlabeled=60, n_test=3, seed=4)
+    text = data.serialize_task(task)
+    spec = _round_trip(text, data.deserialize_task, data.serialize_task,
+                       lambda t: t.spec)
+    assert spec == NON_DEFAULT_SHIFT
+    assert fileio.format_settings("spec", spec) == [
+        ("spec.num_classes", "3"), ("spec.input_dim", "3"),
+        ("spec.class_geometry", "two_moons_multi"),
+        ("spec.shift_rotation", "-0.25"),
+        ("spec.shift_translation", "0.5 -1.25 0.1"),
+        ("spec.shift_scale", "1.5"), ("spec.source_imbalance_ratio", "4.0"),
+        ("spec.noise_std", "0.5")]
+
+
+@pytest.mark.parametrize("labeled_batch", [5, None])
+def test_adapt_config_round_trips_through_a_report(labeled_batch):
+    config = dataclasses.replace(NON_DEFAULT_CONFIG,
+                                 labeled_batch=labeled_batch)
+    text = reports.serialize_report(_report(config))
+    loaded = _round_trip(text, reports.deserialize_report,
+                         reports.serialize_report, lambda r: r.config)
+    assert loaded == config
+    assert fileio.format_settings("config", config) == [
+        ("config.method", "ent"), ("config.tau", "0.5"),
+        ("config.lambda_u", "1.0"), ("config.lambda_d", "0.25"),
+        ("config.lr", "0.01"), ("config.momentum", "0.5"),
+        ("config.nesterov", "false"), ("config.weight_decay", "0.0"),
+        ("config.labeled_batch", str(labeled_batch)),
+        ("config.unlabeled_batch", "16"), ("config.epochs", "2"),
+        ("config.seed", "7"), ("config.freeze_classifier", "true"),
+        ("config.labeled_aug", "none")]
+
+
+def test_int_given_to_a_float_setting_is_written_as_a_float():
+    lines = dict(fileio.format_settings("config",
+                                        pipeline.AdaptConfig(lambda_d=0)))
+    assert lines["config.lambda_d"] == "0.0"
+
+
+@dataclasses.dataclass
+class _Odd:
+    n: int
+    weights: Dict[str, float]
+
+
+def test_unknown_annotation_is_a_type_error_naming_the_field():
+    with pytest.raises(TypeError, match=r"_Odd\.weights"):
+        fileio.format_settings("odd", _Odd(1, {}))
+    kv = fileio.read_document("odd/1\nodd.n = 1\nodd.weights = 2\n",
+                              "odd/1", fileio.FormatError)
+    with pytest.raises(TypeError, match=r"_Odd\.weights"):
+        fileio.parse_settings(kv, "odd", _Odd)
+
+
+# ------------------------------------------------------------ atomic writes
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        fileio.atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("x\n")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"atomic.txt": 0o666 & ~umask,
+                     "plain.txt": 0o666 & ~umask}

@@ -314,6 +314,7 @@ def test_cli_empty_split_is_exit_1(cli_files, tmp_path, capsys, split):
     with pytest.raises(data.DataFormatError, match=message):
         data.load_task(str(bad_path))
     out = tmp_path / "out"
+    out.mkdir()
     for argv in (["evaluate", "--model", model_path],
                  ["adapt", "--model", model_path, "--seed", "0",
                   "--out-model", str(out / "m.txt"),
@@ -322,7 +323,7 @@ def test_cli_empty_split_is_exit_1(cli_files, tmp_path, capsys, split):
         assert cli.main(argv + ["--data", str(bad_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
-    assert not out.exists()
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------- cli flags and library defaults
@@ -557,3 +558,31 @@ def test_cli_ablate_repeated_cell_is_exit_1(cli_files, tmp_path, monkeypatch,
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen-data", "--out"), ("train-source", "--out"),
+    ("adapt", "--out-model"), ("adapt", "--report"), ("ablate", "--out")])
+def test_cli_missing_output_directory_is_exit_1_before_any_work(
+        cli_files, tmp_path, monkeypatch, capsys, command, flag):
+    _, task_path, model_path = cli_files
+    missing = str(tmp_path / "nodir" / "out.txt")
+    outputs = {"--out": str(tmp_path / "out.txt"),
+               "--out-model": str(tmp_path / "model.txt"),
+               "--report": str(tmp_path / "report.txt")}
+    outputs[flag] = missing
+    argv = {
+        "gen-data": ["--out", outputs["--out"]],
+        "train-source": ["--data", task_path, "--seed", "0",
+                         "--out", outputs["--out"]],
+        "adapt": ["--model", model_path, "--data", task_path, "--seed", "0",
+                  "--out-model", outputs["--out-model"],
+                  "--report", outputs["--report"]],
+        "ablate": ["--model", model_path, "--data", task_path,
+                   "--seeds", "0", "--out", outputs["--out"]],
+    }[command]
+    _no_work(monkeypatch)
+    assert cli.main([command] + argv) == 1
+    assert f"error: {flag} {missing}: no such directory" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
