@@ -109,7 +109,7 @@ def main(argv=None) -> None:
     a = rng.normal(size=(128, 128))
     before, after = interleaved([t.svd for t in trees], [a], SVD_ROUNDS)
     diff = float(np.max(np.abs(trees[0].svd(a).sigma - trees[1].svd(a).sigma)))
-    print(f"{'svd 128x128':<14}{before:>11.2f}s{after:>11.2f}s"
+    print(f"{'svd 128x128':<14}{before * 1e3:>10.1f}ms{after * 1e3:>10.1f}ms"
           f"{after / before:>8.2f}{diff:>11.1e}")
 
 

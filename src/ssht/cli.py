@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train-source, adapt, evaluate, ablate,
 gradcheck, version. Exit codes: 0 success, 1 runtime or file error,
-2 usage error (argparse), 3 gradient-check failure. A missing output
-directory fails a command before it starts any work.
+2 usage error (argparse), 3 gradient-check failure. An output path in
+a missing directory, or one that names a directory, fails a command
+before it starts any work.
 
 A flag that sets a library setting has no default of its own: its
 destination is the name of that setting, it is absent from the parsed
@@ -27,6 +28,11 @@ from .linalg import NumericalError
 
 class _Output(str):
     """The type of an output flag's path, which main checks up front."""
+    suffixes = ("",)  # of the files written at the path
+
+
+class _Report(_Output):
+    suffixes = ("", ".csv")  # the report and its CSV sidecar
 
 
 def _given(args, target) -> dict:
@@ -127,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=pipeline.METHODS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-model", required=True, type=_Output)
-    p.add_argument("--report", required=True, type=_Output)
+    p.add_argument("--report", required=True, type=_Report)
     _add_adapt_flags(p)
 
     p = sub.add_parser("evaluate", help="accuracy of a model on a task split")
@@ -286,6 +292,16 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 3
 
 
+def _check_output(flag: str, path: _Output) -> None:
+    """Raise OSError naming the flag unless every file the flag writes
+    can be created: its directory exists and no such file is a directory."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(f"{flag} {path}: no such directory")
+    for name in (path + suffix for suffix in path.suffixes):
+        if os.path.isdir(name):
+            raise IsADirectoryError(f"{flag} {name}: is a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"gen-data": _cmd_gen_data, "train-source": _cmd_train_source,
@@ -298,10 +314,8 @@ def main(argv=None) -> int:
         if "seed" in args:
             _check_seed("--seed", args.seed)
         for dest, path in vars(args).items():
-            if isinstance(path, _Output) and not os.path.isdir(
-                    os.path.dirname(os.path.abspath(path))):
-                raise FileNotFoundError(f"--{dest.replace('_', '-')} {path}: "
-                                        f"no such directory")
+            if isinstance(path, _Output):
+                _check_output(f"--{dest.replace('_', '-')}", path)
         return handlers[args.command](args)
     except (OSError, ValueError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)

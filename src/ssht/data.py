@@ -16,9 +16,11 @@ weak is small isotropic jitter (a translation analog), strong composes
 random transforms drawn from a pool (jitter, rotation, scaling), in the
 spirit of randomized augmentation policies. `adapt` always uses
 `default_policy`, whose parameters scale with the class separation.
-Both work on whole batches: every row draws its own ops and parameters,
-but the draws and transforms run as array operations over the batch,
-not as one call per row.
+Both work on whole arrays: every row draws its own ops and parameters,
+but the draws and transforms run as array operations over the rows,
+not as one call per row. `adapt` makes one call per view per epoch,
+over the rows of all that epoch's batches. A weak draw is the same
+however the rows are split into calls; a strong one is not.
 """
 
 import math
@@ -48,9 +50,8 @@ SCALE_RANGE = (0.9, 1.15)
 # the multi-crescent geometry; the rest is the gap between classes
 ARC_FILL = 0.8
 
-# the widest task: the diversity term decomposes batch x class matrices,
-# and linalg's block-step Jacobi SVD is measured faster than a per-pair
-# kernel only up to 16 columns (scripts/bench_bnm.py; see linalg)
+# the widest task: the widest the tests (a 16-class one-hot oracle of
+# the nuclear norm) and scripts/bench_bnm.py (n = 4..16) cover
 MAX_CLASSES = 16
 
 

@@ -12,11 +12,14 @@ plus the target half of a task and runs one of five methods:
   s_plus_t   labeled classification only, no unlabeled passes at all
   ent        classification + entropy minimization on the weak view
 
-Each adaptation step stacks the labeled rows, then the weak and the
-strong view of one unlabeled batch (only the views its method reads;
-both drawn under data.default_policy for the task), runs them through
-one taped forward pass and losses.total_loss, and takes one backward
-pass from the single logit-gradient matrix that total_loss returns.
+Each epoch draws its steps' batches from data.sample_batches up front,
+then augments each view once over all of them (the labeled rows, and
+the weak and the strong view of the unlabeled rows, only the views the
+method reads; each on its own random stream, under
+data.default_policy for the task). Each step stacks its slice of every
+view, runs them through one taped forward pass and losses.total_loss,
+and takes one backward pass from the single logit-gradient matrix that
+total_loss returns.
 step_layout gives a step's term weights and view rows; gradcheck
 builds its method suites from the same function.
 
@@ -275,34 +278,45 @@ def adapt(model_text: str, task, config: AdaptConfig
 
     state = network.init_sgd(net, config.lr, config.momentum, config.nesterov,
                              config.weight_decay)
-    batches = data.sample_batches(view, config.labeled_batch,
-                                  config.unlabeled_batch, rng_batch)
-    steps = data.steps_per_epoch(view.num_unlabeled, config.unlabeled_batch)
+    lb, ub = config.labeled_batch, config.unlabeled_batch
+    batches = data.sample_batches(view, lb, ub, rng_batch)
+    steps = data.steps_per_epoch(view.num_unlabeled, ub)
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
+    _, reads_weak, reads_strong = step_layout(config, lb, ub)
     aborted = False
     good = net.flat.copy()  # the parameters as of the last epoch end
     final: Optional[EvalResult] = None  # test evaluation of good
     for epoch in range(1, config.epochs + 1):
+        # the epoch's batches, each view augmented in one call, then
+        # sliced per step: step i holds rows [i * lb, (i + 1) * lb) of
+        # the labeled and [i * ub, (i + 1) * ub) of the unlabeled arrays
+        xl, yl, xu = (np.concatenate(part) for part in
+                      zip(*(next(batches) for _ in range(steps))))
+        if config.labeled_aug == "weak":
+            xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
+        if reads_weak is not None:
+            xw = data.weak_augment_batch(xu, policy, rng_weak)
+        if reads_strong is not None:
+            xs = data.strong_augment_batch(xu, policy, rng_strong)
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
-        for _ in range(steps):
-            xl, yl, xu = next(batches)
-            weights, weak, strong = step_layout(config, len(yl), len(xu))
-            if config.labeled_aug == "weak":
-                xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
-            views = [xl]
+        for i in range(steps):
+            rows_l = slice(i * lb, (i + 1) * lb)
+            rows_u = slice(i * ub, (i + 1) * ub)
+            views, labels = [xl[rows_l]], yl[rows_l]
+            weights, weak, strong = step_layout(config, lb, len(xu[rows_u]))
             if weak is not None:
-                views.append(data.weak_augment_batch(xu, policy, rng_weak))
+                views.append(xw[rows_u])
                 report.unlabeled_weak_passes += 1
             if strong is not None:
-                views.append(data.strong_augment_batch(xu, policy, rng_strong))
+                views.append(xs[rows_u])
                 report.unlabeled_strong_passes += 1
             tape = network.forward(net, np.concatenate(views), keep=True)
             if not np.all(np.isfinite(tape.logits)):
                 aborted = True
                 break
-            step = losses.total_loss(network.softmax_rows(tape.logits), yl,
+            step = losses.total_loss(network.softmax_rows(tape.logits), labels,
                                      weak, strong, weights, config.tau)
             if not math.isfinite(step.total):
                 aborted = True

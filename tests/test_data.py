@@ -180,6 +180,18 @@ def test_weak_augment_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_weak_augment_does_not_depend_on_chunking():
+    # adapt augments an epoch's rows in one call; per-batch calls on the
+    # same stream give the same bits
+    policy = data.default_policy(default_spec())
+    x = np.random.default_rng(4).normal(size=(1000, 2))
+    whole = data.weak_augment_batch(x, policy, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    parts = [data.weak_augment_batch(x[i:i + 48], policy, rng)
+             for i in range(0, 1000, 48)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
 def test_weak_augment_unbiased():
     policy = data.default_policy(default_spec())
     x = np.array([1.0, 2.0])

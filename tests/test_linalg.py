@@ -143,9 +143,8 @@ def test_svd_power_of_two_scaling_is_exact(m, n, seed, k):
 
 
 def test_svd_near_rank_deficient_small_integers():
-    # rank 2 with two equal columns: rotations drive a null column deep
-    # into rounding noise, which must neither stall the sweeps nor leave
-    # a noise vector in U
+    # rank 2 with two equal columns: the null direction sits deep in
+    # rounding noise, which must not leave a noise vector in U
     for a in (np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
               np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0],
                         [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])):
@@ -404,12 +403,16 @@ def test_stacked_softmax_batches_equal_single_calls(k, m, n, seed, temp):
 
 
 def test_one_stacked_call_reproduces_the_one_hot_oracle_for_each_view():
-    views = ((5, 1, 2, 0), (0, 3, 1, 4), (8, 0, 0, 0))  # rows per class
-    stack = np.array([one_hot_matrix(counts, 4) for counts in views])
-    norms, _ = linalg.nuclear_norm_and_subgradient(stack)
-    for counts, norm in zip(views, norms):
-        assert norm == pytest.approx(sum(np.sqrt(n_c) for n_c in counts),
-                                     abs=1e-8)
+    # rows per class; 16 = data.MAX_CLASSES, the widest task
+    for views in (((5, 1, 2, 0), (0, 3, 1, 4), (8, 0, 0, 0)),
+                  ((3,) * 16, (48,) + (0,) * 15,
+                   (10, 8, 6, 5, 4, 3, 3, 2, 2, 1, 1, 1, 1, 1, 0, 0))):
+        n = len(views[0])
+        stack = np.array([one_hot_matrix(counts, n) for counts in views])
+        norms, _ = linalg.nuclear_norm_and_subgradient(stack)
+        for counts, norm in zip(views, norms):
+            assert norm == pytest.approx(sum(np.sqrt(n_c) for n_c in counts),
+                                         abs=1e-8)
 
 
 def test_stacks_are_validated():

@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -560,18 +561,13 @@ def test_cli_ablate_repeated_cell_is_exit_1(cli_files, tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,flag", [
-    ("gen-data", "--out"), ("train-source", "--out"),
-    ("adapt", "--out-model"), ("adapt", "--report"), ("ablate", "--out")])
-def test_cli_missing_output_directory_is_exit_1_before_any_work(
-        cli_files, tmp_path, monkeypatch, capsys, command, flag):
-    _, task_path, model_path = cli_files
-    missing = str(tmp_path / "nodir" / "out.txt")
+def _output_argv(command, task_path, model_path, tmp_path, flag, path):
+    """The command's argv with every output in tmp_path, flag's at path."""
     outputs = {"--out": str(tmp_path / "out.txt"),
                "--out-model": str(tmp_path / "model.txt"),
                "--report": str(tmp_path / "report.txt")}
-    outputs[flag] = missing
-    argv = {
+    outputs[flag] = path
+    return [command] + {
         "gen-data": ["--out", outputs["--out"]],
         "train-source": ["--data", task_path, "--seed", "0",
                          "--out", outputs["--out"]],
@@ -581,8 +577,39 @@ def test_cli_missing_output_directory_is_exit_1_before_any_work(
         "ablate": ["--model", model_path, "--data", task_path,
                    "--seeds", "0", "--out", outputs["--out"]],
     }[command]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen-data", "--out"), ("train-source", "--out"),
+    ("adapt", "--out-model"), ("adapt", "--report"), ("ablate", "--out")])
+def test_cli_missing_output_directory_is_exit_1_before_any_work(
+        cli_files, tmp_path, monkeypatch, capsys, command, flag):
+    _, task_path, model_path = cli_files
+    missing = str(tmp_path / "nodir" / "out.txt")
+    argv = _output_argv(command, task_path, model_path, tmp_path, flag,
+                        missing)
     _no_work(monkeypatch)
-    assert cli.main([command] + argv) == 1
+    assert cli.main(argv) == 1
     assert f"error: {flag} {missing}: no such directory" in \
         capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag,suffix", [
+    ("gen-data", "--out", ""), ("train-source", "--out", ""),
+    ("adapt", "--out-model", ""), ("adapt", "--report", ""),
+    ("adapt", "--report", ".csv"), ("ablate", "--out", "")])
+def test_cli_output_naming_a_directory_is_exit_1_before_any_work(
+        cli_files, tmp_path, monkeypatch, capsys, command, flag, suffix):
+    # suffix ".csv": the report path is free but its CSV sidecar is a
+    # directory
+    _, task_path, model_path = cli_files
+    path = str(tmp_path / "out")
+    os.mkdir(path + suffix)
+    argv = _output_argv(command, task_path, model_path, tmp_path, flag, path)
+    _no_work(monkeypatch)
+    assert cli.main(argv) == 1
+    assert f"error: {flag} {path + suffix}: is a directory" in \
+        capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out" + suffix]
+    assert os.listdir(path + suffix) == []
