@@ -1,0 +1,127 @@
+"""Time `pipeline.adapt` of two `ssht` source trees side by side.
+
+    python scripts/bench_step.py BEFORE_SRC AFTER_SRC
+
+Each argument is a `src` directory (the one holding `ssht/`). The
+script loads the `ssht` package of each tree into one process, under
+the names `ssht_before` and `ssht_after`, so both run on the same
+interpreter, allocator and OpenBLAS threads. The BEFORE tree builds
+TASKS tasks (seeds 0..3, default spec) and trains their source models;
+both trees then read the same task and model documents. Each round
+runs, for every method, one adapt per tree on task round mod TASKS,
+which tree goes first alternating by round, and times each with
+`time.process_time` (CPU seconds of the process).
+
+For each method it prints both trees' median CPU seconds, the
+after/before ratio of the medians, in how many rounds the AFTER tree
+took less CPU, and whether every adapted model document of the AFTER
+tree equals the BEFORE tree's for the same task; the last line is the
+same as one JSON object. `--epochs` shortens source training and every
+adapt; without it both run at their library defaults.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import time
+
+TASKS = 4
+ROUNDS = 32
+
+
+def load_package(src: str, name: str):
+    """The `ssht` package under `src`, imported afresh as `name`."""
+    init = os.path.join(src, "ssht", "__init__.py")
+    if not os.path.isfile(init):
+        raise SystemExit(f"{src}: no ssht package")
+    for key in [k for k in sys.modules
+                if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for sub in ("data", "pipeline"):
+        setattr(pkg, sub, importlib.import_module(f"{name}.{sub}"))
+    return pkg
+
+
+def build_inputs(pkg, epochs):
+    """(task document, source model document) for each task seed."""
+    loop = {} if epochs is None else {"epochs": epochs}
+    inputs = []
+    for seed in range(TASKS):
+        task = pkg.data.generate_task(pkg.data.DomainShiftSpec(), seed=seed)
+        model = pkg.pipeline.train_source(task, seed=seed, **loop)
+        inputs.append((pkg.data.serialize_task(task), model))
+    return inputs
+
+
+def run(sides, methods, rounds: int, epochs):
+    """Time every method's adapt on both sides ({"before": package,
+    "after": package}); a dict of results per method."""
+    inputs = build_inputs(sides["before"], epochs)
+    loop = {} if epochs is None else {"epochs": epochs}
+    tasks = {side: [pkg.data.deserialize_task(text) for text, _ in inputs]
+             for side, pkg in sides.items()}
+    cpu = {m: {side: [] for side in sides} for m in methods}
+    identical = {m: True for m in methods}
+    for r in range(rounds):
+        j = r % TASKS
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for method in methods:
+            texts = {}
+            for side in order:
+                pipeline = sides[side].pipeline
+                config = pipeline.AdaptConfig(method=method, seed=r, **loop)
+                start = time.process_time()
+                _, texts[side] = pipeline.adapt(inputs[j][1], tasks[side][j],
+                                                config)
+                cpu[method][side].append(time.process_time() - start)
+            identical[method] &= texts["before"] == texts["after"]
+    results = {}
+    for method in methods:
+        before, after = cpu[method]["before"], cpu[method]["after"]
+        results[method] = {
+            "before_cpu_s": round(statistics.median(before), 4),
+            "after_cpu_s": round(statistics.median(after), 4),
+            "ratio": round(statistics.median(after)
+                           / statistics.median(before), 3),
+            "after_wins": sum(a < b for a, b in zip(after, before)),
+            "rounds": rounds,
+            "identical": identical[method]}
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("before_src")
+    parser.add_argument("after_src")
+    parser.add_argument("--methods",
+                        help="comma-separated methods (default: all)")
+    parser.add_argument("--rounds", type=int, default=ROUNDS)
+    parser.add_argument("--epochs", type=int)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
+    sides = {"before": load_package(args.before_src, "ssht_before"),
+             "after": load_package(args.after_src, "ssht_after")}
+    methods = args.methods.split(",") if args.methods else \
+        list(sides["before"].pipeline.METHODS)
+    results = run(sides, methods, args.rounds, args.epochs)
+    for method, r in results.items():
+        print(f"{method:10s} before {r['before_cpu_s']:.4f} s  after "
+              f"{r['after_cpu_s']:.4f} s  ratio {r['ratio']:.3f}  after "
+              f"won {r['after_wins']}/{r['rounds']}  identical "
+              f"{'yes' if r['identical'] else 'NO'}")
+    print(json.dumps(results, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -317,7 +317,7 @@ def main(argv=None) -> int:
             if isinstance(path, _Output):
                 _check_output(f"--{dest.replace('_', '-')}", path)
         return handlers[args.command](args)
-    except (OSError, ValueError, NumericalError) as e:
+    except (OSError, ValueError, NumericalError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -217,8 +217,10 @@ def generate_task(spec: DomainShiftSpec, n_source: int = 2000, shots: int = 3,
     Source classes are sampled with weight ratio^(-c/(C-1)) so class 0
     outnumbers class C-1 by the imbalance ratio. Target splits are
     class-balanced draws from the shifted geometry. A spec whose finite
-    values make a split's draws overflow raises ValueError naming the
-    split.
+    values make a split's draws overflow, or a split with more rows
+    than numpy can index, raises ValueError naming the split, before
+    any draw. A split that fits the index but not the memory raises
+    MemoryError from its first allocation.
     """
     spec.validate()
     for name, n in (("n_source", n_source), ("shots", shots),
@@ -227,6 +229,12 @@ def generate_task(spec: DomainShiftSpec, n_source: int = 2000, shots: int = 3,
             raise ValueError(f"{name} must be positive, got {n}")
     c = spec.num_classes
     n_labeled = shots * c
+    max_rows = np.iinfo(np.intp).max
+    for split, n in (("source", n_source), ("labeled", n_labeled),
+                     ("unlabeled", n_unlabeled), ("test", n_test)):
+        if n > max_rows:
+            raise ValueError(f"split {split}: {n} rows is more than numpy "
+                             f"can index ({max_rows})")
     if n_unlabeled < 20 * n_labeled:
         raise ValueError(f"n_unlabeled must be >= 20 * shots * C = "
                          f"{20 * n_labeled}, got {n_unlabeled}")

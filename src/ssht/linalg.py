@@ -46,7 +46,7 @@ def _as_stack(a) -> np.ndarray:
     if min(s.shape) < 1:
         raise ValueError(f"stack and matrix dimensions must be positive, "
                          f"got {np.shape(a)}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("matrix contains non-finite entries")
     return s
 
@@ -91,11 +91,10 @@ def nuclear_norm_and_subgradient(a) -> Tuple[Union[float, np.ndarray],
     points). The zero matrix maps to the zero matrix, which is a valid
     subgradient.
     """
-    a = np.asarray(a, dtype=np.float64)
     r = _svds(_as_stack(a))
     norms = r.sigma.sum(axis=1)
     keep = r.sigma > RANK_TOL * r.sigma[:, :1]  # a prefix: sigma is sorted
     subs = (r.u * keep[:, None, :]) @ r.v.transpose(0, 2, 1)
-    if a.ndim == 2:
+    if np.ndim(a) == 2:
         return float(norms[0]), subs[0]
     return norms, subs

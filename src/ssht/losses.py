@@ -5,8 +5,19 @@ labeled rows first, then the weak view and the strong view of one
 unlabeled batch. Each objective takes the prediction matrix of the rows
 it reads, and its LossValue carries one gradient at the logits of that
 matrix. total_loss applies the step's terms to their row slices of the
-stacked predictions and writes every weighted gradient into those rows
-of one logit-gradient matrix, so one network backward pass follows.
+stacked predictions and adds every weighted gradient to those rows of
+one logit-gradient matrix, so one network backward pass follows. The
+diversity term reads the adjacent weak and strong rows as one
+(2, rows, classes) view, without a copy, and its gradient goes back to
+both in one addition.
+
+A step's arrays are small (108 x 4 by default), so what a term costs is
+the number of numpy calls it makes, not their arithmetic: each term
+computes an intermediate once, reduces with array methods, and works
+in place on the arrays it allocated itself. None writes to its inputs.
+Every value and gradient is the same, bit for bit, as the plain
+formula's: a mean is the float64 sum over the count, as numpy.mean
+computes it, and an in-place operation rounds as its copying form.
 
 Objectives:
   classification   mean cross-entropy on the labeled rows
@@ -23,7 +34,7 @@ Objectives:
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +60,7 @@ def reset_clamp_count() -> None:
 
 def _count_clamps(p: np.ndarray) -> None:
     global _clamp_events
-    _clamp_events += int(np.sum(p < LOG_CLAMP))
+    _clamp_events += int((p < LOG_CLAMP).sum())
 
 
 @dataclass
@@ -70,18 +81,19 @@ def classification_loss(probs_labeled: np.ndarray,
     """Mean cross-entropy against hard labels, gradient (p - onehot)/B."""
     p = _check_probs(probs_labeled, "probs_labeled")
     y = np.asarray(labels)
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {y.dtype}")
     b, c = p.shape
     if y.shape != (b,):
         raise ValueError(f"labels must have shape ({b},), got {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"labels must lie in [0, {c})")
-    picked = p[np.arange(b), y]
+    rows = np.arange(b)
+    picked = p[rows, y]
     _count_clamps(picked)
-    value = float(np.mean(-np.log(np.maximum(picked, LOG_CLAMP))))
+    value = float((-np.log(np.maximum(picked, LOG_CLAMP))).sum() / b)
     grad = p.copy()
-    grad[np.arange(b), y] -= 1.0
+    grad[rows, y] -= 1.0
     grad /= b
     return LossValue(value=value, grad=grad)
 
@@ -102,24 +114,30 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     b, c = pw.shape
-    pseudo = np.argmax(pw, axis=1)
-    selected = np.max(pw, axis=1) > tau
-    picked = ps[np.arange(b), pseudo]
+    rows = np.arange(b)
+    pseudo = pw.argmax(axis=1)
+    selected = pw[rows, pseudo] > tau  # the row max: argmax's entry
+    dropped = ~selected
+    picked = ps[rows, pseudo]
     _count_clamps(picked[selected])
-    terms = np.where(selected, -np.log(np.maximum(picked, LOG_CLAMP)), 0.0)
-    value = float(np.mean(terms))
+    terms = -np.log(np.maximum(picked, LOG_CLAMP))
+    terms[dropped] = 0.0
     grad = ps.copy()
-    grad[np.arange(b), pseudo] -= 1.0
-    grad[~selected] = 0.0
+    grad[rows, pseudo] -= 1.0
+    grad[dropped] = 0.0
     grad /= b
-    return LossValue(value=value, grad=grad), float(np.mean(selected))
+    return (LossValue(value=float(terms.sum() / b), grad=grad),
+            float(selected.sum() / b))
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     """Chain a gradient at softmax outputs (rows along the last axis)
     back to the logits."""
-    inner = np.sum(grad_probs * probs, axis=-1, keepdims=True)
-    return probs * (grad_probs - inner)
+    out = grad_probs * probs
+    inner = out.sum(axis=-1, keepdims=True)
+    np.subtract(grad_probs, inner, out=out)
+    out *= probs
+    return out
 
 
 def diversity_loss(probs: np.ndarray) -> LossValue:
@@ -136,21 +154,23 @@ def diversity_loss(probs: np.ndarray) -> LossValue:
         raise ValueError(f"probs must be 2-D or a 3-D stack, got shape "
                          f"{p.shape}")
     b = p.shape[-2]
-    norms, sub = nuclear_norm_and_subgradient(p)
-    return LossValue(value=float(np.sum(-norms / b)),
-                     grad=softmax_backward(p, -sub / b))
+    norms, sub = nuclear_norm_and_subgradient(p if p.ndim == 3 else p[None])
+    sub /= -b  # -sub / b, bit for bit
+    return LossValue(value=float((norms / -b).sum()),
+                     grad=softmax_backward(p, sub.reshape(p.shape)))
 
 
 def entropy_loss(probs: np.ndarray) -> LossValue:
     """Mean prediction entropy; 0 log 0 counts as 0."""
     p = _check_probs(probs, "probs")
     b = p.shape[0]
+    positive = p > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(p > 0.0, np.log(p), 0.0)
-    h_rows = -np.sum(p * logp, axis=1)
-    value = float(np.mean(h_rows))
-    grad = np.where(p > 0.0, p * (-logp - h_rows[:, None]), 0.0) / b
-    return LossValue(value=value, grad=grad)
+        logp = np.where(positive, np.log(p), 0.0)
+    h_rows = -(p * logp).sum(axis=1)
+    grad = np.where(positive, p * (-logp - h_rows[:, None]), 0.0)
+    grad /= b
+    return LossValue(value=float(h_rows.sum() / b), grad=grad)
 
 
 @dataclass
@@ -163,6 +183,21 @@ class StepLoss:
     grad: np.ndarray  # at the logits of every stacked row
 
 
+def _view_pair(weak: Optional[slice], strong: Optional[slice],
+               n_rows: int) -> Tuple[slice, int]:
+    """The rows of both unlabeled views as one slice, and the rows of
+    each: the diversity term reads them as one (2, rows, classes) view
+    of the predictions, so the strong rows must follow the weak rows
+    and match their count."""
+    if weak is None or strong is None:
+        raise ValueError("the diversity term reads both unlabeled views")
+    w, s = range(n_rows)[weak], range(n_rows)[strong]
+    if w.step != 1 or s.step != 1 or w.stop != s.start or len(w) != len(s):
+        raise ValueError(f"the diversity term needs the strong rows right "
+                         f"after as many weak rows, got {weak} and {strong}")
+    return slice(w.start, s.stop), len(w)
+
+
 def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
                strong: Optional[slice], weights: Dict[str, float],
                tau: float) -> StepLoss:
@@ -171,39 +206,48 @@ def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
     The first len(labels) rows of probs are the labeled rows; weak and
     strong select the two unlabeled views' rows, None for a view the
     step did not run (a term that reads it then raises ValueError).
+    The diversity term reads both views as one (2, rows, classes) view
+    of probs, so its strong rows must follow as many weak rows.
     weights maps each term of TERMS the method uses to its weight:
     total = classification + weight * term, summed in TERMS order.
-    Every term writes its weighted gradient into its own rows of one
-    zero matrix of probs' shape.
+    The logit gradient starts as a zero matrix of probs' shape, with
+    the classification gradient in the labeled rows; each term adds
+    its weighted gradient to the rows it read, the diversity term to
+    both views' rows in one addition.
     """
     p = _check_probs(probs, "probs")
-    if set(weights) - set(TERMS):
+    if weights.keys() - TERMS:
         raise ValueError(f"loss terms must come from {TERMS}, "
                          f"got {sorted(weights)}")
-    grad = np.zeros_like(p)
+    grad = np.zeros(p.shape)
     labeled = slice(0, len(labels))
     l_c = classification_loss(p[labeled], labels)
     grad[labeled] = l_c.grad
     values = dict.fromkeys(TERMS, 0.0)
+    mask_rate = 0.0
 
-    def add(term: str, rows: slice, lv: LossValue) -> None:
-        values[term] += lv.value
-        grad[rows] += weights[term] * lv.grad
+    def add(term: str, rows: slice, value: float, term_grad: np.ndarray
+            ) -> None:
+        values[term] += value
+        grad[rows] += weights[term] * term_grad
 
     if "consistency" in weights:
-        add("consistency", strong, consistency_loss(p[weak], p[strong], tau)[0])
+        lv, mask_rate = consistency_loss(p[weak], p[strong], tau)
+        add("consistency", strong, lv.value, lv.grad)
+    elif weak is not None:
+        pw = p[weak]
+        mask_rate = float((pw.max(axis=1) > tau).sum() / pw.shape[0])
     if "entropy" in weights:
-        add("entropy", weak, entropy_loss(p[weak]))
+        lv = entropy_loss(p[weak])
+        add("entropy", weak, lv.value, lv.grad)
     if "diversity" in weights:
-        lv = diversity_loss(np.stack((p[weak], p[strong])))
-        values["diversity"] += lv.value
-        grad[weak] += weights["diversity"] * lv.grad[0]
-        grad[strong] += weights["diversity"] * lv.grad[1]
+        rows, n = _view_pair(weak, strong, p.shape[0])
+        c = p.shape[1]
+        lv = diversity_loss(p[rows].reshape(2, n, c))
+        add("diversity", rows, lv.value, lv.grad.reshape(2 * n, c))
     total = l_c.value
     for term in TERMS:
         total += weights.get(term, 0.0) * values[term]
-    mask_rate = 0.0 if weak is None else \
-        float(np.mean(np.max(p[weak], axis=1) > tau))
     return StepLoss(l_c=l_c.value,
                     l_u=values["consistency"] + values["entropy"],
                     l_d=values["diversity"], total=float(total),

@@ -11,7 +11,12 @@ A forward pass returns the logits, or, asked to keep its activations,
 a Tape; the backward pass consumes that tape instead of running the
 forward pass again. An adaptation step keeps one tape for its whole
 stacked batch (labeled, weak and strong rows) and runs one backward
-pass from one logit gradient, so no per-pass gradients are summed. A
+pass from one logit gradient, so no per-pass gradients are summed.
+At a step's sizes a pass costs about as much in numpy calls as in
+arithmetic, so each layer adds its bias into its product, the softmax
+works in its one new array, and the backward pass builds each layer's
+activation derivative in a new array and multiplies the incoming
+gradient into it; every result rounds as the copying form would. A
 pass that keeps no tape (evaluation, prediction) runs in blocks of at
 most FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall
 enough for OpenBLAS to hand it to a second thread.
@@ -136,8 +141,10 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at z (a = _activate(z)), a new array."""
     if kind == "tanh":
-        return 1.0 - a * a
+        d = a * a
+        return np.subtract(1.0, d, out=d)
     return (z > 0.0).astype(float)
 
 
@@ -176,12 +183,14 @@ def _layers(net: Network, x: np.ndarray) -> Tape:
     a = x
     for layer in range(net.num_extractor_layers()):
         w, b = net.params[2 * layer], net.params[2 * layer + 1]
-        z = a @ w + b
+        z = a @ w
+        z += b
         a = _activate(z, kind)
         pre.append(z)
         acts.append(a)
-    wc, bc = net.params[-2], net.params[-1]
-    return Tape(acts=acts, pre=pre, logits=a @ wc + bc)
+    logits = a @ net.params[-2]
+    logits += net.params[-1]
+    return Tape(acts=acts, pre=pre, logits=logits)
 
 
 def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
@@ -208,9 +217,10 @@ def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting the row max."""
     z = np.asarray(logits, dtype=float)
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
@@ -231,13 +241,14 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
     out = net.split(grad)
 
     np.matmul(acts[-1].T, g, out=out[-2])
-    np.sum(g, axis=0, out=out[-1])
+    g.sum(axis=0, out=out[-1])
     da = g @ net.params[-2].T
 
     for layer in range(net.num_extractor_layers() - 1, -1, -1):
-        dz = da * _activate_grad(pre[layer], acts[layer + 1], kind)
+        dz = _activate_grad(pre[layer], acts[layer + 1], kind)
+        dz *= da
         np.matmul(acts[layer].T, dz, out=out[2 * layer])
-        np.sum(dz, axis=0, out=out[2 * layer + 1])
+        dz.sum(axis=0, out=out[2 * layer + 1])
         if layer > 0:
             da = dz @ net.params[2 * layer].T
     return grad

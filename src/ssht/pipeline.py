@@ -145,8 +145,7 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
                          f"{ys.min()} to {ys.max()}")
     logits = network.forward(net, xs)
     pred = np.argmax(logits, axis=1)
-    confusion = np.zeros((c, c), dtype=int)
-    np.add.at(confusion, (ys, pred), 1)
+    confusion = np.bincount(ys * c + pred, minlength=c * c).reshape(c, c)
     counts = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1),
@@ -284,7 +283,12 @@ def adapt(model_text: str, task, config: AdaptConfig
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
-    _, reads_weak, reads_strong = step_layout(config, lb, ub)
+    # a step's layout by its unlabeled rows: ub, fewer in an epoch's
+    # last step when ub does not divide the split
+    n_u = view.num_unlabeled
+    layouts = {n: step_layout(config, lb, n)
+               for n in (ub, n_u - (steps - 1) * ub)}
+    _, reads_weak, reads_strong = layouts[ub]
     aborted = False
     good = net.flat.copy()  # the parameters as of the last epoch end
     final: Optional[EvalResult] = None  # test evaluation of good
@@ -305,7 +309,7 @@ def adapt(model_text: str, task, config: AdaptConfig
             rows_l = slice(i * lb, (i + 1) * lb)
             rows_u = slice(i * ub, (i + 1) * ub)
             views, labels = [xl[rows_l]], yl[rows_l]
-            weights, weak, strong = step_layout(config, lb, len(xu[rows_u]))
+            weights, weak, strong = layouts[min(ub, n_u - i * ub)]
             if weak is not None:
                 views.append(xw[rows_u])
                 report.unlabeled_weak_passes += 1
@@ -313,7 +317,7 @@ def adapt(model_text: str, task, config: AdaptConfig
                 views.append(xs[rows_u])
                 report.unlabeled_strong_passes += 1
             tape = network.forward(net, np.concatenate(views), keep=True)
-            if not np.all(np.isfinite(tape.logits)):
+            if not np.isfinite(tape.logits).all():
                 aborted = True
                 break
             step = losses.total_loss(network.softmax_rows(tape.logits), labels,

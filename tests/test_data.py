@@ -130,6 +130,16 @@ def test_generate_rejects_overflowing_draws(field, split):
             small_task(**{field: 1e308})
 
 
+@pytest.mark.parametrize("count,split", [("n_source", "source"),
+                                         ("shots", "labeled"),
+                                         ("n_unlabeled", "unlabeled"),
+                                         ("n_test", "test")])
+def test_generate_rejects_a_split_numpy_cannot_index(count, split):
+    # 20 digits: past the largest intp, so nothing is drawn or allocated
+    with pytest.raises(ValueError, match=f"split {split}: .*more than numpy"):
+        data.generate_task(default_spec(), **{count: 99999999999999999999})
+
+
 def test_access_counters():
     task = small_task(seed=8)
     assert task.source_reads == 0

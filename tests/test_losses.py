@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssht import linalg, losses, metrics, network
+from ssht import linalg, losses, metrics, network, pipeline
 
 
 def rand_probs(rng, b, c):
@@ -430,3 +430,116 @@ def test_diversity_of_a_stack_equals_its_views_bit_for_bit():
         weak, strong = losses.diversity_loss(pw), losses.diversity_loss(ps)
         assert both.value == weak.value + strong.value
         assert np.array_equal(both.grad, np.stack((weak.grad, strong.grad)))
+
+
+TAU = 0.5
+
+
+def step_probs(rng, n_labeled, n_unlabeled, layout):
+    """Stacked predictions for a step of layout, with a clamped labeled
+    probability, a weak row exactly at TAU and a clamped strong one."""
+    _, weak, strong = layout
+    probs = rand_probs(rng, n_labeled + 2 * n_unlabeled, 4)
+    probs[0] = [0.0, 1.0, 0.0, 0.0]  # label 0 below LOG_CLAMP
+    if weak is not None:
+        probs[weak.start] = [0.5, 0.25, 0.125, 0.125]  # max == TAU: masked
+        probs[weak.start + 1] = [0.875, 0.125, 0.0, 0.0]  # above TAU
+    if strong is not None:
+        probs[strong.start + 1] = [0.0, 0.5, 0.5, 0.0]  # pseudo-label 0
+    return probs
+
+
+def assembled_step(probs, labels, layout):
+    """The step's terms one by one, assembled as in the seed: the
+    classification gradient in the labeled rows of a zero matrix, then
+    every weighted term added in TERMS order, each view's diversity on
+    its own."""
+    weights, weak, strong = layout
+    grad = np.zeros_like(probs)
+    labeled = slice(0, len(labels))
+    l_c = losses.classification_loss(probs[labeled], labels)
+    grad[labeled] = l_c.grad
+    values = dict.fromkeys(losses.TERMS, 0.0)
+    if "consistency" in weights:
+        lv, _ = losses.consistency_loss(probs[weak], probs[strong], TAU)
+        values["consistency"] += lv.value
+        grad[strong] += weights["consistency"] * lv.grad
+    if "entropy" in weights:
+        lv = losses.entropy_loss(probs[weak])
+        values["entropy"] += lv.value
+        grad[weak] += weights["entropy"] * lv.grad
+    if "diversity" in weights:
+        for rows in (weak, strong):
+            lv = losses.diversity_loss(probs[rows])
+            values["diversity"] += lv.value
+            grad[rows] += weights["diversity"] * lv.grad
+    total = l_c.value
+    for term in losses.TERMS:
+        total += weights.get(term, 0.0) * values[term]
+    mask_rate = 0.0 if weak is None else \
+        float(np.mean(np.max(probs[weak], axis=1) > TAU))
+    return (l_c.value, values["consistency"] + values["entropy"],
+            values["diversity"], total, mask_rate), grad
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_total_loss_is_the_terms_assembled_bit_for_bit(method):
+    config = pipeline.AdaptConfig(method=method, lambda_u=2.5, lambda_d=0.75)
+    layout = pipeline.step_layout(config, 4, 6)
+    rng = np.random.default_rng(50)
+    labels = np.array([0, 1, 2, 3])
+    for _ in range(3):
+        probs = step_probs(rng, 4, 6, layout)
+        step = losses.total_loss(probs, labels, *layout[1:], layout[0], TAU)
+        scalars, grad = assembled_step(probs, labels, layout)
+        assert (step.l_c, step.l_u, step.l_d, step.total,
+                step.mask_rate) == scalars
+        assert np.array_equal(step.grad, grad)
+        assert np.signbit(step.grad).tolist() == np.signbit(grad).tolist()
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_total_loss_counts_every_terms_clamps(method):
+    config = pipeline.AdaptConfig(method=method)
+    layout = pipeline.step_layout(config, 4, 6)
+    probs = step_probs(np.random.default_rng(51), 4, 6, layout)
+    labels = np.array([0, 1, 2, 3])
+    losses.reset_clamp_count()
+    assembled_step(probs, labels, layout)
+    per_term = losses.clamp_count()
+    assert per_term == (2 if "consistency" in layout[0] else 1)
+    losses.total_loss(probs, labels, *layout[1:], layout[0], TAU)
+    assert losses.clamp_count() == 2 * per_term
+
+
+@pytest.mark.parametrize("weights,weak,strong", [
+    ({"consistency": 1.0}, None, slice(4, 10)),
+    ({"consistency": 1.0}, slice(4, 10), None),
+    ({"entropy": 1.0}, None, None),
+    ({"diversity": 1.0}, None, slice(4, 10)),
+    ({"diversity": 1.0}, slice(4, 10), None),
+    ({"diversity": 1.0}, slice(4, 9), slice(10, 15)),  # not adjacent
+    ({"diversity": 1.0}, slice(10, 16), slice(4, 10)),  # strong first
+    ({"diversity": 1.0}, slice(4, 10), slice(10, 14)),  # unequal
+    ({"diversity": 1.0}, slice(4, 10, 2), slice(10, 13)),  # strided
+])
+def test_total_loss_rejects_a_missing_or_misplaced_view(weights, weak,
+                                                        strong):
+    probs = rand_probs(np.random.default_rng(52), 16, 4)
+    with pytest.raises(ValueError):
+        losses.total_loss(probs, np.array([0, 1, 2, 3]), weak, strong,
+                          weights, TAU)
+
+
+def test_evaluate_confusion_counts_every_row():
+    net = network.init_network(network.default_spec(num_classes=4), seed=3)
+    xs = np.random.default_rng(53).normal(size=(200, 2)) * 3.0
+    ys = np.arange(200) % 3  # class 3 never occurs
+    result = pipeline.evaluate(net, xs, ys)
+    expected = np.zeros((4, 4), dtype=int)
+    for y, p in zip(ys.tolist(), result.predictions.tolist()):
+        expected[y, p] += 1
+    assert result.confusion.dtype == expected.dtype
+    assert np.array_equal(result.confusion, expected)
+    assert result.confusion.sum() == 200 and not result.confusion[3].any()
+    assert result.per_class_accuracy[3] == 0.0

@@ -404,6 +404,37 @@ def test_cli_gen_data_overflowing_spec_is_exit_1(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,split", [("--n-source", "source"),
+                                        ("--n-unlabeled", "unlabeled"),
+                                        ("--n-test", "test")])
+def test_cli_gen_data_count_numpy_cannot_index_is_exit_1(tmp_path, capsys,
+                                                         flag, split):
+    rc = cli.main(["gen-data", flag, "99999999999999999999",
+                   "--out", str(tmp_path / "task.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: split {split}: 99999999999999999999 rows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_out_of_memory_is_exit_1(tmp_path, monkeypatch, capsys):
+    # what numpy raises for --n-unlabeled 1000000000000, without the
+    # allocation
+    @functools.wraps(data.generate_task)
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000000000000,) and data type int64")
+
+    monkeypatch.setattr(data, "generate_task", no_memory)
+    rc = cli.main(["gen-data", "--n-unlabeled", "1000000000000",
+                   "--out", str(tmp_path / "task.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate 7.28 TiB" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_bad_method_is_exit_1(cli_files, tmp_path, capsys):
     _, task_path, model_path = cli_files
     rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
