@@ -214,9 +214,7 @@ def _cmd_adapt(args) -> int:
 def _cmd_evaluate(args) -> int:
     net = network.deserialize(read_text(args.model))
     task = data.load_task(args.data)
-    if net.spec.num_classes != task.spec.num_classes:
-        raise ValueError(f"model has {net.spec.num_classes} classes, "
-                         f"task has {task.spec.num_classes}")
+    pipeline.check_model_fits(net, task)
     if args.split == "test":
         xs, ys = task.test_x, task.test_y
     elif args.split == "labeled":

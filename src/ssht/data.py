@@ -50,8 +50,8 @@ SCALE_RANGE = (0.9, 1.15)
 # the multi-crescent geometry; the rest is the gap between classes
 ARC_FILL = 0.8
 
-# the widest task: the widest the tests (a 16-class one-hot oracle of
-# the nuclear norm) and scripts/bench_bnm.py (n = 4..16) cover
+# the widest task: the widest the tests cover (a 16-class one-hot
+# oracle of the nuclear norm, a 16-class network's blocked forward pass)
 MAX_CLASSES = 16
 
 

@@ -7,11 +7,12 @@ of entry pairs (a, b) is |a - b| / max(|a|, |b|, 1e-6).
 
 network_backward checks raw reverse mode. Then there is one suite per
 method of pipeline.METHODS, named after it: the method's whole step
-objective, built from pipeline.step_layout and losses.total_loss as
-adapt builds it, so a new method is checked with no edit here. Its tau
-is TAU, 0.4. Two kinds of instance are skipped and counted, and a suite
-draws more until it has checked its quota (at most 20 attempts per
-instance wanted):
+objective, built from pipeline.step_layout and losses.total_loss on the
+logits, as adapt builds it, so a new method is checked with no edit
+here. Its tau is TAU, 0.4. Two kinds of instance are skipped and
+counted, judged on the probabilities of losses.softmax_and_log, which
+total_loss reads; a suite draws more until it has checked its quota
+(at most 20 attempts per instance wanted):
   - under the diversity term, a view whose prediction matrix has
     near-degenerate singular values (a gap or the smallest value below
     1e-3 of the largest): the nuclear norm is not differentiable there,
@@ -80,10 +81,6 @@ def _spectrum_degenerate(p: np.ndarray) -> bool:
     return bool(np.min(gaps) <= floor or sigma[-1] <= floor)
 
 
-def _probs(net, x):
-    return network.softmax_rows(network.forward(net, x))
-
-
 def _tape(net, x):
     return network.forward(net, x, keep=True)
 
@@ -121,7 +118,7 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
         yl = rng.integers(0, 3, size=4)
         x = rng.normal(size=(4 + 6 * len(views), 3))
         tape = _tape(net, x)
-        probs = network.softmax_rows(tape.logits)
+        probs, _ = losses.softmax_and_log(tape.logits)
         degenerate = "diversity" in weights and any(
             _spectrum_degenerate(probs[rows]) for rows in views)
         all_masked = "consistency" in weights and \
@@ -130,14 +127,14 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
             skipped += 1
             continue
 
-        def step(p):
-            return losses.total_loss(p, yl, weak, strong, weights, TAU)
+        def step(logits):
+            return losses.total_loss(logits, yl, weak, strong, weights, TAU)
 
         # pseudo-labels and the mask are piecewise constant in the weak
         # rows, so letting them move with the parameters does not change
         # the derivative away from tau
-        exact = network.backward(net, tape, step(probs).grad)
-        fd = fd_param_grads(net, lambda: step(_probs(net, x)).total)
+        exact = network.backward(net, tape, step(tape.logits).grad)
+        fd = fd_param_grads(net, lambda: step(network.forward(net, x)).total)
         worst = max(worst, _rel_err(exact, fd))
         checked += 1
     return SuiteReport(method, worst, checked, skipped,

@@ -11,9 +11,7 @@ the largest left out of the subgradient.
 The decomposition is LAPACK's (numpy.linalg.svd), one batched call
 per stack; at these sizes the cost is the Python calls around it, not
 the arithmetic. Each matrix is first scaled by a power of two, exactly,
-so that LAPACK sees the same input for A and 2^k A. Both views of a
-48 x n softmax step took 67-88 us at n = 4 and 232-254 us at n = 16
-(scripts/bench_bnm.py, one OpenBLAS thread, 2-CPU host).
+so that LAPACK sees the same input for A and 2^k A.
 """
 
 import math

@@ -2,14 +2,16 @@
 
 An adaptation step runs one forward pass over a stacked batch: the
 labeled rows first, then the weak view and the strong view of one
-unlabeled batch. Each objective takes the prediction matrix of the rows
-it reads, and its LossValue carries one gradient at the logits of that
-matrix. total_loss applies the step's terms to their row slices of the
-stacked predictions and adds every weighted gradient to those rows of
-one logit-gradient matrix, so one network backward pass follows. The
-diversity term reads the adjacent weak and strong rows as one
-(2, rows, classes) view, without a copy, and its gradient goes back to
-both in one addition.
+unlabeled batch. total_loss takes its logits, and softmax_and_log
+turns them into probabilities and exact log-probabilities from one
+max-shifted exponential, so no log is taken of a rounded or zero
+probability and none is clamped. Each objective takes the rows it
+reads, and its LossValue carries one gradient at the logits of those
+rows, built from the probabilities. total_loss adds every weighted
+gradient to its rows of one logit-gradient matrix, so one network
+backward pass follows. The diversity term reads the adjacent weak and
+strong rows as one (2, rows, classes) view, without a copy, and its
+gradient goes back to both in one addition.
 
 A step's arrays are small (108 x 4 by default), so what a term costs is
 the number of numpy calls it makes, not their arithmetic: each term
@@ -43,25 +45,6 @@ from .linalg import nuclear_norm_and_subgradient
 # the unlabeled terms total_loss can add, in summation order
 TERMS = ("consistency", "entropy", "diversity")
 
-LOG_CLAMP = 1e-12
-
-# how many times a log saw a clamped (effectively zero) probability
-_clamp_events = 0
-
-
-def clamp_count() -> int:
-    return _clamp_events
-
-
-def reset_clamp_count() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
-def _count_clamps(p: np.ndarray) -> None:
-    global _clamp_events
-    _clamp_events += int((p < LOG_CLAMP).sum())
-
 
 @dataclass
 class LossValue:
@@ -69,17 +52,42 @@ class LossValue:
     grad: np.ndarray  # at the logits of the rows the loss was given
 
 
-def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
+def _as_matrix(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {p.shape}")
     return p
 
 
+def _with_logs(p: np.ndarray, log_p: np.ndarray, name: str
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    p, log_p = _as_matrix(p, name), np.asarray(log_p, dtype=float)
+    if log_p.shape != p.shape:
+        raise ValueError(f"{name} has shape {p.shape}, its logs {log_p.shape}")
+    return p, log_p
+
+
+def softmax_and_log(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax probabilities and their exact logs.
+
+    Both come from one exponential of the logits shifted by their row
+    max: p = exp(s) / sum exp(s) and log p = s - log sum exp(s). Only a
+    row whose logit spread overflows float64 gets a log of -inf.
+    """
+    z = _as_matrix(logits, "logits")
+    shifted = z - z.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    norm = p.sum(axis=1, keepdims=True)
+    p /= norm
+    shifted -= np.log(norm)
+    return p, shifted
+
+
 def classification_loss(probs_labeled: np.ndarray,
+                        log_probs_labeled: np.ndarray,
                         labels: np.ndarray) -> LossValue:
     """Mean cross-entropy against hard labels, gradient (p - onehot)/B."""
-    p = _check_probs(probs_labeled, "probs_labeled")
+    p, log_p = _with_logs(probs_labeled, log_probs_labeled, "probs_labeled")
     y = np.asarray(labels)
     if y.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {y.dtype}")
@@ -89,9 +97,7 @@ def classification_loss(probs_labeled: np.ndarray,
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"labels must lie in [0, {c})")
     rows = np.arange(b)
-    picked = p[rows, y]
-    _count_clamps(picked)
-    value = float((-np.log(np.maximum(picked, LOG_CLAMP))).sum() / b)
+    value = float(-log_p[rows, y].sum() / b)
     grad = p.copy()
     grad[rows, y] -= 1.0
     grad /= b
@@ -99,7 +105,7 @@ def classification_loss(probs_labeled: np.ndarray,
 
 
 def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
-                     tau: float):
+                     log_probs_strong: np.ndarray, tau: float):
     """Thresholded pseudo-label cross-entropy from weak to strong view.
 
     Rows whose weak confidence does not exceed tau contribute zero, and
@@ -107,8 +113,8 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
     the gradient is at the strong view's logits only. Returns
     (LossValue, mask_rate).
     """
-    pw = _check_probs(probs_weak, "probs_weak")
-    ps = _check_probs(probs_strong, "probs_strong")
+    pw = _as_matrix(probs_weak, "probs_weak")
+    ps, log_ps = _with_logs(probs_strong, log_probs_strong, "probs_strong")
     if pw.shape != ps.shape:
         raise ValueError(f"shape mismatch: weak {pw.shape}, strong {ps.shape}")
     if not 0.0 < tau <= 1.0:
@@ -118,9 +124,7 @@ def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
     pseudo = pw.argmax(axis=1)
     selected = pw[rows, pseudo] > tau  # the row max: argmax's entry
     dropped = ~selected
-    picked = ps[rows, pseudo]
-    _count_clamps(picked[selected])
-    terms = -np.log(np.maximum(picked, LOG_CLAMP))
+    terms = -log_ps[rows, pseudo]
     terms[dropped] = 0.0
     grad = ps.copy()
     grad[rows, pseudo] -= 1.0
@@ -160,15 +164,13 @@ def diversity_loss(probs: np.ndarray) -> LossValue:
                      grad=softmax_backward(p, sub.reshape(p.shape)))
 
 
-def entropy_loss(probs: np.ndarray) -> LossValue:
-    """Mean prediction entropy; 0 log 0 counts as 0."""
-    p = _check_probs(probs, "probs")
+def entropy_loss(probs: np.ndarray, log_probs: np.ndarray) -> LossValue:
+    """Mean prediction entropy; a probability that underflowed to 0
+    has a finite log, so it adds 0 to the value and the gradient."""
+    p, log_p = _with_logs(probs, log_probs, "probs")
     b = p.shape[0]
-    positive = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(positive, np.log(p), 0.0)
-    h_rows = -(p * logp).sum(axis=1)
-    grad = np.where(positive, p * (-logp - h_rows[:, None]), 0.0)
+    h_rows = -(p * log_p).sum(axis=1)
+    grad = p * (-log_p - h_rows[:, None])
     grad /= b
     return LossValue(value=float(h_rows.sum() / b), grad=grad)
 
@@ -198,30 +200,31 @@ def _view_pair(weak: Optional[slice], strong: Optional[slice],
     return slice(w.start, s.stop), len(w)
 
 
-def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
+def total_loss(logits: np.ndarray, labels: np.ndarray, weak: Optional[slice],
                strong: Optional[slice], weights: Dict[str, float],
                tau: float) -> StepLoss:
-    """An adaptation step's objective over its stacked predictions.
+    """An adaptation step's objective over its stacked logits.
 
-    The first len(labels) rows of probs are the labeled rows; weak and
+    softmax_and_log turns the logits into probabilities and their logs
+    once. The first len(labels) rows are the labeled rows; weak and
     strong select the two unlabeled views' rows, None for a view the
     step did not run (a term that reads it then raises ValueError).
     The diversity term reads both views as one (2, rows, classes) view
-    of probs, so its strong rows must follow as many weak rows.
-    weights maps each term of TERMS the method uses to its weight:
-    total = classification + weight * term, summed in TERMS order.
-    The logit gradient starts as a zero matrix of probs' shape, with
-    the classification gradient in the labeled rows; each term adds
-    its weighted gradient to the rows it read, the diversity term to
-    both views' rows in one addition.
+    of the probabilities, so its strong rows must follow as many weak
+    rows. weights maps each term of TERMS the method uses to its
+    weight: total = classification + weight * term, summed in TERMS
+    order. The logit gradient starts as a zero matrix of the logits'
+    shape, with the classification gradient in the labeled rows; each
+    term adds its weighted gradient to the rows it read, the diversity
+    term to both views' rows in one addition.
     """
-    p = _check_probs(probs, "probs")
+    p, log_p = softmax_and_log(logits)
     if weights.keys() - TERMS:
         raise ValueError(f"loss terms must come from {TERMS}, "
                          f"got {sorted(weights)}")
     grad = np.zeros(p.shape)
     labeled = slice(0, len(labels))
-    l_c = classification_loss(p[labeled], labels)
+    l_c = classification_loss(p[labeled], log_p[labeled], labels)
     grad[labeled] = l_c.grad
     values = dict.fromkeys(TERMS, 0.0)
     mask_rate = 0.0
@@ -232,13 +235,14 @@ def total_loss(probs: np.ndarray, labels: np.ndarray, weak: Optional[slice],
         grad[rows] += weights[term] * term_grad
 
     if "consistency" in weights:
-        lv, mask_rate = consistency_loss(p[weak], p[strong], tau)
+        lv, mask_rate = consistency_loss(p[weak], p[strong], log_p[strong],
+                                         tau)
         add("consistency", strong, lv.value, lv.grad)
     elif weak is not None:
         pw = p[weak]
         mask_rate = float((pw.max(axis=1) > tau).sum() / pw.shape[0])
     if "entropy" in weights:
-        lv = entropy_loss(p[weak])
+        lv = entropy_loss(p[weak], log_p[weak])
         add("entropy", weak, lv.value, lv.grad)
     if "diversity" in weights:
         rows, n = _view_pair(weak, strong, p.shape[0])

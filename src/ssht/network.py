@@ -9,17 +9,19 @@ into it. `backward` returns one gradient vector in the same layout, so
 the optimizer, checkpoints and rollbacks are whole-vector operations.
 A forward pass returns the logits, or, asked to keep its activations,
 a Tape; the backward pass consumes that tape instead of running the
-forward pass again. An adaptation step keeps one tape for its whole
-stacked batch (labeled, weak and strong rows) and runs one backward
-pass from one logit gradient, so no per-pass gradients are summed.
+forward pass again. The network stops at the logits: the softmax and
+its log belong to the objectives (losses.softmax_and_log). An
+adaptation step keeps one tape for its whole stacked batch (labeled,
+weak and strong rows) and runs one backward pass from one logit
+gradient, so no per-pass gradients are summed.
 At a step's sizes a pass costs about as much in numpy calls as in
-arithmetic, so each layer adds its bias into its product, the softmax
-works in its one new array, and the backward pass builds each layer's
-activation derivative in a new array and multiplies the incoming
-gradient into it; every result rounds as the copying form would. A
-pass that keeps no tape (evaluation, prediction) runs in blocks of at
-most FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall
-enough for OpenBLAS to hand it to a second thread.
+arithmetic, so each layer adds its bias into its product, and the
+backward pass builds each layer's activation derivative in a new
+array and multiplies the incoming gradient into it; every result
+rounds as the copying form would. A pass that keeps no tape
+(evaluation, prediction) runs in blocks of at most FORWARD_BLOCK_ROWS
+rows, so that no matrix product grows tall enough for OpenBLAS to
+hand it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
@@ -212,15 +214,6 @@ def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
     for start, stop in zip(starts, starts[1:] + [n]):
         logits[start:stop] = _layers(net, x[start:stop]).logits
     return logits
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting the row max."""
-    z = np.asarray(logits, dtype=float)
-    e = z - z.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
 
 
 def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ then augments each view once over all of them (the labeled rows, and
 the weak and the strong view of the unlabeled rows, only the views the
 method reads; each on its own random stream, under
 data.default_policy for the task). Each step stacks its slice of every
-view, runs them through one taped forward pass and losses.total_loss,
-and takes one backward pass from the single logit-gradient matrix that
-total_loss returns.
+view, runs them through one taped forward pass and losses.total_loss
+on its logits, and takes one backward pass from the single
+logit-gradient matrix that total_loss returns.
 step_layout gives a step's term weights and view rows; gradcheck
 builds its method suites from the same function.
 
@@ -201,8 +201,8 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
         for start in range(0, order.size, bs):
             idx = order[start:start + bs]
             tape = network.forward(net, train_x[idx], keep=True)
-            probs = network.softmax_rows(tape.logits)
-            lv = losses.classification_loss(probs, train_y[idx])
+            lv = losses.classification_loss(
+                *losses.softmax_and_log(tape.logits), train_y[idx])
             if not math.isfinite(lv.value):
                 raise NumericalError(f"source training diverged at epoch "
                                      f"{epoch}, step {start // bs}")
@@ -235,20 +235,26 @@ def step_layout(config: AdaptConfig, n_labeled: int, n_unlabeled: int
     return weights, weak, strong
 
 
+def check_model_fits(net: network.Network, task) -> None:
+    """Raise ValueError unless the model's input width and class count
+    are those of the task (a full task or an AdaptationView)."""
+    if net.spec.input_dim != task.labeled_x.shape[1]:
+        raise ValueError(f"model expects input_dim {net.spec.input_dim}, "
+                         f"task provides {task.labeled_x.shape[1]}")
+    if net.spec.num_classes != task.spec.num_classes:
+        raise ValueError(f"model has {net.spec.num_classes} classes, "
+                         f"task has {task.spec.num_classes}")
+
+
 def _source_network(model_text: str, view, config: AdaptConfig
                     ) -> Tuple[network.Network, AdaptConfig]:
     """The checks adapt makes before its first step: the config, the
-    model document, the model's dimensions against the task's and the
-    batch sizes against the split sizes. Returns the source network and
-    the config with its labeled batch resolved."""
+    model document, check_model_fits and the batch sizes against the
+    split sizes. Returns the source network and the config with its
+    labeled batch resolved."""
     config.validate()
     net = network.deserialize(model_text)
-    if net.spec.input_dim != view.labeled_x.shape[1]:
-        raise ValueError(f"model expects input_dim {net.spec.input_dim}, "
-                         f"task provides {view.labeled_x.shape[1]}")
-    if net.spec.num_classes != view.spec.num_classes:
-        raise ValueError(f"model has {net.spec.num_classes} classes, "
-                         f"task has {view.spec.num_classes}")
+    check_model_fits(net, view)
     labeled_batch = config.labeled_batch if config.labeled_batch is not None \
         else min(view.labeled_x.shape[0], config.unlabeled_batch)
     config = replace(config, labeled_batch=labeled_batch)
@@ -320,8 +326,8 @@ def adapt(model_text: str, task, config: AdaptConfig
             if not np.isfinite(tape.logits).all():
                 aborted = True
                 break
-            step = losses.total_loss(network.softmax_rows(tape.logits), labels,
-                                     weak, strong, weights, config.tau)
+            step = losses.total_loss(tape.logits, labels, weak, strong,
+                                     weights, config.tau)
             if not math.isfinite(step.total):
                 aborted = True
                 break

@@ -148,15 +148,15 @@ def test_masking_property():
     grid = np.linspace(0.01, 1.0, 100)
     monotone = True
     for _ in range(20):
-        probs_w = network_softmax(rng.normal(size=(48, 4)) * 2.0)
-        probs_s = network_softmax(rng.normal(size=(48, 4)))
-        rates = np.array([losses.consistency_loss(probs_w, probs_s, t)[1]
+        probs_w, _ = losses.softmax_and_log(rng.normal(size=(48, 4)) * 2.0)
+        strong = losses.softmax_and_log(rng.normal(size=(48, 4)))
+        rates = np.array([losses.consistency_loss(probs_w, *strong, t)[1]
                           for t in grid])
         monotone = monotone and bool(np.all(np.diff(rates) <= 0.0))
 
-    uniform = np.full((16, 4), 0.25)
-    sharp = network_softmax(rng.normal(size=(16, 4)))
-    lv, rate = losses.consistency_loss(uniform, sharp, 0.8)
+    uniform, _ = losses.softmax_and_log(np.zeros((16, 4)))
+    sharp = losses.softmax_and_log(rng.normal(size=(16, 4)))
+    lv, rate = losses.consistency_loss(uniform, *sharp, 0.8)
     zero_ok = (lv.value == 0.0 and rate == 0.0 and
                bool(np.all(lv.grad == 0.0)))
     ok = monotone and zero_ok
@@ -166,11 +166,6 @@ def test_masking_property():
         "mask rate non-increasing across a 100-point threshold grid on 20 "
         "random prediction matrices; fully sub-threshold batch contributes "
         "an exact 0.0 with all-zero gradients")
-
-
-def network_softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_ablation_ordering(suite):

@@ -7,7 +7,13 @@ from ssht import linalg, losses, metrics, network, pipeline
 
 
 def rand_probs(rng, b, c):
-    return network.softmax_rows(rng.normal(size=(b, c)))
+    return losses.softmax_and_log(rng.normal(size=(b, c)))[0]
+
+
+def from_logits(z):
+    """The probabilities and log-probabilities of a logit matrix. A
+    logit 1000 below its row max gives a probability of exactly 0."""
+    return losses.softmax_and_log(np.asarray(z, dtype=float))
 
 
 def two_view_diversity(pw, ps):
@@ -16,28 +22,30 @@ def two_view_diversity(pw, ps):
 
 
 def test_classification_perfect_prediction():
-    p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    lv = losses.classification_loss(p, np.array([0, 1]))
+    p, log_p = from_logits([[0.0, -1000.0, -1000.0], [-1000.0, 0.0, -1000.0]])
+    assert np.array_equal(p, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    lv = losses.classification_loss(p, log_p, np.array([0, 1]))
     assert lv.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classification_uniform():
-    p = np.full((3, 4), 0.25)
-    lv = losses.classification_loss(p, np.array([0, 1, 2]))
+    p, log_p = from_logits(np.zeros((3, 4)))
+    assert np.array_equal(p, np.full((3, 4), 0.25))
+    lv = losses.classification_loss(p, log_p, np.array([0, 1, 2]))
     assert lv.value == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_classification_hand_value():
-    p = np.array([[0.7, 0.2, 0.1]])
-    lv = losses.classification_loss(p, np.array([0]))
+    lv = losses.classification_loss(*from_logits(np.log([[0.7, 0.2, 0.1]])),
+                                    np.array([0]))
     assert lv.value == pytest.approx(0.3566749, abs=1e-6)
 
 
 def test_classification_gradient_form():
     rng = np.random.default_rng(0)
-    p = rand_probs(rng, 5, 4)
+    p, log_p = from_logits(rng.normal(size=(5, 4)))
     y = np.array([0, 1, 2, 3, 0])
-    lv = losses.classification_loss(p, y)
+    lv = losses.classification_loss(p, log_p, y)
     onehot = np.zeros_like(p)
     onehot[np.arange(5), y] = 1.0
     np.testing.assert_allclose(lv.grad,
@@ -45,26 +53,44 @@ def test_classification_gradient_form():
 
 
 def test_classification_clamps_zero_probability():
-    losses.reset_clamp_count()
-    p = np.array([[0.0, 1.0]])
-    lv = losses.classification_loss(p, np.array([0]))
-    assert np.isfinite(lv.value)
-    assert lv.value == pytest.approx(-math.log(1e-12))
-    assert losses.clamp_count() == 1
+    # a label probability that underflows to 0 is not clamped: its
+    # loss is the exact logit gap, and the gradient is still p - onehot
+    p, log_p = from_logits([[3.0, 803.0]])
+    assert p[0, 0] == 0.0
+    lv = losses.classification_loss(p, log_p, np.array([0]))
+    assert lv.value == 800.0
+    assert np.array_equal(lv.grad, [[-1.0, 1.0]])
+
+
+def test_classification_loss_is_exact_for_a_label_logit_trailing_by_1000():
+    logits, labels = np.array([[0.0, 1000.0]]), np.array([0])
+    assert losses.classification_loss(*from_logits(logits),
+                                      labels).value == 1000.0
+    step = losses.total_loss(logits, labels, None, None, {}, TAU)
+    assert step.l_c == step.total == 1000.0
+
+
+def test_total_loss_is_not_finite_when_a_logit_spread_overflows():
+    # no clamp hides the overflow: adapt sees a non-finite loss and rolls
+    # back to the last completed epoch
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        step = losses.total_loss(np.array([[1e308, -1e308]]), np.array([1]),
+                                 None, None, {}, TAU)
+    assert step.l_c == step.total == math.inf
 
 
 def test_classification_rejects_bad_labels():
-    p = np.full((2, 3), 1 / 3)
+    p, log_p = from_logits(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        losses.classification_loss(p, np.array([0, 3]))
+        losses.classification_loss(p, log_p, np.array([0, 3]))
     with pytest.raises(ValueError):
-        losses.classification_loss(p, np.array([0.5, 1.5]))
+        losses.classification_loss(p, log_p, np.array([0.5, 1.5]))
 
 
 def test_consistency_below_threshold_is_zero():
     pw = np.array([[0.6, 0.4]])
-    ps = np.array([[0.5, 0.5]])
-    lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
+    ps, log_ps = from_logits([[0.0, 0.0]])
+    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
     assert lv.value == 0.0
     assert mask == 0.0
     assert np.all(lv.grad == 0.0)
@@ -72,16 +98,17 @@ def test_consistency_below_threshold_is_zero():
 
 def test_consistency_confident_and_correct_strong():
     pw = np.array([[0.9, 0.1]])
-    ps = np.array([[1.0, 0.0]])
-    lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
+    ps, log_ps = from_logits([[0.0, -1000.0]])
+    assert np.array_equal(ps, [[1.0, 0.0]])
+    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
     assert lv.value == pytest.approx(0.0, abs=1e-12)
     assert mask == 1.0
 
 
 def test_consistency_hand_value():
     pw = np.array([[0.9, 0.1]])
-    ps = np.array([[0.5, 0.5]])
-    lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
+    ps, log_ps = from_logits([[0.0, 0.0]])
+    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
     assert lv.value == pytest.approx(0.6931472, abs=1e-6)
     assert mask == 1.0
 
@@ -89,8 +116,8 @@ def test_consistency_hand_value():
 def test_consistency_full_batch_mean():
     # one confident row, one not: the sum divides by the full batch
     pw = np.array([[0.9, 0.1], [0.6, 0.4]])
-    ps = np.array([[0.5, 0.5], [0.2, 0.8]])
-    lv, mask = losses.consistency_loss(pw, ps, tau=0.8)
+    ps, log_ps = from_logits([[0.0, 0.0], [0.0, math.log(4.0)]])
+    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
     assert lv.value == pytest.approx(-math.log(0.5) / 2)
     assert mask == 0.5
     g = lv.grad
@@ -100,8 +127,7 @@ def test_consistency_full_batch_mean():
 
 def test_consistency_threshold_strict():
     pw = np.array([[0.8, 0.2]])
-    ps = np.array([[0.5, 0.5]])
-    _, mask = losses.consistency_loss(pw, ps, tau=0.8)
+    _, mask = losses.consistency_loss(pw, *from_logits([[0.0, 0.0]]), tau=0.8)
     assert mask == 0.0  # max == tau does not select
 
 
@@ -109,19 +135,31 @@ def test_consistency_mask_monotone_in_tau():
     rng = np.random.default_rng(1)
     for _ in range(20):
         pw = rand_probs(rng, 16, 4)
-        ps = rand_probs(rng, 16, 4)
-        rates = [losses.consistency_loss(pw, ps, t)[1]
+        ps, log_ps = from_logits(rng.normal(size=(16, 4)))
+        rates = [losses.consistency_loss(pw, ps, log_ps, t)[1]
                  for t in np.linspace(0.01, 0.99, 100)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
 def test_consistency_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        losses.consistency_loss(np.full((2, 3), 1 / 3), np.full((2, 4), 0.25),
-                                tau=0.5)
+        losses.consistency_loss(np.full((2, 3), 1 / 3),
+                                *from_logits(np.zeros((2, 4))), tau=0.5)
     with pytest.raises(ValueError):
-        losses.consistency_loss(np.full((1, 2), 0.5), np.full((1, 2), 0.5),
-                                tau=0.0)
+        losses.consistency_loss(np.full((1, 2), 0.5),
+                                *from_logits(np.zeros((1, 2))), tau=0.0)
+
+
+def test_consistency_loss_is_exact_for_a_strong_row_trailing_by_1000():
+    # labeled, weak and strong rows: the weak row is sure of class 0,
+    # the strong row's class-0 logit trails its max by 1000
+    logits = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
+    p, log_p = from_logits(logits)
+    lv, mask = losses.consistency_loss(p[1:2], p[2:], log_p[2:], tau=0.8)
+    assert (lv.value, mask) == (1000.0, 1.0)
+    step = losses.total_loss(logits, np.array([0]), slice(1, 2), slice(2, 3),
+                             {"consistency": 1.0}, 0.8)
+    assert step.l_u == 1000.0
 
 
 def test_diversity_single_one_hot_rows():
@@ -197,33 +235,34 @@ def test_diversity_bit_identical_to_two_decomposition_oracle():
 
 
 def test_entropy_one_hot_rows():
-    p = np.array([[1.0, 0.0], [0.0, 1.0]])
-    lv = losses.entropy_loss(p)
+    p, log_p = from_logits([[0.0, -1000.0], [-1000.0, 0.0]])
+    assert np.array_equal(p, [[1.0, 0.0], [0.0, 1.0]])
+    lv = losses.entropy_loss(p, log_p)
     assert lv.value == 0.0
     assert np.all(np.isfinite(lv.grad))
 
 
 def test_entropy_uniform():
-    p = np.full((2, 4), 0.25)
-    lv = losses.entropy_loss(p)
+    lv = losses.entropy_loss(*from_logits(np.zeros((2, 4))))
     assert lv.value == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_entropy_hand_value():
-    lv = losses.entropy_loss(np.array([[0.7, 0.2, 0.1]]))
+    lv = losses.entropy_loss(*from_logits(np.log([[0.7, 0.2, 0.1]])))
     assert lv.value == pytest.approx(0.8018186, abs=1e-6)
 
 
 def test_total_arithmetic():
     rng = np.random.default_rng(4)
     labels = np.array([0, 1])
-    probs = np.concatenate([rand_probs(rng, 2, 4), rand_probs(rng, 3, 4),
-                            rand_probs(rng, 3, 4)])
-    step = losses.total_loss(probs, labels, slice(2, 5), slice(5, 8),
+    logits = rng.normal(size=(8, 4))
+    probs, log_p = from_logits(logits)
+    step = losses.total_loss(logits, labels, slice(2, 5), slice(5, 8),
                              {"consistency": 2.5, "diversity": 1.0}, tau=0.3)
-    assert step.l_c == losses.classification_loss(probs[:2], labels).value
+    assert step.l_c == losses.classification_loss(probs[:2], log_p[:2],
+                                                  labels).value
     assert step.l_u == losses.consistency_loss(probs[2:5], probs[5:],
-                                               0.3)[0].value
+                                               log_p[5:], 0.3)[0].value
     assert step.l_d == two_view_diversity(probs[2:5], probs[5:])
     assert step.total - (step.l_c + 2.5 * step.l_u + 1.0 * step.l_d) == \
         pytest.approx(0.0, abs=1e-12)
@@ -231,12 +270,10 @@ def test_total_arithmetic():
 
 def test_total_zero_lambdas_equals_classification():
     rng = np.random.default_rng(3)
-    p = rand_probs(rng, 4, 3)
+    logits = rng.normal(size=(14, 3))
     labels = np.array([0, 1, 2, 0])
-    l_c = losses.classification_loss(p, labels)
-    pw, ps = rand_probs(rng, 5, 3), rand_probs(rng, 5, 3)
-    total = losses.total_loss(np.concatenate([p, pw, ps]), labels,
-                              slice(4, 9), slice(9, 14),
+    l_c = losses.classification_loss(*from_logits(logits[:4]), labels)
+    total = losses.total_loss(logits, labels, slice(4, 9), slice(9, 14),
                               {"consistency": 0.0, "diversity": 0.0}, tau=0.8)
     assert total.total == l_c.value
     np.testing.assert_array_equal(total.grad[:4], l_c.grad)
@@ -246,12 +283,12 @@ def test_total_zero_lambdas_equals_classification():
 
 def test_total_merges_gradients_per_pass():
     rng = np.random.default_rng(4)
-    pw, ps = rand_probs(rng, 3, 4), rand_probs(rng, 3, 4)
-    l_u, _ = losses.consistency_loss(pw, ps, tau=0.1)
-    l_d = losses.diversity_loss(ps)
-    pl = rand_probs(rng, 2, 4)
-    total = losses.total_loss(np.concatenate([pl, pw, ps]), np.array([0, 1]),
-                              slice(2, 5), slice(5, 8),
+    logits = rng.normal(size=(8, 4))
+    p, log_p = from_logits(logits)
+    l_u, _ = losses.consistency_loss(p[2:5], p[5:], log_p[5:], tau=0.1)
+    l_d = losses.diversity_loss(p[5:])
+    total = losses.total_loss(logits, np.array([0, 1]), slice(2, 5),
+                              slice(5, 8),
                               {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
     expected_strong = 2.5 * l_u.grad + l_d.grad
     np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
@@ -277,9 +314,9 @@ def test_classification_gradient_finite_differences():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(6, 4))
     y = rng.integers(0, 4, size=6)
-    lv = losses.classification_loss(network.softmax_rows(z), y)
+    lv = losses.classification_loss(*from_logits(z), y)
     fd = fd_logit_grad(
-        lambda zz: losses.classification_loss(network.softmax_rows(zz), y).value, z)
+        lambda zz: losses.classification_loss(*from_logits(zz), y).value, z)
     assert rel_err(lv.grad, fd) <= 1e-4
 
 
@@ -288,20 +325,20 @@ def test_consistency_gradient_finite_differences():
     rng = np.random.default_rng(6)
     zw = 3.0 * rng.normal(size=(8, 4))
     zs = rng.normal(size=(8, 4))
-    pw = network.softmax_rows(zw)
-    lv, _ = losses.consistency_loss(pw, network.softmax_rows(zs), tau=0.5)
+    pw = from_logits(zw)[0]
+    lv, _ = losses.consistency_loss(pw, *from_logits(zs), tau=0.5)
     fd = fd_logit_grad(
         lambda zz: losses.consistency_loss(
-            pw, network.softmax_rows(zz), tau=0.5)[0].value, zs)
+            pw, *from_logits(zz), tau=0.5)[0].value, zs)
     assert rel_err(lv.grad, fd) <= 1e-4
 
 
 def test_entropy_gradient_finite_differences():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(6, 4))
-    lv = losses.entropy_loss(network.softmax_rows(z))
+    lv = losses.entropy_loss(*from_logits(z))
     fd = fd_logit_grad(
-        lambda zz: losses.entropy_loss(network.softmax_rows(zz)).value, z)
+        lambda zz: losses.entropy_loss(*from_logits(zz)).value, z)
     assert rel_err(lv.grad, fd) <= 1e-4
 
 
@@ -312,7 +349,7 @@ def test_diversity_gradient_finite_differences():
     while tried < 3:
         zw = rng.normal(size=(6, 4))
         zs = rng.normal(size=(6, 4))
-        pw, ps = network.softmax_rows(zw), network.softmax_rows(zs)
+        pw, ps = from_logits(zw)[0], from_logits(zs)[0]
         ok = True
         for p in (pw, ps):
             sig = linalg.svd(p).sigma
@@ -322,9 +359,9 @@ def test_diversity_gradient_finite_differences():
         if not ok:
             continue
         fd_w = fd_logit_grad(
-            lambda zz: losses.diversity_loss(network.softmax_rows(zz)).value, zw)
+            lambda zz: losses.diversity_loss(from_logits(zz)[0]).value, zw)
         fd_s = fd_logit_grad(
-            lambda zz: losses.diversity_loss(network.softmax_rows(zz)).value, zs)
+            lambda zz: losses.diversity_loss(from_logits(zz)[0]).value, zs)
         assert rel_err(losses.diversity_loss(pw).grad, fd_w) <= 1e-4
         assert rel_err(losses.diversity_loss(ps).grad, fd_s) <= 1e-4
         tried += 1
@@ -435,37 +472,42 @@ def test_diversity_of_a_stack_equals_its_views_bit_for_bit():
 TAU = 0.5
 
 
-def step_probs(rng, n_labeled, n_unlabeled, layout):
-    """Stacked predictions for a step of layout, with a clamped labeled
-    probability, a weak row exactly at TAU and a clamped strong one."""
+def step_logits(rng, n_labeled, n_unlabeled, layout):
+    """Stacked logits for a step of layout, with a labeled row whose
+    label probability underflows to 0, a weak row exactly at TAU and a
+    strong row whose pseudo-label probability underflows to 0."""
     _, weak, strong = layout
-    probs = rand_probs(rng, n_labeled + 2 * n_unlabeled, 4)
-    probs[0] = [0.0, 1.0, 0.0, 0.0]  # label 0 below LOG_CLAMP
+    logits = rng.normal(size=(n_labeled + 2 * n_unlabeled, 4))
+    logits[0] = [-1000.0, 0.0, -1000.0, -1000.0]  # label 0: p = 0
     if weak is not None:
-        probs[weak.start] = [0.5, 0.25, 0.125, 0.125]  # max == TAU: masked
-        probs[weak.start + 1] = [0.875, 0.125, 0.0, 0.0]  # above TAU
+        # p = [0.5, 0.5, 0, 0]: max == TAU, masked
+        logits[weak.start] = [0.0, 0.0, -1000.0, -1000.0]
+        logits[weak.start + 1] = [2.0, 0.0, -1000.0, -1000.0]  # above TAU
     if strong is not None:
-        probs[strong.start + 1] = [0.0, 0.5, 0.5, 0.0]  # pseudo-label 0
-    return probs
+        # pseudo-label 0 at p = 0
+        logits[strong.start + 1] = [-1000.0, 0.0, 0.0, -1000.0]
+    return logits
 
 
-def assembled_step(probs, labels, layout):
+def assembled_step(logits, labels, layout):
     """The step's terms one by one, assembled as in the seed: the
     classification gradient in the labeled rows of a zero matrix, then
     every weighted term added in TERMS order, each view's diversity on
     its own."""
     weights, weak, strong = layout
+    probs, log_p = losses.softmax_and_log(logits)
     grad = np.zeros_like(probs)
     labeled = slice(0, len(labels))
-    l_c = losses.classification_loss(probs[labeled], labels)
+    l_c = losses.classification_loss(probs[labeled], log_p[labeled], labels)
     grad[labeled] = l_c.grad
     values = dict.fromkeys(losses.TERMS, 0.0)
     if "consistency" in weights:
-        lv, _ = losses.consistency_loss(probs[weak], probs[strong], TAU)
+        lv, _ = losses.consistency_loss(probs[weak], probs[strong],
+                                        log_p[strong], TAU)
         values["consistency"] += lv.value
         grad[strong] += weights["consistency"] * lv.grad
     if "entropy" in weights:
-        lv = losses.entropy_loss(probs[weak])
+        lv = losses.entropy_loss(probs[weak], log_p[weak])
         values["entropy"] += lv.value
         grad[weak] += weights["entropy"] * lv.grad
     if "diversity" in weights:
@@ -489,27 +531,13 @@ def test_total_loss_is_the_terms_assembled_bit_for_bit(method):
     rng = np.random.default_rng(50)
     labels = np.array([0, 1, 2, 3])
     for _ in range(3):
-        probs = step_probs(rng, 4, 6, layout)
-        step = losses.total_loss(probs, labels, *layout[1:], layout[0], TAU)
-        scalars, grad = assembled_step(probs, labels, layout)
+        logits = step_logits(rng, 4, 6, layout)
+        step = losses.total_loss(logits, labels, *layout[1:], layout[0], TAU)
+        scalars, grad = assembled_step(logits, labels, layout)
         assert (step.l_c, step.l_u, step.l_d, step.total,
                 step.mask_rate) == scalars
         assert np.array_equal(step.grad, grad)
         assert np.signbit(step.grad).tolist() == np.signbit(grad).tolist()
-
-
-@pytest.mark.parametrize("method", pipeline.METHODS)
-def test_total_loss_counts_every_terms_clamps(method):
-    config = pipeline.AdaptConfig(method=method)
-    layout = pipeline.step_layout(config, 4, 6)
-    probs = step_probs(np.random.default_rng(51), 4, 6, layout)
-    labels = np.array([0, 1, 2, 3])
-    losses.reset_clamp_count()
-    assembled_step(probs, labels, layout)
-    per_term = losses.clamp_count()
-    assert per_term == (2 if "consistency" in layout[0] else 1)
-    losses.total_loss(probs, labels, *layout[1:], layout[0], TAU)
-    assert losses.clamp_count() == 2 * per_term
 
 
 @pytest.mark.parametrize("weights,weak,strong", [
@@ -525,9 +553,9 @@ def test_total_loss_counts_every_terms_clamps(method):
 ])
 def test_total_loss_rejects_a_missing_or_misplaced_view(weights, weak,
                                                         strong):
-    probs = rand_probs(np.random.default_rng(52), 16, 4)
+    logits = np.random.default_rng(52).normal(size=(16, 4))
     with pytest.raises(ValueError):
-        losses.total_loss(probs, np.array([0, 1, 2, 3]), weak, strong,
+        losses.total_loss(logits, np.array([0, 1, 2, 3]), weak, strong,
                           weights, TAU)
 
 

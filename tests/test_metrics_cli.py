@@ -459,6 +459,21 @@ def test_cli_evaluate_class_mismatch_is_exit_1(cli_files, tmp_path, capsys,
         capsys.readouterr().err
 
 
+def test_cli_evaluate_input_dim_mismatch_is_exit_1(cli_files, tmp_path,
+                                                   capsys):
+    # the 2-input model against a 3-input task: adapt's message, not the
+    # network's batch-shape one
+    _, _, model_path = cli_files
+    task_path = str(tmp_path / "task3.txt")
+    assert cli.main(["gen-data", "--input-dim", "3", "--translation",
+                     "0,1,2", "--out", task_path]) == 0
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--model", model_path, "--data", task_path])
+    assert rc == 1
+    assert "error: model expects input_dim 2, task provides 3" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--methods", ","), ("--seeds", ""),
                                         ("--seeds", "1,")])
 def test_cli_ablate_empty_list_is_exit_1(cli_files, tmp_path, capsys, flag,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssht import network
+from ssht import data, losses, network
 from ssht.linalg import NumericalError
 
 
@@ -72,21 +72,25 @@ def test_forward_rejects_bad_width():
 
 
 def test_softmax_uniform():
-    p = network.softmax_rows(np.zeros((1, 3)))
+    p, log_p = losses.softmax_and_log(np.zeros((1, 3)))
     np.testing.assert_allclose(p, [[1 / 3, 1 / 3, 1 / 3]])
+    np.testing.assert_allclose(log_p, np.log(p))
 
 
 def test_softmax_extreme_logits():
-    p = network.softmax_rows(np.array([[1000.0, 0.0], [-1e4, 1e4]]))
+    p, log_p = losses.softmax_and_log(np.array([[1000.0, 0.0], [-1e4, 1e4]]))
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p[0], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(np.sum(p, axis=1), [1.0, 1.0], atol=1e-12)
+    # the log of a probability that underflows to 0 stays exact
+    assert np.array_equal(log_p, [[0.0, -1000.0], [-2e4, 0.0]])
 
 
 def test_softmax_hand_value():
-    p = network.softmax_rows(np.array([[1.0, 2.0, 3.0]]))
+    p, log_p = losses.softmax_and_log(np.array([[1.0, 2.0, 3.0]]))
     np.testing.assert_allclose(
         p[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+    np.testing.assert_allclose(log_p, np.log(p), rtol=1e-14)
 
 
 def test_backward_zero_grad():
@@ -175,14 +179,17 @@ def _one_shot(net, x):
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("rows", [0, 1, 95, 96, 97, 193, 1000])
 def test_blocked_forward_matches_one_shot(activation, rows):
-    # the default network's widths; rows around the block size, a 1-row
+    # the default network's widths, at the default 4 classes and at the
+    # widest head a task may have; rows around the block size, a 1-row
     # tail (97, 193) and an evaluation split (1000)
-    net = network.init_network(network.default_spec(activation=activation),
-                               seed=23)
     x = np.random.default_rng(rows).normal(size=(rows, 2)) * 3.0
-    logits = network.forward(net, x)
-    assert logits.shape == (rows, 4)
-    assert np.array_equal(logits, _one_shot(net, x)[1])
+    for classes in (4, data.MAX_CLASSES):
+        net = network.init_network(
+            network.default_spec(num_classes=classes, activation=activation),
+            seed=23)
+        logits = network.forward(net, x)
+        assert logits.shape == (rows, classes)
+        assert np.array_equal(logits, _one_shot(net, x)[1])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
