@@ -7,17 +7,20 @@ For each seed it runs, in a temporary directory:
   adapt         every method, plus cdl with --freeze-classifier: the
                 adapted model, the report and its CSV sidecar
   ablate        the default method grid over that one seed
+  gradcheck     its stdout, with --seed N, saved as gradcheck.out
 
 and prints one `<sha256>  seed<N>/<file>` line per file, in a fixed
 order. Two trees that print the same lines wrote byte-identical
-artifacts, so a change that claims to alter no output can be checked
-by diffing this script's output on both:
+artifacts and the same gradient-check report, so a change that claims
+to alter no output can be checked by diffing this script's output on
+both:
 
   PYTHONPATH=src python scripts/artifact_digests.py --seeds 0,1,2
 
 `--epochs` shortens train-source, adapt and ablate; without it every
-command runs at its own default. The script imports `ssht` from
-wherever PYTHONPATH points and names that location on stderr.
+command runs at its own default (gradcheck has no epochs). The script
+imports `ssht` from wherever PYTHONPATH points and names that location
+on stderr.
 """
 
 import argparse
@@ -31,12 +34,14 @@ import tempfile
 from ssht import cli
 
 
-def _run(argv):
+def _run(argv) -> str:
+    """The command's stdout; SystemExit unless it exits 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv)
     if rc != 0:
         raise SystemExit(f"ssht {' '.join(argv)} exited {rc}")
+    return out.getvalue()
 
 
 def _seed_artifacts(seed: int, epochs, root: str):
@@ -64,6 +69,10 @@ def _seed_artifacts(seed: int, epochs, root: str):
     _run(["ablate", "--model", model, "--data", task, "--seeds", str(seed),
           "--out", grid] + loop)
     yield grid
+    checks = os.path.join(d, "gradcheck.out")
+    with open(checks, "w") as f:
+        f.write(_run(["gradcheck", "--seed", str(seed)]))
+    yield checks
 
 
 def main(argv=None) -> int:

@@ -214,7 +214,7 @@ def _cmd_adapt(args) -> int:
 def _cmd_evaluate(args) -> int:
     net = network.deserialize(read_text(args.model))
     task = data.load_task(args.data)
-    pipeline.check_model_fits(net, task)
+    pipeline.check_model_fits(net.spec, task)
     if args.split == "test":
         xs, ys = task.test_x, task.test_y
     elif args.split == "labeled":

@@ -18,14 +18,15 @@ spirit of randomized augmentation policies. `adapt` always uses
 `default_policy`, whose parameters scale with the class separation.
 Both work on whole arrays: every row draws its own ops and parameters,
 but the draws and transforms run as array operations over the rows,
-not as one call per row. `adapt` makes one call per view per epoch,
+not as one call per row. `adapt` draws an epoch's batches in one
+epoch_batches call and makes one augmentation call per view per epoch,
 over the rows of all that epoch's batches. A weak draw is the same
 however the rows are split into calls; a strong one is not.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -331,27 +332,27 @@ def check_batch_sizes(view, labeled_batch: int, unlabeled_batch: int) -> None:
         raise ValueError(f"unlabeled_batch must be in [1, {n_unl}]")
 
 
-def sample_batches(view, labeled_batch: int, unlabeled_batch: int,
-                   rng: np.random.Generator
-                   ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Endless stream of (labeled_x, labeled_y, unlabeled_x) batches.
+def epoch_batches(view, labeled_batch: int, unlabeled_batch: int,
+                  rng: np.random.Generator
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One epoch's (labeled_x, labeled_y, unlabeled_x), its steps'
+    batches one after another, each step's of the given sizes (the
+    last unlabeled one shorter when the size does not divide the split).
 
-    Labeled batches resample with replacement (the labeled set is tiny).
-    Unlabeled batches partition a fresh permutation each epoch, so one
-    epoch of ceil(N_u / unlabeled_batch) steps touches every unlabeled
-    sample exactly once. The sizes are checked (check_batch_sizes) when
-    the first batch is drawn.
+    The unlabeled rows are a fresh permutation of the split, so an epoch
+    touches every unlabeled sample exactly once. Labeled rows resample
+    with replacement (the labeled set is tiny): after the permutation,
+    one draw per step, in step order. The caller checks the sizes
+    (check_batch_sizes).
     """
-    check_batch_sizes(view, labeled_batch, unlabeled_batch)
     n_lab = view.labeled_x.shape[0]
     n_unl = view.unlabeled_x.shape[0]
-    while True:
-        perm = rng.permutation(n_unl)
-        for start in range(0, n_unl, unlabeled_batch):
-            chunk = perm[start:start + unlabeled_batch]
-            lab_idx = rng.integers(0, n_lab, size=labeled_batch)
-            yield (view.labeled_x[lab_idx], view.labeled_y[lab_idx],
-                   view.unlabeled_x[chunk])
+    perm = rng.permutation(n_unl)
+    lab_idx = np.concatenate([
+        rng.integers(0, n_lab, size=labeled_batch)
+        for _ in range(steps_per_epoch(n_unl, unlabeled_batch))])
+    return (view.labeled_x[lab_idx], view.labeled_y[lab_idx],
+            view.unlabeled_x[perm])
 
 
 def steps_per_epoch(n_unlabeled: int, unlabeled_batch: int) -> int:

@@ -7,12 +7,13 @@ of entry pairs (a, b) is |a - b| / max(|a|, |b|, 1e-6).
 
 network_backward checks raw reverse mode. Then there is one suite per
 method of pipeline.METHODS, named after it: the method's whole step
-objective, built from pipeline.step_layout and losses.total_loss on the
-logits, as adapt builds it, so a new method is checked with no edit
-here. Its tau is TAU, 0.4. Two kinds of instance are skipped and
-counted, judged on the probabilities of losses.softmax_and_log, which
-total_loss reads; a suite draws more until it has checked its quota
-(at most 20 attempts per instance wanted):
+objective, built from pipeline.step_weights, losses.views_read and
+losses.total_loss on the logits, as adapt builds it, so a new method
+is checked with no edit here. Its tau is TAU, 0.4. Two kinds of
+instance are skipped and counted, judged on the probabilities of
+losses.softmax_and_log, which total_loss reads; a suite draws more
+until it has checked its quota (at most 20 attempts per instance
+wanted):
   - under the diversity term, a view whose prediction matrix has
     near-degenerate singular values (a gap or the smallest value below
     1e-3 of the largest): the nuclear norm is not differentiable there,
@@ -102,12 +103,11 @@ def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
 
 def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
     """One method's step objective, built as adapt builds it: 4 labeled
-    rows, then 6 rows for each unlabeled view the method reads, with the
-    term weights and row slices of pipeline.step_layout for the default
-    config, through losses.total_loss at tau TAU."""
-    weights, weak, strong = pipeline.step_layout(
-        pipeline.AdaptConfig(method=method), 4, 6)
-    views = [rows for rows in (weak, strong) if rows is not None]
+    rows, then 6 rows for each unlabeled view losses.views_read names for
+    the term weights of pipeline.step_weights at the default config,
+    through losses.total_loss at tau TAU."""
+    weights = pipeline.step_weights(pipeline.AdaptConfig(method=method))
+    n_views = len(losses.views_read(weights))
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = skipped = 0
@@ -116,19 +116,20 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
         attempts += 1
         net = _small_net(seed=int(rng.integers(2 ** 31)))
         yl = rng.integers(0, 3, size=4)
-        x = rng.normal(size=(4 + 6 * len(views), 3))
+        x = rng.normal(size=(4 + 6 * n_views, 3))
         tape = _tape(net, x)
         probs, _ = losses.softmax_and_log(tape.logits)
+        views = probs[4:].reshape(n_views, 6, 3)  # weak first
         degenerate = "diversity" in weights and any(
-            _spectrum_degenerate(probs[rows]) for rows in views)
+            _spectrum_degenerate(v) for v in views)
         all_masked = "consistency" in weights and \
-            not np.any(np.max(probs[weak], axis=1) > TAU)
+            not np.any(np.max(views[0], axis=1) > TAU)
         if degenerate or all_masked:
             skipped += 1
             continue
 
         def step(logits):
-            return losses.total_loss(logits, yl, weak, strong, weights, TAU)
+            return losses.total_loss(logits, yl, weights, TAU)
 
         # pseudo-labels and the mask are piecewise constant in the weak
         # rows, so letting them move with the parameters does not change

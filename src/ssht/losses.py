@@ -1,17 +1,20 @@
 """Training objectives, each returning a value plus its logit gradient.
 
 An adaptation step runs one forward pass over a stacked batch: the
-labeled rows first, then the weak view and the strong view of one
-unlabeled batch. total_loss takes its logits, and softmax_and_log
-turns them into probabilities and exact log-probabilities from one
-max-shifted exponential, so no log is taken of a rounded or zero
-probability and none is clamped. Each objective takes the rows it
-reads, and its LossValue carries one gradient at the logits of those
-rows, built from the probabilities. total_loss adds every weighted
-gradient to its rows of one logit-gradient matrix, so one network
-backward pass follows. The diversity term reads the adjacent weak and
-strong rows as one (2, rows, classes) view, without a copy, and its
-gradient goes back to both in one addition.
+labeled rows first, then the unlabeled views in VIEWS order, the weak
+and then the strong view of one unlabeled batch, as many rows each.
+TERM_VIEWS says how many of those views each unlabeled term reads, and
+views_read which of them a step with given term weights stacks, so the
+stacked rows alone give the layout. total_loss takes the step's logits,
+and softmax_and_log turns them into probabilities and exact
+log-probabilities from one max-shifted exponential, so no log is taken
+of a rounded or zero probability and none is clamped. Each objective
+takes the rows it reads, and its LossValue carries one gradient at the
+logits of those rows, built from the probabilities. total_loss adds
+every weighted gradient to its rows of one logit-gradient matrix, so
+one network backward pass follows. The diversity term reads the weak
+and strong rows as one (2, rows, classes) view, without a copy, and
+its gradient goes back to both in one addition.
 
 A step's arrays are small (108 x 4 by default), so what a term costs is
 the number of numpy calls it makes, not their arithmetic: each term
@@ -36,14 +39,18 @@ Objectives:
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .linalg import nuclear_norm_and_subgradient
 
-# the unlabeled terms total_loss can add, in summation order
-TERMS = ("consistency", "entropy", "diversity")
+# the unlabeled views a step stacks after its labeled rows, in row order
+VIEWS = ("weak", "strong")
+# the unlabeled terms total_loss can add, in summation order, and how
+# many of VIEWS, from the first, each reads
+TERM_VIEWS = {"consistency": 2, "entropy": 1, "diversity": 2}
+TERMS = tuple(TERM_VIEWS)
 
 
 @dataclass
@@ -185,45 +192,44 @@ class StepLoss:
     grad: np.ndarray  # at the logits of every stacked row
 
 
-def _view_pair(weak: Optional[slice], strong: Optional[slice],
-               n_rows: int) -> Tuple[slice, int]:
-    """The rows of both unlabeled views as one slice, and the rows of
-    each: the diversity term reads them as one (2, rows, classes) view
-    of the predictions, so the strong rows must follow the weak rows
-    and match their count."""
-    if weak is None or strong is None:
-        raise ValueError("the diversity term reads both unlabeled views")
-    w, s = range(n_rows)[weak], range(n_rows)[strong]
-    if w.step != 1 or s.step != 1 or w.stop != s.start or len(w) != len(s):
-        raise ValueError(f"the diversity term needs the strong rows right "
-                         f"after as many weak rows, got {weak} and {strong}")
-    return slice(w.start, s.stop), len(w)
-
-
-def total_loss(logits: np.ndarray, labels: np.ndarray, weak: Optional[slice],
-               strong: Optional[slice], weights: Dict[str, float],
-               tau: float) -> StepLoss:
-    """An adaptation step's objective over its stacked logits.
-
-    softmax_and_log turns the logits into probabilities and their logs
-    once. The first len(labels) rows are the labeled rows; weak and
-    strong select the two unlabeled views' rows, None for a view the
-    step did not run (a term that reads it then raises ValueError).
-    The diversity term reads both views as one (2, rows, classes) view
-    of the probabilities, so its strong rows must follow as many weak
-    rows. weights maps each term of TERMS the method uses to its
-    weight: total = classification + weight * term, summed in TERMS
-    order. The logit gradient starts as a zero matrix of the logits'
-    shape, with the classification gradient in the labeled rows; each
-    term adds its weighted gradient to the rows it read, the diversity
-    term to both views' rows in one addition.
-    """
-    p, log_p = softmax_and_log(logits)
+def views_read(weights: Dict[str, float]) -> Tuple[str, ...]:
+    """The unlabeled views a step with these term weights stacks after
+    its labeled rows, in row order; a ValueError names a term outside
+    TERMS."""
     if weights.keys() - TERMS:
         raise ValueError(f"loss terms must come from {TERMS}, "
                          f"got {sorted(weights)}")
+    return VIEWS[:max([TERM_VIEWS[term] for term in weights], default=0)]
+
+
+def total_loss(logits: np.ndarray, labels: np.ndarray,
+               weights: Dict[str, float], tau: float) -> StepLoss:
+    """An adaptation step's objective over its stacked logits.
+
+    softmax_and_log turns the logits into probabilities and their logs
+    once. The first len(labels) rows are the labeled rows; the rest
+    split into equal blocks, one per view of views_read(weights), in
+    that order. Rows that do not split into non-empty blocks, or rows
+    left over when no term reads a view, raise ValueError. weights maps
+    each term of TERMS the method uses to its weight: total =
+    classification + weight * term, summed in TERMS order. The logit
+    gradient starts as a zero matrix of the logits' shape, with the
+    classification gradient in the labeled rows; each term adds its
+    weighted gradient to the rows it read, the diversity term to both
+    views' rows in one addition.
+    """
+    views = views_read(weights)
+    p, log_p = softmax_and_log(logits)
+    n_l = len(labels)
+    n_u = p.shape[0] - n_l
+    n = n_u // len(views) if views else 0
+    if n * len(views) != n_u or (views and n < 1):
+        raise ValueError(f"{n_u} rows after the {n_l} labeled rows do not "
+                         f"split into one non-empty block per view of "
+                         f"{views}")
+    labeled, weak = slice(0, n_l), slice(n_l, n_l + n)
+    strong = slice(n_l + n, None)
     grad = np.zeros(p.shape)
-    labeled = slice(0, len(labels))
     l_c = classification_loss(p[labeled], log_p[labeled], labels)
     grad[labeled] = l_c.grad
     values = dict.fromkeys(TERMS, 0.0)
@@ -238,17 +244,17 @@ def total_loss(logits: np.ndarray, labels: np.ndarray, weak: Optional[slice],
         lv, mask_rate = consistency_loss(p[weak], p[strong], log_p[strong],
                                          tau)
         add("consistency", strong, lv.value, lv.grad)
-    elif weak is not None:
+    elif views:
         pw = p[weak]
         mask_rate = float((pw.max(axis=1) > tau).sum() / pw.shape[0])
     if "entropy" in weights:
         lv = entropy_loss(p[weak], log_p[weak])
         add("entropy", weak, lv.value, lv.grad)
     if "diversity" in weights:
-        rows, n = _view_pair(weak, strong, p.shape[0])
         c = p.shape[1]
-        lv = diversity_loss(p[rows].reshape(2, n, c))
-        add("diversity", rows, lv.value, lv.grad.reshape(2 * n, c))
+        lv = diversity_loss(p[n_l:].reshape(2, n, c))
+        add("diversity", slice(n_l, None), lv.value,
+            lv.grad.reshape(2 * n, c))
     total = l_c.value
     for term in TERMS:
         total += weights.get(term, 0.0) * values[term]

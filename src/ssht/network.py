@@ -8,20 +8,21 @@ float64 vector, `Network.flat`; `Network.params` is a tuple of views
 into it. `backward` returns one gradient vector in the same layout, so
 the optimizer, checkpoints and rollbacks are whole-vector operations.
 A forward pass returns the logits, or, asked to keep its activations,
-a Tape; the backward pass consumes that tape instead of running the
-forward pass again. The network stops at the logits: the softmax and
-its log belong to the objectives (losses.softmax_and_log). An
-adaptation step keeps one tape for its whole stacked batch (labeled,
+a Tape of every layer's output; the backward pass consumes that tape
+instead of running the forward pass again, and takes each activation's
+derivative from its output alone. The network stops at the logits: the
+softmax and its log belong to the objectives (losses.softmax_and_log).
+An adaptation step keeps one tape for its whole stacked batch (labeled,
 weak and strong rows) and runs one backward pass from one logit
 gradient, so no per-pass gradients are summed.
 At a step's sizes a pass costs about as much in numpy calls as in
-arithmetic, so each layer adds its bias into its product, and the
-backward pass builds each layer's activation derivative in a new
-array and multiplies the incoming gradient into it; every result
-rounds as the copying form would. A pass that keeps no tape
-(evaluation, prediction) runs in blocks of at most FORWARD_BLOCK_ROWS
-rows, so that no matrix product grows tall enough for OpenBLAS to
-hand it to a second thread.
+arithmetic, so each layer adds its bias into its product and applies
+its activation in place, and the backward pass builds each layer's
+activation derivative in a new array and multiplies the incoming
+gradient into it; every result rounds as the copying form would. A
+pass that keeps no tape (evaluation, prediction) runs in blocks of at
+most FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall
+enough for OpenBLAS to hand it to a second thread.
 
 The optimizer is SGD with nesterov momentum and decoupled-from-nothing
 weight decay (decay is folded into the gradient before the momentum
@@ -137,17 +138,20 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of z, written over z."""
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative at z (a = _activate(z)), a new array."""
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output a, as a new array:
+    1 - a^2 for tanh; for relu a > 0, which holds exactly where the
+    pre-activation is positive, since a = max(z, 0)."""
     if kind == "tanh":
         d = a * a
         return np.subtract(1.0, d, out=d)
-    return (z > 0.0).astype(float)
+    return (a > 0.0).astype(float)
 
 
 def _check_batch(net: Network, x_batch: np.ndarray) -> np.ndarray:
@@ -161,7 +165,6 @@ def _check_batch(net: Network, x_batch: np.ndarray) -> np.ndarray:
 class Tape(NamedTuple):
     """What one forward pass keeps for its backward pass."""
     acts: List[np.ndarray]  # the input, then every extractor layer's output
-    pre: List[np.ndarray]   # every extractor layer's pre-activation
     logits: np.ndarray
 
 
@@ -181,18 +184,16 @@ def _layers(net: Network, x: np.ndarray) -> Tape:
     """One pass over a checked batch, keeping every activation."""
     kind = net.spec.activation
     acts = [x]
-    pre = []
     a = x
     for layer in range(net.num_extractor_layers()):
         w, b = net.params[2 * layer], net.params[2 * layer + 1]
         z = a @ w
         z += b
         a = _activate(z, kind)
-        pre.append(z)
         acts.append(a)
     logits = a @ net.params[-2]
     logits += net.params[-1]
-    return Tape(acts=acts, pre=pre, logits=logits)
+    return Tape(acts=acts, logits=logits)
 
 
 def forward(net: Network, x_batch: np.ndarray, keep: bool = False):
@@ -229,7 +230,7 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
         raise ValueError(f"logit_grad must be {tape.logits.shape}, "
                          f"got {g.shape}")
     kind = net.spec.activation
-    acts, pre = tape.acts, tape.pre
+    acts = tape.acts
     grad = np.empty_like(net.flat)
     out = net.split(grad)
 
@@ -238,7 +239,7 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
     da = g @ net.params[-2].T
 
     for layer in range(net.num_extractor_layers() - 1, -1, -1):
-        dz = _activate_grad(pre[layer], acts[layer + 1], kind)
+        dz = _activate_grad(acts[layer + 1], kind)
         dz *= da
         np.matmul(acts[layer].T, dz, out=out[2 * layer])
         dz.sum(axis=0, out=out[2 * layer + 1])

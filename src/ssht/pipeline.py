@@ -12,16 +12,16 @@ plus the target half of a task and runs one of five methods:
   s_plus_t   labeled classification only, no unlabeled passes at all
   ent        classification + entropy minimization on the weak view
 
-Each epoch draws its steps' batches from data.sample_batches up front,
-then augments each view once over all of them (the labeled rows, and
-the weak and the strong view of the unlabeled rows, only the views the
-method reads; each on its own random stream, under
+Each epoch draws all its steps' batches in one data.epoch_batches
+call, then augments each view once over all of them (the labeled rows,
+and the unlabeled views that losses.views_read names for the method's
+term weights, step_weights; each on its own random stream, under
 data.default_policy for the task). Each step stacks its slice of every
 view, runs them through one taped forward pass and losses.total_loss
 on its logits, and takes one backward pass from the single
-logit-gradient matrix that total_loss returns.
-step_layout gives a step's term weights and view rows; gradcheck
-builds its method suites from the same function.
+logit-gradient matrix that total_loss returns; total_loss finds the
+views' rows, in an epoch's shorter last step too, from the row count.
+gradcheck builds its method suites from the same two functions.
 
 The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
@@ -172,9 +172,7 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     if spec is None:
         spec = network.default_spec(input_dim=task.spec.input_dim,
                                     num_classes=task.spec.num_classes)
-    if spec.input_dim != task.spec.input_dim or \
-            spec.num_classes != task.spec.num_classes:
-        raise ValueError("network spec does not match the task dimensions")
+    check_model_fits(spec, task)
 
     streams = np.random.SeedSequence(seed).spawn(3)
     rng_split = np.random.default_rng(streams[0])
@@ -220,29 +218,21 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     return network.serialize(net)
 
 
-def step_layout(config: AdaptConfig, n_labeled: int, n_unlabeled: int
-                ) -> Tuple[Dict[str, float], Optional[slice], Optional[slice]]:
-    """The term weights of config.method, and the rows of the weak and of
-    the strong view in a step that stacks n_labeled labeled rows, then
-    n_unlabeled rows of each unlabeled view the method reads (weak
-    first); a view it does not read is None. What losses.total_loss
-    takes besides the predictions, the labels and tau."""
-    weights = {term: config.lambda_d if term == "diversity" else config.lambda_u
-               for term in METHOD_TERMS[config.method]}
-    weak = slice(n_labeled, n_labeled + n_unlabeled) if weights else None
-    strong = slice(n_labeled + n_unlabeled, n_labeled + 2 * n_unlabeled) \
-        if weights.keys() - {"entropy"} else None
-    return weights, weak, strong
+def step_weights(config: AdaptConfig) -> Dict[str, float]:
+    """The term weights of config.method: what losses.total_loss takes
+    besides the logits, the labels and tau."""
+    return {term: config.lambda_d if term == "diversity" else config.lambda_u
+            for term in METHOD_TERMS[config.method]}
 
 
-def check_model_fits(net: network.Network, task) -> None:
+def check_model_fits(spec: network.NetworkSpec, task) -> None:
     """Raise ValueError unless the model's input width and class count
     are those of the task (a full task or an AdaptationView)."""
-    if net.spec.input_dim != task.labeled_x.shape[1]:
-        raise ValueError(f"model expects input_dim {net.spec.input_dim}, "
+    if spec.input_dim != task.labeled_x.shape[1]:
+        raise ValueError(f"model expects input_dim {spec.input_dim}, "
                          f"task provides {task.labeled_x.shape[1]}")
-    if net.spec.num_classes != task.spec.num_classes:
-        raise ValueError(f"model has {net.spec.num_classes} classes, "
+    if spec.num_classes != task.spec.num_classes:
+        raise ValueError(f"model has {spec.num_classes} classes, "
                          f"task has {task.spec.num_classes}")
 
 
@@ -254,7 +244,7 @@ def _source_network(model_text: str, view, config: AdaptConfig
     labeled batch resolved."""
     config.validate()
     net = network.deserialize(model_text)
-    check_model_fits(net, view)
+    check_model_fits(net.spec, view)
     labeled_batch = config.labeled_batch if config.labeled_batch is not None \
         else min(view.labeled_x.shape[0], config.unlabeled_batch)
     config = replace(config, labeled_batch=labeled_batch)
@@ -284,17 +274,16 @@ def adapt(model_text: str, task, config: AdaptConfig
     state = network.init_sgd(net, config.lr, config.momentum, config.nesterov,
                              config.weight_decay)
     lb, ub = config.labeled_batch, config.unlabeled_batch
-    batches = data.sample_batches(view, lb, ub, rng_batch)
     steps = data.steps_per_epoch(view.num_unlabeled, ub)
+    weights = step_weights(config)
+    views = losses.views_read(weights)
+    # the augmentation of each view total_loss reads, in row order
+    augment = [{"weak": (data.weak_augment_batch, rng_weak),
+                "strong": (data.strong_augment_batch, rng_strong)}[v]
+               for v in views]
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
-    # a step's layout by its unlabeled rows: ub, fewer in an epoch's
-    # last step when ub does not divide the split
-    n_u = view.num_unlabeled
-    layouts = {n: step_layout(config, lb, n)
-               for n in (ub, n_u - (steps - 1) * ub)}
-    _, reads_weak, reads_strong = layouts[ub]
     aborted = False
     good = net.flat.copy()  # the parameters as of the last epoch end
     final: Optional[EvalResult] = None  # test evaluation of good
@@ -302,32 +291,24 @@ def adapt(model_text: str, task, config: AdaptConfig
         # the epoch's batches, each view augmented in one call, then
         # sliced per step: step i holds rows [i * lb, (i + 1) * lb) of
         # the labeled and [i * ub, (i + 1) * ub) of the unlabeled arrays
-        xl, yl, xu = (np.concatenate(part) for part in
-                      zip(*(next(batches) for _ in range(steps))))
+        xl, yl, xu = data.epoch_batches(view, lb, ub, rng_batch)
         if config.labeled_aug == "weak":
             xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
-        if reads_weak is not None:
-            xw = data.weak_augment_batch(xu, policy, rng_weak)
-        if reads_strong is not None:
-            xs = data.strong_augment_batch(xu, policy, rng_strong)
+        xv = [fn(xu, policy, rng) for fn, rng in augment]
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
         for i in range(steps):
             rows_l = slice(i * lb, (i + 1) * lb)
             rows_u = slice(i * ub, (i + 1) * ub)
-            views, labels = [xl[rows_l]], yl[rows_l]
-            weights, weak, strong = layouts[min(ub, n_u - i * ub)]
-            if weak is not None:
-                views.append(xw[rows_u])
-                report.unlabeled_weak_passes += 1
-            if strong is not None:
-                views.append(xs[rows_u])
-                report.unlabeled_strong_passes += 1
-            tape = network.forward(net, np.concatenate(views), keep=True)
+            report.unlabeled_weak_passes += "weak" in views
+            report.unlabeled_strong_passes += "strong" in views
+            tape = network.forward(
+                net, np.concatenate([xl[rows_l]] + [x[rows_u] for x in xv]),
+                keep=True)
             if not np.isfinite(tape.logits).all():
                 aborted = True
                 break
-            step = losses.total_loss(tape.logits, labels, weak, strong,
-                                     weights, config.tau)
+            step = losses.total_loss(tape.logits, yl[rows_l], weights,
+                                     config.tau)
             if not math.isfinite(step.total):
                 aborted = True
                 break

@@ -22,7 +22,7 @@ def test_artifact_digests_one_line_per_file(capsys):
     names = ["task.txt", "source.txt"] + [
         f"{run}.{kind}" for run in runs
         for kind in ("model.txt", "report.txt", "report.txt.csv")] + \
-        ["ablate.csv"]
+        ["ablate.csv", "gradcheck.out"]
     assert [ln.split("  ")[1] for ln in lines] == \
         [f"seed0/{name}" for name in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", ln) for ln in lines)

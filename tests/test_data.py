@@ -314,26 +314,22 @@ def test_sample_batches_epoch_covers_all():
     task = small_task(seed=16)
     view = task.adaptation_view()
     rng = np.random.default_rng(17)
-    stream = data.sample_batches(view, labeled_batch=12, unlabeled_batch=48, rng=rng)
+    xl, yl, xu = data.epoch_batches(view, labeled_batch=12,
+                                    unlabeled_batch=48, rng=rng)
     steps = data.steps_per_epoch(300, 48)
     assert steps == 7
-    seen = []
-    for _ in range(steps):
-        xl, yl, xu = next(stream)
-        assert xl.shape == (12, 2)
-        assert yl.shape == (12,)
-        seen.append(xu)
-    stacked = np.vstack(seen)
-    assert stacked.shape == (300, 2)
+    assert xl.shape == (steps * 12, 2)
+    assert yl.shape == (steps * 12,)
+    assert xu.shape == (300, 2)
     # every unlabeled row appears exactly once per epoch
-    assert {tuple(r) for r in stacked} == {tuple(r) for r in view.unlabeled_x}
+    assert {tuple(r) for r in xu} == {tuple(r) for r in view.unlabeled_x}
 
 
 def test_sample_batches_single_batch_epoch():
     task = small_task(seed=18)
     view = task.adaptation_view()
-    stream = data.sample_batches(view, 12, 300, np.random.default_rng(0))
-    _, _, xu = next(stream)
+    xl, _, xu = data.epoch_batches(view, 12, 300, np.random.default_rng(0))
+    assert xl.shape == (12, 2)
     assert xu.shape == (300, 2)
     assert {tuple(r) for r in xu} == {tuple(r) for r in view.unlabeled_x}
 
@@ -341,22 +337,44 @@ def test_sample_batches_single_batch_epoch():
 def test_sample_batches_deterministic():
     task = small_task(seed=19)
     view = task.adaptation_view()
-    a = data.sample_batches(view, 4, 32, np.random.default_rng(7))
-    b = data.sample_batches(view, 4, 32, np.random.default_rng(7))
-    for _ in range(20):
-        xa, ya, ua = next(a)
-        xb, yb, ub = next(b)
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        xa, ya, ua = data.epoch_batches(view, 4, 32, a)
+        xb, yb, ub = data.epoch_batches(view, 4, 32, b)
         assert np.array_equal(xa, xb)
         assert np.array_equal(ya, yb)
         assert np.array_equal(ua, ub)
 
 
 def test_sample_batches_validates_sizes():
+    # the sizes are checked once, before adapt's first epoch
     view = small_task(seed=20).adaptation_view()
     with pytest.raises(ValueError):
-        next(data.sample_batches(view, 13, 48, np.random.default_rng(0)))
+        data.check_batch_sizes(view, 13, 48)
     with pytest.raises(ValueError):
-        next(data.sample_batches(view, 4, 301, np.random.default_rng(0)))
+        data.check_batch_sizes(view, 4, 301)
+
+
+@pytest.mark.parametrize("lb,ub", [(12, 48), (4, 32), (1, 1), (12, 300),
+                                   (5, 299)])
+def test_epoch_batches_match_one_draw_per_step_bit_for_bit(lb, ub):
+    # the per-step order: a fresh permutation, then for each step in
+    # order its chunk of the permutation and one draw of lb labeled rows
+    view = small_task(seed=22).adaptation_view()
+    rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(2):
+        got = data.epoch_batches(view, lb, ub, rng)
+        perm = ref.permutation(300)
+        parts = []
+        for start in range(0, 300, ub):
+            lab = ref.integers(0, 12, size=lb)
+            parts.append((view.labeled_x[lab], view.labeled_y[lab],
+                          view.unlabeled_x[perm[start:start + ub]]))
+        want = [np.concatenate(part) for part in zip(*parts)]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+            assert g.shape == w.shape
 
 
 def test_task_round_trip(tmp_path):

@@ -66,7 +66,7 @@ def test_classification_loss_is_exact_for_a_label_logit_trailing_by_1000():
     logits, labels = np.array([[0.0, 1000.0]]), np.array([0])
     assert losses.classification_loss(*from_logits(logits),
                                       labels).value == 1000.0
-    step = losses.total_loss(logits, labels, None, None, {}, TAU)
+    step = losses.total_loss(logits, labels, {}, TAU)
     assert step.l_c == step.total == 1000.0
 
 
@@ -75,7 +75,7 @@ def test_total_loss_is_not_finite_when_a_logit_spread_overflows():
     # back to the last completed epoch
     with pytest.warns(RuntimeWarning, match="overflow"):
         step = losses.total_loss(np.array([[1e308, -1e308]]), np.array([1]),
-                                 None, None, {}, TAU)
+                                 {}, TAU)
     assert step.l_c == step.total == math.inf
 
 
@@ -157,8 +157,8 @@ def test_consistency_loss_is_exact_for_a_strong_row_trailing_by_1000():
     p, log_p = from_logits(logits)
     lv, mask = losses.consistency_loss(p[1:2], p[2:], log_p[2:], tau=0.8)
     assert (lv.value, mask) == (1000.0, 1.0)
-    step = losses.total_loss(logits, np.array([0]), slice(1, 2), slice(2, 3),
-                             {"consistency": 1.0}, 0.8)
+    step = losses.total_loss(logits, np.array([0]), {"consistency": 1.0},
+                             0.8)
     assert step.l_u == 1000.0
 
 
@@ -257,7 +257,7 @@ def test_total_arithmetic():
     labels = np.array([0, 1])
     logits = rng.normal(size=(8, 4))
     probs, log_p = from_logits(logits)
-    step = losses.total_loss(logits, labels, slice(2, 5), slice(5, 8),
+    step = losses.total_loss(logits, labels,
                              {"consistency": 2.5, "diversity": 1.0}, tau=0.3)
     assert step.l_c == losses.classification_loss(probs[:2], log_p[:2],
                                                   labels).value
@@ -273,7 +273,7 @@ def test_total_zero_lambdas_equals_classification():
     logits = rng.normal(size=(14, 3))
     labels = np.array([0, 1, 2, 0])
     l_c = losses.classification_loss(*from_logits(logits[:4]), labels)
-    total = losses.total_loss(logits, labels, slice(4, 9), slice(9, 14),
+    total = losses.total_loss(logits, labels,
                               {"consistency": 0.0, "diversity": 0.0}, tau=0.8)
     assert total.total == l_c.value
     np.testing.assert_array_equal(total.grad[:4], l_c.grad)
@@ -287,8 +287,7 @@ def test_total_merges_gradients_per_pass():
     p, log_p = from_logits(logits)
     l_u, _ = losses.consistency_loss(p[2:5], p[5:], log_p[5:], tau=0.1)
     l_d = losses.diversity_loss(p[5:])
-    total = losses.total_loss(logits, np.array([0, 1]), slice(2, 5),
-                              slice(5, 8),
+    total = losses.total_loss(logits, np.array([0, 1]),
                               {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
     expected_strong = 2.5 * l_u.grad + l_d.grad
     np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
@@ -472,12 +471,22 @@ def test_diversity_of_a_stack_equals_its_views_bit_for_bit():
 TAU = 0.5
 
 
-def step_logits(rng, n_labeled, n_unlabeled, layout):
-    """Stacked logits for a step of layout, with a labeled row whose
+def view_rows(n_labeled, n_unlabeled, views):
+    """The rows of the weak and of the strong view in a step that stacks
+    n_labeled labeled rows, then n_unlabeled rows of each view in views
+    (weak first); None for a view the step does not stack."""
+    weak = slice(n_labeled, n_labeled + n_unlabeled) if views else None
+    strong = slice(n_labeled + n_unlabeled, n_labeled + 2 * n_unlabeled) \
+        if len(views) == 2 else None
+    return weak, strong
+
+
+def step_logits(rng, n_labeled, n_unlabeled, views):
+    """Stacked logits for a step of the views, with a labeled row whose
     label probability underflows to 0, a weak row exactly at TAU and a
     strong row whose pseudo-label probability underflows to 0."""
-    _, weak, strong = layout
-    logits = rng.normal(size=(n_labeled + 2 * n_unlabeled, 4))
+    weak, strong = view_rows(n_labeled, n_unlabeled, views)
+    logits = rng.normal(size=(n_labeled + len(views) * n_unlabeled, 4))
     logits[0] = [-1000.0, 0.0, -1000.0, -1000.0]  # label 0: p = 0
     if weak is not None:
         # p = [0.5, 0.5, 0, 0]: max == TAU, masked
@@ -489,12 +498,11 @@ def step_logits(rng, n_labeled, n_unlabeled, layout):
     return logits
 
 
-def assembled_step(logits, labels, layout):
+def assembled_step(logits, labels, weights, weak, strong):
     """The step's terms one by one, assembled as in the seed: the
     classification gradient in the labeled rows of a zero matrix, then
     every weighted term added in TERMS order, each view's diversity on
     its own."""
-    weights, weak, strong = layout
     probs, log_p = losses.softmax_and_log(logits)
     grad = np.zeros_like(probs)
     labeled = slice(0, len(labels))
@@ -524,39 +532,56 @@ def assembled_step(logits, labels, layout):
             values["diversity"], total, mask_rate), grad
 
 
-@pytest.mark.parametrize("method", pipeline.METHODS)
-def test_total_loss_is_the_terms_assembled_bit_for_bit(method):
-    config = pipeline.AdaptConfig(method=method, lambda_u=2.5, lambda_d=0.75)
-    layout = pipeline.step_layout(config, 4, 6)
-    rng = np.random.default_rng(50)
-    labels = np.array([0, 1, 2, 3])
+def check_assembled(method, n_labeled, n_unlabeled, rng):
+    weights = pipeline.step_weights(pipeline.AdaptConfig(
+        method=method, lambda_u=2.5, lambda_d=0.75))
+    views = losses.views_read(weights)
+    labels = np.arange(n_labeled) % 4
     for _ in range(3):
-        logits = step_logits(rng, 4, 6, layout)
-        step = losses.total_loss(logits, labels, *layout[1:], layout[0], TAU)
-        scalars, grad = assembled_step(logits, labels, layout)
+        logits = step_logits(rng, n_labeled, n_unlabeled, views)
+        step = losses.total_loss(logits, labels, weights, TAU)
+        scalars, grad = assembled_step(
+            logits, labels, weights, *view_rows(n_labeled, n_unlabeled, views))
         assert (step.l_c, step.l_u, step.l_d, step.total,
                 step.mask_rate) == scalars
         assert np.array_equal(step.grad, grad)
         assert np.signbit(step.grad).tolist() == np.signbit(grad).tolist()
 
 
-@pytest.mark.parametrize("weights,weak,strong", [
-    ({"consistency": 1.0}, None, slice(4, 10)),
-    ({"consistency": 1.0}, slice(4, 10), None),
-    ({"entropy": 1.0}, None, None),
-    ({"diversity": 1.0}, None, slice(4, 10)),
-    ({"diversity": 1.0}, slice(4, 10), None),
-    ({"diversity": 1.0}, slice(4, 9), slice(10, 15)),  # not adjacent
-    ({"diversity": 1.0}, slice(10, 16), slice(4, 10)),  # strong first
-    ({"diversity": 1.0}, slice(4, 10), slice(10, 14)),  # unequal
-    ({"diversity": 1.0}, slice(4, 10, 2), slice(10, 13)),  # strided
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_total_loss_is_the_terms_assembled_bit_for_bit(method):
+    check_assembled(method, 4, 6, np.random.default_rng(50))
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_total_loss_reads_a_short_last_step(method):
+    # an epoch's last step at the default sizes: 1000 unlabeled rows in
+    # batches of 48 leave 40 rows per view after 12 labeled rows
+    check_assembled(method, 12, 1000 - 20 * 48, np.random.default_rng(51))
+
+
+@pytest.mark.parametrize("weights,n_rows", [
+    ({"consistency": 1.0}, 4 + 11),  # odd rows under a two-view term
+    ({"diversity": 1.0}, 4 + 11),
+    ({"consistency": 1.0, "diversity": 1.0}, 4 + 7),
+    ({"consistency": 1.0}, 4),  # no unlabeled rows under a term
+    ({"entropy": 1.0}, 4),
+    ({"diversity": 1.0}, 4),
+    ({}, 4 + 6),  # rows left over, but no term reads a view
+    ({}, 4 + 1),
+    ({"entropy": 1.0}, 3),  # fewer rows than labels
 ])
-def test_total_loss_rejects_a_missing_or_misplaced_view(weights, weak,
-                                                        strong):
-    logits = np.random.default_rng(52).normal(size=(16, 4))
-    with pytest.raises(ValueError):
-        losses.total_loss(logits, np.array([0, 1, 2, 3]), weak, strong,
-                          weights, TAU)
+def test_total_loss_rejects_rows_that_do_not_split_into_views(weights,
+                                                              n_rows):
+    logits = np.random.default_rng(52).normal(size=(n_rows, 4))
+    with pytest.raises(ValueError, match="do not split"):
+        losses.total_loss(logits, np.array([0, 1, 2, 3]), weights, TAU)
+
+
+def test_total_loss_rejects_an_unknown_term():
+    with pytest.raises(ValueError, match="loss terms must come from"):
+        losses.total_loss(np.zeros((10, 4)), np.array([0, 1, 2, 3]),
+                          {"entropy": 1.0, "nuclear": 1.0}, TAU)
 
 
 def test_evaluate_confusion_counts_every_row():

@@ -1,15 +1,20 @@
 """Report persistence and command-line round-trip tests."""
 
+import contextlib
 import csv
 import functools
+import io
 import math
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ssht import cli, data, network, pipeline, reports
+from ssht.fileio import read_text
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +560,82 @@ def test_cli_ablate_stops_before_a_grid_every_cell_would_fail(
     assert not out.exists() and adapts == []
     task, = loaded
     assert (task.source_reads, task.unlabeled_label_reads) == (0, 0)
+
+
+# the split sizes of the task in the batch-size property test
+N_LABELED, N_UNLABELED = 12, 240
+
+
+def _batch_size(split: int):
+    """A --labeled-batch or --unlabeled-batch value: absent, an edge of
+    [1, split], any small integer, or a 20-digit one of either sign."""
+    twenty_digits = [10 ** 19, 10 ** 20 - 1]
+    return st.none() | st.sampled_from([0, -1, 1, split, split + 1]) | \
+        st.integers(-3, split + 3) | \
+        st.sampled_from(twenty_digits + [-v for v in twenty_digits])
+
+
+def test_cli_batch_size_flags_exit_cleanly():
+    """adapt and ablate at --epochs 1 either succeed and write files that
+    load, or exit 1 with an error line and write nothing."""
+    with tempfile.TemporaryDirectory() as root:
+        task_path = os.path.join(root, "task.txt")
+        model_path = os.path.join(root, "model.txt")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen-data", "--n-source", "200", "--n-unlabeled",
+                             str(N_UNLABELED), "--n-test", "100",
+                             "--out", task_path]) == 0
+            assert cli.main(["train-source", "--data", task_path, "--seed",
+                             "0", "--epochs", "1", "--out", model_path]) == 0
+
+        @settings(max_examples=60, deadline=None)
+        @given(command=st.sampled_from(["adapt", "ablate"]),
+               lb=_batch_size(N_LABELED), ub=_batch_size(N_UNLABELED))
+        @example(command="adapt", lb=N_LABELED + 1, ub=N_UNLABELED)
+        @example(command="ablate", lb=N_LABELED, ub=N_UNLABELED + 1)
+        @example(command="adapt", lb=-10 ** 19, ub=10 ** 19)
+        @example(command="ablate", lb=0, ub=1)
+        @example(command="ablate", lb=1, ub=1)
+        def check(command, lb, ub):
+            out = tempfile.mkdtemp(dir=root)
+            argv = [command, "--model", model_path, "--data", task_path,
+                    "--epochs", "1"]
+            if command == "adapt":
+                argv += ["--seed", "0", "--method", "cdl",
+                         "--out-model", os.path.join(out, "m.txt"),
+                         "--report", os.path.join(out, "r.txt")]
+            else:
+                argv += ["--seeds", "0", "--out", os.path.join(out, "g.csv")]
+            argv += [f"--labeled-batch={lb}"] if lb is not None else []
+            argv += [f"--unlabeled-batch={ub}"] if ub is not None else []
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            if ub is None:
+                ub = pipeline.AdaptConfig().unlabeled_batch
+            fits = (lb is None or 1 <= lb <= N_LABELED) and \
+                1 <= ub <= N_UNLABELED
+            assert "Traceback" not in err.getvalue()
+            assert rc == (0 if fits else 1), err.getvalue()
+            written = sorted(os.listdir(out))
+            if rc == 1:
+                assert err.getvalue().startswith("error: ")
+                assert written == []
+            elif command == "adapt":
+                assert written == ["m.txt", "r.txt", "r.txt.csv"]
+                network.deserialize(read_text(os.path.join(out, "m.txt")))
+                reports.read_report(os.path.join(out, "r.txt"))
+                with open(os.path.join(out, "r.txt.csv")) as f:
+                    assert len(list(csv.reader(f))) == 2  # header, epoch 1
+            else:
+                assert written == ["g.csv"]
+                with open(os.path.join(out, "g.csv")) as f:
+                    rows = list(csv.reader(f))
+                assert rows[0][0] == "method" and all(
+                    row[-1] == "" for row in rows[1:5])  # no cell failed
+
+        check()
 
 
 def _no_work(monkeypatch):

@@ -164,7 +164,38 @@ def test_forward_tape_matches_plain_forward(activation):
     assert np.array_equal(tape.acts[-1], _one_shot(net, x)[0])
     assert np.array_equal(tape.acts[0], x)
     assert [a.shape[1] for a in tape.acts] == [3, 4, 6, 5]
-    assert [z.shape[1] for z in tape.pre] == [4, 6, 5]
+    # only what backward reads: every layer's output, and the logits
+    assert tape._fields == ("acts", "logits")
+
+
+def test_relu_backward_matches_a_pre_activation_reference_bit_for_bit():
+    spec = network.NetworkSpec(input_dim=3, hidden_dims=[4, 6], feature_dim=5,
+                               num_classes=3, activation="relu")
+    net = network.init_network(spec, seed=23)
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(9, 3))
+    x[2] = 0.0  # with zero biases, every pre-activation of this row is 0
+    g = rng.normal(size=(9, 3))
+    # the forward pass keeping each layer's pre-activation z, and the
+    # backward pass taking the relu derivative as z > 0
+    acts, pre = [x], []
+    for layer in range(net.num_extractor_layers()):
+        z = acts[-1] @ net.params[2 * layer] + net.params[2 * layer + 1]
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0))
+    assert all(np.all(z[2] == 0.0) for z in pre)
+    assert any(np.any(z < 0.0) for z in pre)
+    grads = [None] * len(net.params)
+    grads[-2], grads[-1] = acts[-1].T @ g, g.sum(axis=0)
+    da = g @ net.params[-2].T
+    for layer in range(net.num_extractor_layers() - 1, -1, -1):
+        dz = (pre[layer] > 0.0).astype(float) * da
+        grads[2 * layer] = acts[layer].T @ dz
+        grads[2 * layer + 1] = dz.sum(axis=0)
+        da = dz @ net.params[2 * layer].T
+    want = np.concatenate([v.ravel() for v in grads])
+    got = network.backward(net, network.forward(net, x, keep=True), g)
+    assert got.tobytes() == want.tobytes()
 
 
 def _one_shot(net, x):

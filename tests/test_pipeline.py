@@ -136,6 +136,16 @@ def test_train_source_dimension_mismatch(task):
         pipeline.train_source(task, spec=spec, epochs=1)
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"input_dim": 3}, "model expects input_dim 3, task provides 2"),
+    ({"num_classes": 5}, "model has 5 classes, task has 4")])
+def test_train_source_names_the_mismatched_dimension(task, kw, message):
+    reads = task.source_reads
+    with pytest.raises(ValueError, match=message):
+        pipeline.train_source(task, spec=network.default_spec(**kw), epochs=1)
+    assert task.source_reads == reads
+
+
 def test_source_model_biased_against_minority(task):
     """The transferred hypothesis under-serves the thin source class."""
     for seed in range(5):
@@ -402,10 +412,15 @@ def test_adapt_and_suite_on_splits_smaller_than_a_diversity_batch():
     ("s_plus_t", {}, None, None),
     ("ent", {"entropy": 2.0}, (5, 12), None)])
 def test_step_layout_follows_the_method_table(method, weights, weak, strong):
+    # the weights, and the rows of each view in a step that stacks 5
+    # labeled rows, then 7 rows of each view losses.views_read names
     cfg = pipeline.AdaptConfig(method=method, lambda_u=2.0, lambda_d=3.0)
-    got = pipeline.step_layout(cfg, 5, 7)
-    assert got == (weights, weak and slice(*weak), strong and slice(*strong))
-    assert set(got[0]) == set(pipeline.METHOD_TERMS[method])
+    got = pipeline.step_weights(cfg)
+    assert got == weights
+    assert set(got) == set(pipeline.METHOD_TERMS[method])
+    views = losses.views_read(got)
+    rows = {view: (5 + 7 * i, 12 + 7 * i) for i, view in enumerate(views)}
+    assert (rows.get("weak"), rows.get("strong")) == (weak, strong)
 
 
 @pytest.mark.parametrize("method,calls", [("cdl", 1), ("cdl_no_cl", 1),
