@@ -8,6 +8,9 @@ For each seed it runs, in a temporary directory:
                 adapted model, the report and its CSV sidecar
   ablate        the default method grid over that one seed
   gradcheck     its stdout, with --seed N, saved as gradcheck.out
+  wide_*        the widest task (data.MAX_CLASSES classes, default
+                counts), its source model, and its cdl adapt: the
+                adapted model, the report and its CSV sidecar
 
 and prints one `<sha256>  seed<N>/<file>` line per file, in a fixed
 order. Two trees that print the same lines wrote byte-identical
@@ -49,22 +52,30 @@ def _seed_artifacts(seed: int, epochs, root: str):
     loop = [] if epochs is None else ["--epochs", str(epochs)]
     d = os.path.join(root, f"seed{seed}")
     os.mkdir(d)
-    task, model = os.path.join(d, "task.txt"), os.path.join(d, "source.txt")
-    _run(["gen-data", "--seed", str(seed), "--out", task])
-    yield task
-    _run(["train-source", "--data", task, "--seed", str(seed), "--out", model]
-         + loop)
-    yield model
-    runs = [(m, []) for m in cli.pipeline.METHODS] + \
-        [("cdl", ["--freeze-classifier"])]
-    for method, extra in runs:
-        name = method + ("_frozen" if extra else "")
+
+    def source(prefix: str, flags):
+        task = os.path.join(d, f"{prefix}task.txt")
+        model = os.path.join(d, f"{prefix}source.txt")
+        _run(["gen-data", "--seed", str(seed), "--out", task] + flags)
+        _run(["train-source", "--data", task, "--seed", str(seed),
+              "--out", model] + loop)
+        return task, model
+
+    def adapt(task: str, model: str, name: str, method: str, extra):
         adapted = os.path.join(d, f"{name}.model.txt")
         report = os.path.join(d, f"{name}.report.txt")
         _run(["adapt", "--model", model, "--data", task, "--method", method,
               "--seed", str(seed), "--out-model", adapted, "--report", report]
              + loop + extra)
-        yield from (adapted, report, report + ".csv")
+        return adapted, report, report + ".csv"
+
+    task, model = source("", [])
+    yield from (task, model)
+    runs = [(m, []) for m in cli.pipeline.METHODS] + \
+        [("cdl", ["--freeze-classifier"])]
+    for method, extra in runs:
+        name = method + ("_frozen" if extra else "")
+        yield from adapt(task, model, name, method, extra)
     grid = os.path.join(d, "ablate.csv")
     _run(["ablate", "--model", model, "--data", task, "--seeds", str(seed),
           "--out", grid] + loop)
@@ -73,6 +84,9 @@ def _seed_artifacts(seed: int, epochs, root: str):
     with open(checks, "w") as f:
         f.write(_run(["gradcheck", "--seed", str(seed)]))
     yield checks
+    task, model = source("wide_", ["--classes", str(cli.data.MAX_CLASSES)])
+    yield from (task, model)
+    yield from adapt(task, model, "wide_cdl", "cdl", [])
 
 
 def main(argv=None) -> int:

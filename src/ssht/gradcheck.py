@@ -16,8 +16,9 @@ until it has checked its quota (at most 20 attempts per instance
 wanted):
   - under the diversity term, a view whose prediction matrix has
     near-degenerate singular values (a gap or the smallest value below
-    1e-3 of the largest): the nuclear norm is not differentiable there,
-    so finite differences are not a valid oracle;
+    1e-3 of the largest), judged on one linalg.svd call over the
+    instance's views: the nuclear norm is not differentiable there, so
+    finite differences are not a valid oracle;
   - under the consistency term, a batch with no weak row above tau,
     where the term would contribute nothing to check.
 """
@@ -73,13 +74,15 @@ def fd_param_grads(net: network.Network, scalar_fn: Callable[[], float],
     return out
 
 
-def _spectrum_degenerate(p: np.ndarray) -> bool:
-    sigma = linalg.svd(p).sigma
-    if sigma[0] == 0.0:
-        return True
-    gaps = -np.diff(sigma)
-    floor = SPECTRUM_GAP * sigma[0]
-    return bool(np.min(gaps) <= floor or sigma[-1] <= floor)
+def _spectrum_degenerate(views: np.ndarray) -> bool:
+    """Whether any matrix of a (views, rows, classes) stack, decomposed
+    in one call, has a singular value gap or its smallest singular
+    value at or below SPECTRUM_GAP times its largest (the zero matrix
+    included)."""
+    sigma = linalg.svd(views).sigma
+    floor = SPECTRUM_GAP * sigma[:, :1]
+    return bool((-np.diff(sigma, axis=1) <= floor).any()
+                or (sigma[:, -1:] <= floor).any())
 
 
 def _tape(net, x):
@@ -120,8 +123,7 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
         tape = _tape(net, x)
         probs, _ = losses.softmax_and_log(tape.logits)
         views = probs[4:].reshape(n_views, 6, 3)  # weak first
-        degenerate = "diversity" in weights and any(
-            _spectrum_degenerate(v) for v in views)
+        degenerate = "diversity" in weights and _spectrum_degenerate(views)
         all_masked = "consistency" in weights and \
             not np.any(np.max(views[0], axis=1) > TAU)
         if degenerate or all_masked:

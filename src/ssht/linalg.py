@@ -2,20 +2,22 @@
 
 The nuclear norm ||A||_* (sum of singular values) is the quantity the
 diversity objective maximizes over batch prediction matrices (batch x
-classes). `nuclear_norm_and_subgradient` returns the norm and a
-subgradient of each view's prediction matrix from one decomposition,
-for one matrix or for a stack of equal-shape matrices (a step passes
-both views at once), with singular values at or below RANK_TOL times
-the largest left out of the subgradient.
+classes). Every kernel here takes a (k, rows, cols) stack of
+equal-shape matrices, as a step passes both views at once, and nothing
+else: a single matrix is a stack of one. `svd` decomposes a stack;
+`nuclear_norm_and_subgradient` builds on it the norm and a subgradient
+of each matrix, with singular values at or below RANK_TOL times the
+largest left out of the subgradient.
 
 The decomposition is LAPACK's (numpy.linalg.svd), one batched call
-per stack; at these sizes the cost is the Python calls around it, not
-the arithmetic. Each matrix is first scaled by a power of two, exactly,
-so that LAPACK sees the same input for A and 2^k A.
+per stack, each matrix bit for bit what it gives alone; at these sizes
+the cost is the Python calls around it, not the arithmetic. Each
+matrix is first scaled by a power of two, exactly, so that LAPACK sees
+the same input for A and 2^k A.
 """
 
 import math
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,44 +29,30 @@ class NumericalError(RuntimeError):
 
 
 class SvdResult(NamedTuple):
-    u: np.ndarray      # rows x k, orthonormal columns
-    sigma: np.ndarray  # k non-negative values, non-increasing
-    v: np.ndarray      # cols x k, orthonormal columns
-
-
-def _as_stack(a) -> np.ndarray:
-    """Validate `a`, one matrix or a 3-D stack of equal-shape matrices,
-    and return it as a finite (k, rows, cols) float64 stack."""
-    s = np.asarray(a, dtype=np.float64)
-    if s.ndim == 2:
-        s = s[None]
-    elif s.ndim != 3:
-        raise ValueError(f"expected a 2-D matrix or a 3-D stack of them, "
-                         f"got ndim={s.ndim}")
-    if min(s.shape) < 1:
-        raise ValueError(f"stack and matrix dimensions must be positive, "
-                         f"got {np.shape(a)}")
-    if not np.isfinite(s).all():
-        raise ValueError("matrix contains non-finite entries")
-    return s
+    u: np.ndarray      # k x rows x r, orthonormal columns
+    sigma: np.ndarray  # k x r non-negative values, non-increasing per row
+    v: np.ndarray      # k x cols x r, orthonormal columns
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD of one matrix, deterministic for a given input.
+    """Thin SVD of every matrix of a (k, rows, cols) stack, in one LAPACK
+    call, deterministic for a given input; r = min(rows, cols).
 
-    The input is first scaled by a power of two (exact) so its largest
-    entry lies in [1, 2), and sigma is scaled back; a matrix whose
-    singular values overflow float64 raises NumericalError.
+    Each matrix is first scaled by a power of two (exact) so its largest
+    entry lies in [1, 2), and its sigma is scaled back; a matrix whose
+    singular values overflow float64 raises NumericalError. A stack that
+    is not 3-D, has an empty dimension or a non-finite entry raises
+    ValueError.
     """
-    if np.ndim(a) != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={np.ndim(a)}")
-    r = _svds(_as_stack(a))
-    return SvdResult(u=r.u[0], sigma=r.sigma[0], v=r.v[0])
-
-
-def _svds(stack: np.ndarray) -> SvdResult:
-    """`svd` of every matrix of a validated (k, rows, cols) stack, as
-    stacked fields: u (k, rows, r), sigma (k, r), v (k, cols, r)."""
+    stack = np.asarray(a, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a 3-D stack of matrices, "
+                         f"got ndim={stack.ndim}")
+    if min(stack.shape) < 1:
+        raise ValueError(f"stack and matrix dimensions must be positive, "
+                         f"got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix contains non-finite entries")
     scales = np.ldexp(0.5, np.frexp(np.abs(stack).max(axis=(1, 2)))[1])
     u, sigma, vt = np.linalg.svd(stack / scales[:, None, None],
                                  full_matrices=False)
@@ -77,22 +65,17 @@ def _svds(stack: np.ndarray) -> SvdResult:
                      v=vt.transpose(0, 2, 1))
 
 
-def nuclear_norm_and_subgradient(a) -> Tuple[Union[float, np.ndarray],
-                                             np.ndarray]:
-    """Nuclear norm of `a` and a subgradient U_r V_r^T there, from one SVD.
+def nuclear_norm_and_subgradient(a) -> Tuple[np.ndarray, np.ndarray]:
+    """Nuclear norms of a (k, rows, cols) stack and a subgradient U_r V_r^T
+    at each matrix, from one `svd` call: k norms and a stack of k
+    subgradients.
 
-    `a` is one matrix, or a (k, rows, cols) stack decomposed in one
-    LAPACK call; a stack gives k norms and k subgradients, each bit for
-    bit what its matrix alone gives. The norm is the sum of all singular
-    values. The subgradient keeps singular triples with sigma > RANK_TOL
-    * sigma_max (thin truncation, the stable choice at rank-deficient
-    points). The zero matrix maps to the zero matrix, which is a valid
-    subgradient.
+    The norm is the sum of all singular values. The subgradient keeps
+    singular triples with sigma > RANK_TOL * sigma_max (thin truncation,
+    the stable choice at rank-deficient points). The zero matrix maps to
+    the zero matrix, which is a valid subgradient.
     """
-    r = _svds(_as_stack(a))
-    norms = r.sigma.sum(axis=1)
+    r = svd(a)
     keep = r.sigma > RANK_TOL * r.sigma[:, :1]  # a prefix: sigma is sorted
-    subs = (r.u * keep[:, None, :]) @ r.v.transpose(0, 2, 1)
-    if np.ndim(a) == 2:
-        return float(norms[0]), subs[0]
-    return norms, subs
+    return (r.sigma.sum(axis=1),
+            (r.u * keep[:, None, :]) @ r.v.transpose(0, 2, 1))

@@ -29,11 +29,12 @@ Objectives:
   consistency      confidence-thresholded cross-entropy from the weak
                    view's hard pseudo-label to the strong view, mean
                    over the full batch, no gradient into the weak rows
-  diversity        negated nuclear norm of a prediction matrix over
-                   its row count (maximizing it spreads batch
-                   predictions over more classes); one SVD gives both
-                   the norm and its subgradient. A step adds it for the
-                   weak and for the strong view, both in one kernel call
+  diversity        negated nuclear norm of each view's prediction
+                   matrix over its row count (maximizing it spreads
+                   batch predictions over more classes), on a
+                   (views, rows, classes) stack only: a step passes
+                   the weak and the strong view, and one kernel call
+                   gives every norm and subgradient
   entropy          mean prediction entropy of the weak view
   total            classification + the weighted unlabeled terms
 """
@@ -152,23 +153,20 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
 
 
 def diversity_loss(probs: np.ndarray) -> LossValue:
-    """Negated nuclear norm of a prediction matrix over its row count.
+    """Negated nuclear norm of each view's prediction matrix over its row
+    count, summed over the views of a (views, rows, classes) stack.
 
-    Minimizing this pushes the batch prediction matrix toward higher
+    Minimizing this pushes each batch prediction matrix toward higher
     rank, i.e. toward covering more classes; a collapsed batch scores
-    worst. probs may also be a (views, rows, classes) stack, decomposed
-    in one kernel call: the value is then the sum over the views, and
-    the gradient a stack of each view's.
+    worst. The stack is decomposed in one kernel call, and the gradient
+    is a stack of each view's.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim not in (2, 3):
-        raise ValueError(f"probs must be 2-D or a 3-D stack, got shape "
-                         f"{p.shape}")
-    b = p.shape[-2]
-    norms, sub = nuclear_norm_and_subgradient(p if p.ndim == 3 else p[None])
+    norms, sub = nuclear_norm_and_subgradient(p)
+    b = p.shape[1]
     sub /= -b  # -sub / b, bit for bit
     return LossValue(value=float((norms / -b).sum()),
-                     grad=softmax_backward(p, sub.reshape(p.shape)))
+                     grad=softmax_backward(p, sub))
 
 
 def entropy_loss(probs: np.ndarray, log_probs: np.ndarray) -> LossValue:

@@ -147,9 +147,8 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
     pred = np.argmax(logits, axis=1)
     confusion = np.bincount(ys * c + pred, minlength=c * c).reshape(c, c)
     counts = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1),
-                             0.0)
+    per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1),
+                         0.0)
     return EvalResult(accuracy=float((pred == ys).mean()),
                       per_class_accuracy=per_class, confusion=confusion,
                       predictions=pred)
@@ -163,7 +162,8 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     The optimizer is SGD with nesterov momentum 0.9 and weight decay
     0.0005. Returns the serialized model document of the epoch with the
     best validation accuracy (earliest epoch wins ties). The counted
-    source accessor is used exactly once.
+    source accessor is used exactly once; a source split of fewer than
+    2 rows, which leaves no training row, raises ValueError.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -183,6 +183,10 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
 
     source_x, source_y = task.source()
     n = source_x.shape[0]
+    if n < 2:
+        raise ValueError(f"source split has {n} row{'' if n == 1 else 's'}; "
+                         f"train_source needs at least 2 (one is held out "
+                         f"for validation)")
 
     perm = rng_split.permutation(n)
     n_val = max(1, n // 10)
@@ -356,7 +360,6 @@ class SuiteRow:
     final_accuracy: float
     diversity_ratio: float
     minority_recall: float
-    report: Optional[RunReport] = None
     error: Optional[str] = None
 
 
@@ -399,8 +402,7 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
                 rows.append(SuiteRow(method=method, seed=seed,
                                      final_accuracy=report.final_accuracy,
                                      diversity_ratio=float(div),
-                                     minority_recall=float(minority),
-                                     report=report))
+                                     minority_recall=float(minority)))
             except (ValueError, NumericalError) as e:
                 rows.append(SuiteRow(method=method, seed=seed,
                                      final_accuracy=float("nan"),

@@ -20,7 +20,7 @@ GRID_SEEDS = (0, 1, 2, 3, 4)
 
 
 def nuclear_norm(a):
-    return linalg.nuclear_norm_and_subgradient(a)[0]
+    return linalg.nuclear_norm_and_subgradient(a[None])[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +62,14 @@ def test_nuclear_norm_oracle_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
 
+    comps = [c for c in itertools.product(range(5), repeat=4) if sum(c) == 4]
+    norms, _ = linalg.nuclear_norm_and_subgradient(
+        np.array([np.repeat(np.eye(4), counts, axis=0) for counts in comps]))
     worst_onehot = 0.0
-    count = 0
-    for counts in itertools.product(range(5), repeat=4):
-        if sum(counts) != 4:
-            continue
-        count += 1
-        rows = []
-        for cls, n in enumerate(counts):
-            rows.extend([np.eye(4)[cls]] * n)
-        got = nuclear_norm(np.array(rows))
+    for counts, got in zip(comps, norms):
         want = sum(np.sqrt(n) for n in counts)
         worst_onehot = max(worst_onehot, abs(got - want))
-    ok = count == 35 and worst_onehot <= 1e-8
+    ok = len(comps) == 35 and worst_onehot <= 1e-8
 
     worst_rel = 0.0
     for c in (-2.0, 0.5, 10.0):
@@ -108,8 +103,8 @@ def test_nuclear_norm_oracle_suite():
 
 def _svd_contract_violation(a: np.ndarray) -> float:
     """Worst constraint violation for one decomposition (0 when clean)."""
-    res = linalg.svd(a)
-    u, s, v = res.u, res.sigma, res.v
+    res = linalg.svd(a[None])
+    u, s, v = res.u[0], res.sigma[0], res.v[0]
     worst = 0.0
     worst = max(worst, np.abs(u.T @ u - np.eye(u.shape[1])).max() / 1e-10)
     worst = max(worst, np.abs(v.T @ v - np.eye(v.shape[1])).max() / 1e-10)

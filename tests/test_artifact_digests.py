@@ -22,10 +22,14 @@ def test_artifact_digests_one_line_per_file(capsys):
     names = ["task.txt", "source.txt"] + [
         f"{run}.{kind}" for run in runs
         for kind in ("model.txt", "report.txt", "report.txt.csv")] + \
-        ["ablate.csv", "gradcheck.out"]
+        ["ablate.csv", "gradcheck.out", "wide_task.txt", "wide_source.txt",
+         "wide_cdl.model.txt", "wide_cdl.report.txt",
+         "wide_cdl.report.txt.csv"]
     assert [ln.split("  ")[1] for ln in lines] == \
         [f"seed0/{name}" for name in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", ln) for ln in lines)
-    task = data.serialize_task(
-        data.generate_task(data.DomainShiftSpec(), seed=0))
-    assert lines[0].split()[0] == hashlib.sha256(task.encode()).hexdigest()
+    for line, spec in ((lines[0], data.DomainShiftSpec()),
+                       (lines[-5], data.DomainShiftSpec(
+                           num_classes=data.MAX_CLASSES))):
+        task = data.serialize_task(data.generate_task(spec, seed=0))
+        assert line.split()[0] == hashlib.sha256(task.encode()).hexdigest()

@@ -9,65 +9,68 @@ from ssht import linalg
 
 
 def nuclear_norm(a):
-    return linalg.nuclear_norm_and_subgradient(a)[0]
+    return linalg.nuclear_norm_and_subgradient(np.asarray(a)[None])[0][0]
 
 
-def check_svd_contract(a):
-    a = np.asarray(a, dtype=float)
-    r = linalg.svd(a)
-    k = min(a.shape)
-    assert r.u.shape == (a.shape[0], k)
-    assert r.v.shape == (a.shape[1], k)
-    assert r.sigma.shape == (k,)
+def check_svd_contract(stack):
+    """Check the decomposition of a (k, rows, cols) stack, matrix by matrix."""
+    stack = np.asarray(stack, dtype=float)
+    r = linalg.svd(stack)
+    n, rows, cols = stack.shape
+    k = min(rows, cols)
+    assert r.u.shape == (n, rows, k)
+    assert r.v.shape == (n, cols, k)
+    assert r.sigma.shape == (n, k)
     assert np.all(r.sigma >= 0.0)
-    assert np.all(np.diff(r.sigma) <= 0.0)
+    assert np.all(np.diff(r.sigma, axis=1) <= 0.0)
     eye = np.eye(k)
-    assert np.max(np.abs(r.u.T @ r.u - eye)) <= 1e-10
-    assert np.max(np.abs(r.v.T @ r.v - eye)) <= 1e-10
-    recon = r.u @ np.diag(r.sigma) @ r.v.T
-    assert np.max(np.abs(recon - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
+    for a, u, sigma, v in zip(stack, *r):
+        assert np.max(np.abs(u.T @ u - eye)) <= 1e-10
+        assert np.max(np.abs(v.T @ v - eye)) <= 1e-10
+        recon = u @ np.diag(sigma) @ v.T
+        assert np.max(np.abs(recon - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
     return r
 
 
 def test_svd_identity():
-    r = linalg.svd(np.eye(2))
-    np.testing.assert_allclose(r.sigma, [1.0, 1.0])
+    r = linalg.svd(np.eye(2)[None])
+    np.testing.assert_allclose(r.sigma[0], [1.0, 1.0])
 
 
 def test_svd_negative_diagonal():
-    r = linalg.svd(np.diag([3.0, -4.0]))
-    np.testing.assert_allclose(r.sigma, [4.0, 3.0])
+    r = linalg.svd(np.diag([3.0, -4.0])[None])
+    np.testing.assert_allclose(r.sigma[0], [4.0, 3.0])
 
 
 def test_svd_reconstruction_rectangular():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(96, 126))
-    check_svd_contract(a)
+    check_svd_contract(a[None])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 9), (9, 5), (48, 4)])
 def test_svd_contract_random_shapes(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
-    check_svd_contract(rng.normal(size=shape))
+    check_svd_contract(rng.normal(size=shape)[None])
 
 
 def test_svd_rank_deficient():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(10, 3)) @ rng.normal(size=(3, 8))  # rank <= 3
-    r = check_svd_contract(a)
-    assert np.sum(r.sigma > 1e-10 * r.sigma[0]) == 3
+    sigma = check_svd_contract(a[None]).sigma[0]
+    assert np.sum(sigma > 1e-10 * sigma[0]) == 3
 
 
 def test_svd_duplicated_columns():
     rng = np.random.default_rng(13)
     col = rng.normal(size=(6, 1))
     a = np.hstack([col, col, col])
-    check_svd_contract(a)
+    check_svd_contract(a[None])
 
 
 def test_svd_zero_matrix():
-    r = check_svd_contract(np.zeros((4, 3)))
-    assert np.all(r.sigma == 0.0)
+    r = check_svd_contract(np.zeros((1, 4, 3)))
+    assert np.all(r.sigma[0] == 0.0)
 
 
 def test_svd_matches_reference_singular_values():
@@ -75,7 +78,7 @@ def test_svd_matches_reference_singular_values():
     for _ in range(20):
         m, n = rng.integers(1, 30, size=2)
         a = rng.normal(size=(m, n))
-        mine = linalg.svd(a).sigma
+        mine = linalg.svd(a[None]).sigma[0]
         ref = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(mine, ref, rtol=1e-10, atol=1e-10 * ref[0])
 
@@ -129,15 +132,15 @@ MATRICES = st.one_of(dense_matrices(), rank_deficient_products(),
 @settings(max_examples=150, deadline=None)
 @given(MATRICES)
 def test_svd_contract_property(a):
-    r = check_svd_contract(a)
-    check_sigma_matches_lapack(a, r.sigma)
+    r = check_svd_contract(a[None])
+    check_sigma_matches_lapack(a, r.sigma[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(SIDES, SIDES, SEEDS, st.integers(-900, 900))
 def test_svd_power_of_two_scaling_is_exact(m, n, seed, k):
     a = np.random.default_rng(seed).normal(size=(m, n))
-    r, rs = linalg.svd(a), linalg.svd(a * 2.0 ** k)
+    r, rs = linalg.svd(a[None]), linalg.svd((a * 2.0 ** k)[None])
     assert np.array_equal(rs.sigma, r.sigma * 2.0 ** k)
     assert np.array_equal(rs.u, r.u) and np.array_equal(rs.v, r.v)
 
@@ -149,13 +152,13 @@ def test_svd_near_rank_deficient_small_integers():
               np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0],
                         [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])):
         for b in (a, a.T):
-            r = check_svd_contract(b)
-            check_sigma_matches_lapack(b, r.sigma)
+            r = check_svd_contract(b[None])
+            check_sigma_matches_lapack(b, r.sigma[0])
 
 
 def test_svd_rejects_overflowing_singular_values():
     with pytest.raises(linalg.NumericalError, match="overflow"):
-        linalg.svd(np.full((3, 3), 1e308))
+        linalg.svd(np.full((1, 3, 3), 1e308))
 
 
 def softmax_batches(rng):
@@ -174,10 +177,11 @@ def softmax_batches(rng):
 def test_softmax_batches_match_lapack():
     rng = np.random.default_rng(53)
     for _ in range(5):
-        for p in softmax_batches(rng):
-            r = check_svd_contract(p)
-            check_sigma_matches_lapack(p, r.sigma)
-            norm, sub = linalg.nuclear_norm_and_subgradient(p)
+        stack = np.array(list(softmax_batches(rng)))
+        r = check_svd_contract(stack)
+        norms, subs = linalg.nuclear_norm_and_subgradient(stack)
+        for p, sigma, norm, sub in zip(stack, r.sigma, norms, subs):
+            check_sigma_matches_lapack(p, sigma)
             u, sig, vt = np.linalg.svd(p, full_matrices=False)
             keep = sig > 1e-8 * sig[0]
             assert norm == pytest.approx(np.sum(sig), rel=1e-12)
@@ -186,7 +190,7 @@ def test_softmax_batches_match_lapack():
 
 def test_svd_deterministic():
     rng = np.random.default_rng(19)
-    a = rng.normal(size=(12, 7))
+    a = rng.normal(size=(1, 12, 7))
     r1 = linalg.svd(a)
     r2 = linalg.svd(a)
     assert np.array_equal(r1.u, r2.u)
@@ -196,16 +200,16 @@ def test_svd_deterministic():
 
 def test_svd_rejects_non_finite():
     with pytest.raises(ValueError):
-        linalg.svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        linalg.svd(np.array([[[1.0, np.nan], [0.0, 1.0]]]))
     with pytest.raises(ValueError):
-        linalg.svd(np.array([[np.inf, 0.0]]))
+        linalg.svd(np.array([[[np.inf, 0.0]]]))
 
 
 def test_svd_rejects_bad_shape():
     with pytest.raises(ValueError):
         linalg.svd(np.zeros(3))
     with pytest.raises(ValueError):
-        linalg.svd(np.zeros((0, 3)))
+        linalg.svd(np.zeros((1, 0, 3)))
 
 
 def test_nuclear_norm_identity():
@@ -237,10 +241,11 @@ def test_nuclear_norm_one_hot_all_compositions():
     # every way to distribute 4 one-hot rows over 4 classes
     comps = [c for c in itertools.product(range(5), repeat=4) if sum(c) == 4]
     assert len(comps) == 35
-    for counts in comps:
-        a = one_hot_matrix(counts, 4)
+    norms, _ = linalg.nuclear_norm_and_subgradient(
+        np.array([one_hot_matrix(counts, 4) for counts in comps]))
+    for counts, norm in zip(comps, norms):
         expected = sum(np.sqrt(n_c) for n_c in counts if n_c > 0)
-        assert nuclear_norm(a) == pytest.approx(expected, abs=1e-8)
+        assert norm == pytest.approx(expected, abs=1e-8)
 
 
 def test_nuclear_norm_scale_homogeneity():
@@ -274,41 +279,38 @@ def test_norm_bound_chain():
         assert nuc <= np.sqrt(min(m, n)) * fro + slack
 
 
-def subgradient(a):
-    return linalg.nuclear_norm_and_subgradient(a)[1]
-
-
 def test_subgradient_identity():
     np.testing.assert_allclose(
-        subgradient(np.eye(2)), np.eye(2), atol=1e-12)
+        linalg.nuclear_norm_and_subgradient(np.eye(2)[None])[1][0], np.eye(2),
+        atol=1e-12)
 
 
 def test_subgradient_diag_sign():
-    g = subgradient(np.diag([3.0, -4.0]))
+    g = linalg.nuclear_norm_and_subgradient(np.diag([3.0, -4.0])[None])[1][0]
     np.testing.assert_allclose(g, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_subgradient_zero_matrix():
-    g = subgradient(np.zeros((3, 5)))
+    g = linalg.nuclear_norm_and_subgradient(np.zeros((1, 3, 5)))[1][0]
     assert g.shape == (3, 5)
     assert np.all(g == 0.0)
 
 
 def test_subgradient_shape():
     rng = np.random.default_rng(37)
-    a = rng.normal(size=(7, 4))
-    assert subgradient(a).shape == (7, 4)
+    a = rng.normal(size=(1, 7, 4))
+    assert linalg.nuclear_norm_and_subgradient(a)[1][0].shape == (7, 4)
 
 
 def test_norm_and_subgradient_match_the_separate_kernels():
     rng = np.random.default_rng(38)
     for a in (rng.normal(size=(7, 4)), rng.normal(size=(3, 6)),
               np.zeros((4, 2)), np.outer([1.0, 2.0, 3.0], [1.0, -1.0])):
-        norm, sub = linalg.nuclear_norm_and_subgradient(a)
-        r = linalg.svd(a)
-        assert norm == float(np.sum(r.sigma))
-        keep = r.sigma > linalg.RANK_TOL * r.sigma[0]
-        assert np.array_equal(sub, r.u[:, keep] @ r.v[:, keep].T)
+        norms, subs = linalg.nuclear_norm_and_subgradient(a[None])
+        u, sigma, v = (field[0] for field in linalg.svd(a[None]))
+        assert norms[0] == float(np.sum(sigma))
+        keep = sigma > linalg.RANK_TOL * sigma[0]
+        assert np.array_equal(subs[0], u[:, keep] @ v[:, keep].T)
 
 
 def well_conditioned(rng, m, n, values):
@@ -335,7 +337,7 @@ def fd_nuclear_gradient(a, h=1e-5):
 def test_subgradient_matches_finite_differences():
     rng = np.random.default_rng(41)
     a = well_conditioned(rng, 8, 5, [5.0, 4.0, 3.0, 2.0, 1.0])
-    g = subgradient(a)
+    g = linalg.nuclear_norm_and_subgradient(a[None])[1][0]
     fd = fd_nuclear_gradient(a)
     rel = np.abs(g - fd) / np.maximum.reduce([np.abs(g), np.abs(fd), np.full_like(g, 1e-6)])
     assert np.max(rel) <= 1e-4
@@ -346,11 +348,11 @@ def test_subgradient_fd_random_when_spectrum_separated():
     checked = 0
     while checked < 5:
         a = rng.normal(size=(6, 4))
-        sig = linalg.svd(a).sigma
+        sig = linalg.svd(a[None]).sigma[0]
         gaps = -np.diff(sig)
         if np.min(gaps) <= 1e-3 * sig[0] or sig[-1] <= 1e-3 * sig[0]:
             continue
-        g = subgradient(a)
+        g = linalg.nuclear_norm_and_subgradient(a[None])[1][0]
         fd = fd_nuclear_gradient(a)
         rel = np.abs(g - fd) / np.maximum.reduce(
             [np.abs(g), np.abs(fd), np.full_like(g, 1e-6)])
@@ -361,7 +363,7 @@ def test_subgradient_fd_random_when_spectrum_separated():
 def test_frobenius_equals_root_sum_sigma_squared():
     rng = np.random.default_rng(47)
     a = rng.normal(size=(9, 6))
-    sig = linalg.svd(a).sigma
+    sig = linalg.svd(a[None]).sigma[0]
     assert np.linalg.norm(a) == pytest.approx(np.sqrt(np.sum(sig**2)), rel=1e-10)
 
 
@@ -372,12 +374,14 @@ def softmax_stack(rng, k, m, n, temperature=1.0):
 
 
 def assert_stacked_equals_single(stack):
+    """k matrices in one stack give, bit for bit, what k one-matrix stacks
+    give."""
     norms, subs = linalg.nuclear_norm_and_subgradient(stack)
     assert norms.shape == (len(stack),) and subs.shape == stack.shape
     for a, norm, sub in zip(stack, norms, subs):
-        one_norm, one_sub = linalg.nuclear_norm_and_subgradient(a)
-        assert norm == one_norm
-        assert np.array_equal(sub, one_sub)
+        one_norm, one_sub = linalg.nuclear_norm_and_subgradient(a[None])
+        assert norm == one_norm[0]
+        assert np.array_equal(sub, one_sub[0])
 
 
 def test_stacked_call_equals_single_calls_bit_for_bit():
@@ -423,5 +427,7 @@ def test_stacks_are_validated():
     with pytest.raises(ValueError, match="non-finite"):
         linalg.nuclear_norm_and_subgradient(
             np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]]))
-    with pytest.raises(ValueError, match="ndim=3"):
-        linalg.svd(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="ndim=2"):
+        linalg.svd(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="ndim=2"):
+        linalg.nuclear_norm_and_subgradient(np.eye(3))

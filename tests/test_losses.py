@@ -17,8 +17,8 @@ def from_logits(z):
 
 
 def two_view_diversity(pw, ps):
-    """A step's diversity term: the weak view's loss plus the strong view's."""
-    return losses.diversity_loss(pw).value + losses.diversity_loss(ps).value
+    """A step's diversity term: the loss of the (weak, strong) stack."""
+    return losses.diversity_loss(np.stack((pw, ps))).value
 
 
 def test_classification_perfect_prediction():
@@ -209,8 +209,8 @@ def test_diversity_permutation_invariance():
 def seed_diversity_loss(p):
     """The two-decompositions-per-matrix formula, kept as the oracle."""
     b = p.shape[0]
-    value = -linalg.nuclear_norm_and_subgradient(p)[0] / b
-    sub = linalg.nuclear_norm_and_subgradient(p)[1]
+    value = -linalg.nuclear_norm_and_subgradient(p[None])[0][0] / b
+    sub = linalg.nuclear_norm_and_subgradient(p[None])[1][0]
     grad = losses.softmax_backward(p, -sub / b)
     return float(value), grad
 
@@ -228,10 +228,10 @@ def test_diversity_bit_identical_to_two_decomposition_oracle():
              (rand_probs(rng, 40, 4), rand_probs(rng, 40, 4))]
     for pw, ps in cases:
         for p in (pw, ps):
-            lv = losses.diversity_loss(p)
+            lv = losses.diversity_loss(p[None])
             value, grad = seed_diversity_loss(p)
             assert lv.value == value
-            assert np.array_equal(lv.grad, grad)
+            assert np.array_equal(lv.grad[0], grad)
 
 
 def test_entropy_one_hot_rows():
@@ -286,10 +286,10 @@ def test_total_merges_gradients_per_pass():
     logits = rng.normal(size=(8, 4))
     p, log_p = from_logits(logits)
     l_u, _ = losses.consistency_loss(p[2:5], p[5:], log_p[5:], tau=0.1)
-    l_d = losses.diversity_loss(p[5:])
+    l_d = losses.diversity_loss(p[None, 5:])
     total = losses.total_loss(logits, np.array([0, 1]),
                               {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
-    expected_strong = 2.5 * l_u.grad + l_d.grad
+    expected_strong = 2.5 * l_u.grad + l_d.grad[0]
     np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
 
 
@@ -350,19 +350,20 @@ def test_diversity_gradient_finite_differences():
         zs = rng.normal(size=(6, 4))
         pw, ps = from_logits(zw)[0], from_logits(zs)[0]
         ok = True
-        for p in (pw, ps):
-            sig = linalg.svd(p).sigma
+        for sig in linalg.svd(np.stack((pw, ps))).sigma:
             gaps = -np.diff(sig)
             if np.min(gaps) <= 1e-3 * sig[0] or sig[-1] <= 1e-3 * sig[0]:
                 ok = False
         if not ok:
             continue
         fd_w = fd_logit_grad(
-            lambda zz: losses.diversity_loss(from_logits(zz)[0]).value, zw)
+            lambda zz: losses.diversity_loss(from_logits(zz)[0][None]).value,
+            zw)
         fd_s = fd_logit_grad(
-            lambda zz: losses.diversity_loss(from_logits(zz)[0]).value, zs)
-        assert rel_err(losses.diversity_loss(pw).grad, fd_w) <= 1e-4
-        assert rel_err(losses.diversity_loss(ps).grad, fd_s) <= 1e-4
+            lambda zz: losses.diversity_loss(from_logits(zz)[0][None]).value,
+            zs)
+        assert rel_err(losses.diversity_loss(pw[None]).grad[0], fd_w) <= 1e-4
+        assert rel_err(losses.diversity_loss(ps[None]).grad[0], fd_s) <= 1e-4
         tried += 1
 
 
@@ -463,9 +464,16 @@ def test_diversity_of_a_stack_equals_its_views_bit_for_bit():
                    (collapsed, rand_probs(rng, 8, 4)),
                    (np.eye(4)[np.arange(8) % 4], collapsed)):
         both = losses.diversity_loss(np.stack((pw, ps)))
-        weak, strong = losses.diversity_loss(pw), losses.diversity_loss(ps)
+        weak = losses.diversity_loss(pw[None])
+        strong = losses.diversity_loss(ps[None])
         assert both.value == weak.value + strong.value
-        assert np.array_equal(both.grad, np.stack((weak.grad, strong.grad)))
+        assert np.array_equal(both.grad,
+                              np.concatenate((weak.grad, strong.grad)))
+
+
+def test_diversity_loss_rejects_a_single_matrix():
+    with pytest.raises(ValueError, match="ndim=2"):
+        losses.diversity_loss(np.full((4, 2), 0.5))
 
 
 TAU = 0.5
@@ -520,9 +528,9 @@ def assembled_step(logits, labels, weights, weak, strong):
         grad[weak] += weights["entropy"] * lv.grad
     if "diversity" in weights:
         for rows in (weak, strong):
-            lv = losses.diversity_loss(probs[rows])
+            lv = losses.diversity_loss(probs[None, rows])
             values["diversity"] += lv.value
-            grad[rows] += weights["diversity"] * lv.grad
+            grad[rows] += weights["diversity"] * lv.grad[0]
     total = l_c.value
     for term in losses.TERMS:
         total += weights.get(term, 0.0) * values[term]

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import inspect
 import io
 import math
 import os
@@ -225,6 +226,17 @@ def test_cli_train_source_bad_loop_size_is_exit_1(cli_files, tmp_path, capsys,
                    flag, "0", "--out", str(out)])
     assert rc == 1
     assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_train_source_one_row_source_split_is_exit_1(tmp_path, capsys):
+    task_path, out = str(tmp_path / "task.txt"), tmp_path / "m.txt"
+    assert cli.main(["gen-data", "--n-source", "1", "--out", task_path]) == 0
+    rc = cli.main(["train-source", "--data", task_path, "--seed", "0",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "error: source split has 1 row; train_source needs at least 2 " \
+        "(one is held out for validation)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -634,6 +646,103 @@ def test_cli_batch_size_flags_exit_cleanly():
                     rows = list(csv.reader(f))
                 assert rows[0][0] == "method" and all(
                     row[-1] == "" for row in rows[1:5])  # no cell failed
+
+        check()
+
+
+# gen-data's count flags -> the words an error that rejects the count
+# names it by: its setting, or the split it sizes
+COUNT_NAMES = {"n_source": ("n_source", "split source", "source split"),
+               "shots": ("shots", "split labeled"),
+               "n_unlabeled": ("n_unlabeled", "split unlabeled"),
+               "n_test": ("n_test", "split test")}
+# what replaces a count that a draw breaks: the edge below 1, negatives
+# and 20-digit values of either sign, all rejected before any allocation
+BAD_COUNTS = [0, -1, -2, 10 ** 19, 10 ** 20 - 1, -10 ** 19, -(10 ** 20 - 1)]
+
+
+@st.composite
+def _gen_data_counts(draw):
+    """n_source, shots, n_unlabeled and n_test: each absent or small
+    (n_unlabeled sometimes one below or at its bound of 20 * shots *
+    classes rows), then up to two of them replaced from BAD_COUNTS."""
+    shots = draw(st.none() | st.integers(1, 4))
+    bound = 20 * (3 if shots is None else shots) * 4
+    counts = [draw(st.none() | st.integers(1, 60)), shots,
+              draw(st.none() | st.integers(1, 400)
+                   | st.sampled_from([bound - 1, bound])),
+              draw(st.none() | st.integers(1, 60))]
+    for i in draw(st.sets(st.integers(0, 3), max_size=2)):
+        counts[i] = draw(st.sampled_from(BAD_COUNTS))
+    return tuple(counts)
+
+
+def _rejected_counts(n_source, shots, n_unlabeled, n_test):
+    """The counts of a gen-data call that generate_task rejects."""
+    defaults = inspect.signature(data.generate_task).parameters
+    drawn = {"n_source": n_source, "shots": shots,
+             "n_unlabeled": n_unlabeled, "n_test": n_test}
+    n = {k: defaults[k].default if v is None else v for k, v in drawn.items()}
+    max_rows = np.iinfo(np.intp).max
+    rows = {"n_source": n["n_source"], "shots": 4 * n["shots"],
+            "n_unlabeled": n["n_unlabeled"], "n_test": n["n_test"]}
+    bad = {k for k, r in rows.items() if not 1 <= r <= max_rows}
+    if n["shots"] >= 1 and n["n_unlabeled"] < 20 * rows["shots"]:
+        bad.add("n_unlabeled")
+    return bad
+
+
+def test_cli_gen_data_counts_exit_cleanly():
+    """gen-data, then train-source --epochs 1 on the task it wrote, either
+    succeed and write a file that loads, or exit 1 with an error line
+    that names a count they reject, and write nothing."""
+    with tempfile.TemporaryDirectory() as root:
+
+        def run(argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            assert "Traceback" not in err.getvalue()
+            return rc, err.getvalue()
+
+        def check_error(err, rejected):
+            assert err.startswith("error: ")
+            assert any(word in err.splitlines()[0] for name in rejected
+                       for word in COUNT_NAMES[name]), (rejected, err)
+
+        @settings(max_examples=40, deadline=None)
+        @given(counts=_gen_data_counts())
+        @example(counts=(1, None, None, None))
+        @example(counts=(2, 1, 79, 1))
+        @example(counts=(2, 1, 80, 1))
+        @example(counts=(10 ** 19, None, None, -1))
+        @example(counts=(None, 10 ** 20 - 1, None, None))
+        def check(counts):
+            out = tempfile.mkdtemp(dir=root)
+            task_path = os.path.join(out, "task.txt")
+            argv = ["gen-data", "--out", task_path]
+            for flag, value in zip(("--n-source", "--shots", "--n-unlabeled",
+                                    "--n-test"), counts):
+                argv += [f"{flag}={value}"] if value is not None else []
+            rejected = _rejected_counts(*counts)
+            rc, err = run(argv)
+            assert rc == (1 if rejected else 0), err
+            if rc == 1:
+                check_error(err, rejected)
+                assert os.listdir(out) == []
+                return
+            data.load_task(task_path)
+            model_path = os.path.join(out, "model.txt")
+            rc, err = run(["train-source", "--data", task_path, "--seed", "0",
+                           "--epochs", "1", "--out", model_path])
+            n_source = 2000 if counts[0] is None else counts[0]
+            assert rc == (0 if n_source >= 2 else 1), err
+            if rc == 1:
+                check_error(err, {"n_source"})
+                assert os.listdir(out) == ["task.txt"]
+            else:
+                network.deserialize(read_text(model_path))
 
         check()
 

@@ -119,6 +119,15 @@ def test_train_source_rejects_bad_loop_sizes(task, kw, name):
         pipeline.train_source(task, seed=0, **kw)
 
 
+def test_train_source_rejects_a_one_row_source_split():
+    # the validation tenth takes the only row and leaves none to train on
+    task = data.generate_task(data.DomainShiftSpec(), n_source=1, seed=0)
+    with pytest.raises(ValueError, match=r"^source split has 1 row; "
+                       r"train_source needs at least 2 \(one is held out "
+                       r"for validation\)$"):
+        pipeline.train_source(task, seed=0, epochs=1)
+
+
 @pytest.mark.parametrize("kw,message", [
     ({"lr": float("nan")}, "learning_rate must be finite and positive"),
     ({"lr": float("inf")}, "learning_rate must be finite and positive")])
