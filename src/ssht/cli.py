@@ -94,7 +94,6 @@ def _add_adapt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labeled-batch", type=int,
                    help="defaults to min(labeled set size, unlabeled batch)")
     p.add_argument("--freeze-classifier", action="store_true")
-    p.add_argument("--labeled-aug", choices=pipeline.LABELED_AUG_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:

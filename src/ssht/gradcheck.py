@@ -58,19 +58,20 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def fd_param_grads(net: network.Network, scalar_fn: Callable[[], float],
-                   h: float = FD_STEP) -> np.ndarray:
-    """Central differences of scalar_fn w.r.t. every entry of net.flat."""
+def fd_param_grads(net: network.Network,
+                   scalar_fn: Callable[[], float]) -> np.ndarray:
+    """Central differences, of step FD_STEP, of scalar_fn w.r.t. every
+    entry of net.flat."""
     flat = net.flat
     out = np.empty_like(flat)
     for k in range(flat.size):
         orig = flat[k]
-        flat[k] = orig + h
+        flat[k] = orig + FD_STEP
         up = scalar_fn()
-        flat[k] = orig - h
+        flat[k] = orig - FD_STEP
         down = scalar_fn()
         flat[k] = orig
-        out[k] = (up - down) / (2.0 * h)
+        out[k] = (up - down) / (2.0 * FD_STEP)
     return out
 
 
@@ -85,10 +86,6 @@ def _spectrum_degenerate(views: np.ndarray) -> bool:
                 or (sigma[:, -1:] <= floor).any())
 
 
-def _tape(net, x):
-    return network.forward(net, x, keep=True)
-
-
 def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
     """Raw reverse mode against finite differences of sum(logits * G)."""
     rng = np.random.default_rng(seed)
@@ -97,7 +94,7 @@ def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
         net = _small_net(seed=1000 + t)
         x = rng.normal(size=(6, 3))
         g = rng.normal(size=(6, 3))
-        exact = network.backward(net, _tape(net, x), g)
+        exact = network.backward(net, network.forward(net, x, keep=True), g)
         fd = fd_param_grads(net, lambda: float(
             np.sum(network.forward(net, x) * g)))
         worst = max(worst, _rel_err(exact, fd))
@@ -120,7 +117,7 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
         net = _small_net(seed=int(rng.integers(2 ** 31)))
         yl = rng.integers(0, 3, size=4)
         x = rng.normal(size=(4 + 6 * n_views, 3))
-        tape = _tape(net, x)
+        tape = network.forward(net, x, keep=True)
         probs, _ = losses.softmax_and_log(tape.logits)
         views = probs[4:].reshape(n_views, 6, 3)  # weak first
         degenerate = "diversity" in weights and _spectrum_degenerate(views)

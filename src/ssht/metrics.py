@@ -16,16 +16,13 @@ def _distinct_per_row(values: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def aggregate_diversity(pred: np.ndarray, ys: np.ndarray,
-                        batch_size: int = 48, num_batches: int = 50,
-                        rng: np.random.Generator = None) -> float:
+def aggregate_diversity(pred: np.ndarray, ys: np.ndarray, batch_size: int,
+                        num_batches: int, rng: np.random.Generator) -> float:
     """Mean diversity ratio of predicted labels over random batches.
 
     Batch b is `rng.choice(n, batch_size, replace=False)`, drawn in batch
     order; the distinct classes of all batches are counted at once.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     pred = np.asarray(pred)
     ys = np.asarray(ys)
     if pred.shape != ys.shape or pred.ndim != 1:

@@ -24,11 +24,11 @@ pass that keeps no tape (evaluation, prediction) runs in blocks of at
 most FORWARD_BLOCK_ROWS rows, so that no matrix product grows tall
 enough for OpenBLAS to hand it to a second thread.
 
-The optimizer is SGD with nesterov momentum and decoupled-from-nothing
-weight decay (decay is folded into the gradient before the momentum
-update, the classic formulation). A step updates the parameters, and
-their velocity, as one vector each; freezing the classifier head, the
-tail of that vector, shortens both.
+The optimizer is SGD with Nesterov momentum and coupled L2 weight
+decay (added to the gradient before the momentum update, the classic
+formulation), at MOMENTUM and WEIGHT_DECAY unless told otherwise. A
+step updates the parameters, and their velocity, as one vector each;
+freezing the classifier head, the tail of that vector, shortens both.
 
 A model is an "ssht-model/1" document (see fileio, whose codec writes
 the spec), bit exact on a round trip; non-finite parameters fail load.
@@ -49,6 +49,10 @@ MODEL_FORMAT = "ssht-model/1"
 _format_shape, _parse_shape = CODECS[List[int]]
 
 ACTIVATIONS = ("tanh", "relu")
+
+# the SGD recipe of source training and of adaptation's defaults
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0005
 
 
 @dataclass
@@ -252,7 +256,6 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
 class SgdState:
     learning_rate: float
     momentum: float
-    nesterov: bool
     weight_decay: float
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -269,9 +272,8 @@ class SgdState:
 
 
 def init_sgd(net: Network, learning_rate: float, momentum: float,
-             nesterov: bool, weight_decay: float) -> SgdState:
-    state = SgdState(learning_rate=learning_rate, momentum=momentum,
-                     nesterov=nesterov, weight_decay=weight_decay,
+             weight_decay: float) -> SgdState:
+    state = SgdState(learning_rate, momentum, weight_decay,
                      velocity=np.zeros_like(net.flat))
     state.validate()
     return state
@@ -281,10 +283,10 @@ def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
              freeze_classifier: bool = False) -> None:
     """One optimizer step in place, from a gradient in the flat layout.
 
-    Weight decay is added to the raw gradient, then
+    With g the raw gradient plus weight_decay * param, the Nesterov
+    step is
         v <- momentum * v + g
-        update = momentum * v + g   (nesterov)  or  v
-        param <- param - lr * update
+        param <- param - lr * (momentum * v + g)
     With freeze_classifier, the classifier head (the tail of `flat`) and
     its velocity are skipped entirely. Every other entry of the gradient
     is checked before anything is written, so a rejected step leaves
@@ -303,9 +305,7 @@ def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
     g_eff += g  # g + decay * p: the sum commutes exactly
     v *= state.momentum
     v += g_eff
-    update = np.add(state.momentum * v, g_eff, out=g_eff) \
-        if state.nesterov else v
-    p -= state.learning_rate * update
+    p -= state.learning_rate * np.add(state.momentum * v, g_eff, out=g_eff)
 
 
 def serialize(net: Network) -> str:

@@ -1,9 +1,10 @@
 """End-to-end workflows around a serialized source model.
 
 train_source fits a classifier on the imbalanced source split (with a
-9:1 train/validation split, best-validation checkpointing and a fixed
-SGD recipe) and emits a model document. adapt consumes that document
-plus the target half of a task and runs one of five methods:
+9:1 train/validation split, best-validation checkpointing and SGD at
+network.MOMENTUM and network.WEIGHT_DECAY, adapt's defaults too) and
+emits a model document. adapt consumes that document plus the target
+half of a task and runs one of five methods:
 
   cdl        classification + thresholded consistency + batch
              nuclear-norm diversity on both unlabeled views
@@ -13,14 +14,15 @@ plus the target half of a task and runs one of five methods:
   ent        classification + entropy minimization on the weak view
 
 Each epoch draws all its steps' batches in one data.epoch_batches
-call, then augments each view once over all of them (the labeled rows,
-and the unlabeled views that losses.views_read names for the method's
-term weights, step_weights; each on its own random stream, under
-data.default_policy for the task). Each step stacks its slice of every
-view, runs them through one taped forward pass and losses.total_loss
-on its logits, and takes one backward pass from the single
-logit-gradient matrix that total_loss returns; total_loss finds the
-views' rows, in an epoch's shorter last step too, from the row count.
+call, then augments each view once over all of them (the labeled rows
+weakly, as FixMatch does, and the unlabeled views that
+losses.views_read names for the method's term weights, step_weights;
+each on its own random stream, under data.default_policy for the
+task). Each step stacks its slice of every view, runs them through one
+taped forward pass and losses.total_loss on its logits, and takes one
+backward pass from the single logit-gradient matrix that total_loss
+returns; total_loss finds the views' rows, in an epoch's shorter last
+step too, from the row count.
 gradcheck builds its method suites from the same two functions.
 
 The adaptation loop only ever sees an AdaptationView, which carries no
@@ -55,7 +57,6 @@ METHOD_TERMS = {"cdl": ("consistency", "diversity"),
                 "cdl_no_cl": ("diversity",), "cdl_no_dl": ("consistency",),
                 "s_plus_t": (), "ent": ("entropy",)}
 METHODS = tuple(METHOD_TERMS)
-LABELED_AUG_MODES = ("none", "weak")
 
 
 @dataclass
@@ -65,15 +66,13 @@ class AdaptConfig:
     lambda_u: float = 2.5
     lambda_d: float = 1.0
     lr: float = 0.005
-    momentum: float = 0.9
-    nesterov: bool = True
-    weight_decay: float = 0.0005
+    momentum: float = network.MOMENTUM
+    weight_decay: float = network.WEIGHT_DECAY
     labeled_batch: Optional[int] = None
     unlabeled_batch: int = 48
     epochs: int = 30
     seed: int = 0
     freeze_classifier: bool = False
-    labeled_aug: str = "weak"
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -81,8 +80,7 @@ class AdaptConfig:
                              f"got {self.method!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        network.SgdState(self.lr, self.momentum, self.nesterov,
-                         self.weight_decay).validate()
+        network.SgdState(self.lr, self.momentum, self.weight_decay).validate()
         for name in ("lambda_u", "lambda_d"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails it too
@@ -94,8 +92,6 @@ class AdaptConfig:
             raise ValueError("unlabeled_batch must be positive")
         if self.labeled_batch is not None and self.labeled_batch < 1:
             raise ValueError("labeled_batch must be positive when given")
-        if self.labeled_aug not in LABELED_AUG_MODES:
-            raise ValueError(f"labeled_aug must be one of {LABELED_AUG_MODES}")
 
 
 @dataclass
@@ -159,9 +155,9 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
                  batch_size: int = 96) -> str:
     """Fit on 90% of the source split, checkpoint on the other 10%.
 
-    The optimizer is SGD with nesterov momentum 0.9 and weight decay
-    0.0005. Returns the serialized model document of the epoch with the
-    best validation accuracy (earliest epoch wins ties). The counted
+    The optimizer is SGD at network.MOMENTUM and network.WEIGHT_DECAY.
+    Returns the serialized model document of the epoch with the best
+    validation accuracy (earliest epoch wins ties). The counted
     source accessor is used exactly once; a source split of fewer than
     2 rows, which leaves no training row, raises ValueError.
     """
@@ -178,8 +174,7 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     rng_split = np.random.default_rng(streams[0])
     rng_batch = np.random.default_rng(streams[2])
     net = network.init_network(spec, seed=int(streams[1].generate_state(1)[0]))
-    state = network.init_sgd(net, lr, momentum=0.9, nesterov=True,
-                             weight_decay=0.0005)
+    state = network.init_sgd(net, lr, network.MOMENTUM, network.WEIGHT_DECAY)
 
     source_x, source_y = task.source()
     n = source_x.shape[0]
@@ -270,12 +265,12 @@ def adapt(model_text: str, task, config: AdaptConfig
 
     streams = np.random.SeedSequence(config.seed).spawn(5)
     rng_batch = np.random.default_rng(streams[0])
-    rng_labeled_aug = np.random.default_rng(streams[1])
+    rng_labeled = np.random.default_rng(streams[1])
     rng_weak = np.random.default_rng(streams[2])
     rng_strong = np.random.default_rng(streams[3])
     rng_diversity = np.random.default_rng(streams[4])
 
-    state = network.init_sgd(net, config.lr, config.momentum, config.nesterov,
+    state = network.init_sgd(net, config.lr, config.momentum,
                              config.weight_decay)
     lb, ub = config.labeled_batch, config.unlabeled_batch
     steps = data.steps_per_epoch(view.num_unlabeled, ub)
@@ -296,8 +291,7 @@ def adapt(model_text: str, task, config: AdaptConfig
         # sliced per step: step i holds rows [i * lb, (i + 1) * lb) of
         # the labeled and [i * ub, (i + 1) * ub) of the unlabeled arrays
         xl, yl, xu = data.epoch_batches(view, lb, ub, rng_batch)
-        if config.labeled_aug == "weak":
-            xl = data.weak_augment_batch(xl, policy, rng_labeled_aug)
+        xl = data.weak_augment_batch(xl, policy, rng_labeled)
         xv = [fn(xu, policy, rng) for fn, rng in augment]
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
         for i in range(steps):

@@ -3,7 +3,10 @@
 The document, an "ssht-report/1" key-value document (see fileio),
 round-trips every RunReport field losslessly: write -> read -> write is
 byte identical; fileio's settings codec writes the config, and each
-epoch line holds its EpochRecord's other fields in field order. The
+epoch line holds its EpochRecord's other fields in field order. Keys
+the format does not name are ignored on read, so a report from before
+Nesterov momentum and the labeled rows' weak augmentation stopped being
+settings loads, and a rewrite drops its two lines for them. The
 sidecar at <path>.csv holds the per-epoch curves with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio

@@ -129,9 +129,8 @@ NON_DEFAULT_SHIFT = data.DomainShiftSpec(
     shift_scale=1.5, source_imbalance_ratio=4.0, noise_std=0.5)
 NON_DEFAULT_CONFIG = pipeline.AdaptConfig(
     method="ent", tau=0.5, lambda_u=1.0, lambda_d=0.25, lr=0.01,
-    momentum=0.5, nesterov=False, weight_decay=0.0, labeled_batch=5,
-    unlabeled_batch=16, epochs=2, seed=7, freeze_classifier=True,
-    labeled_aug="none")
+    momentum=0.5, weight_decay=0.0, labeled_batch=5, unlabeled_batch=16,
+    epochs=2, seed=7, freeze_classifier=True)
 
 
 @pytest.mark.parametrize("obj,default", [
@@ -196,11 +195,37 @@ def test_adapt_config_round_trips_through_a_report(labeled_batch):
         ("config.method", "ent"), ("config.tau", "0.5"),
         ("config.lambda_u", "1.0"), ("config.lambda_d", "0.25"),
         ("config.lr", "0.01"), ("config.momentum", "0.5"),
-        ("config.nesterov", "false"), ("config.weight_decay", "0.0"),
+        ("config.weight_decay", "0.0"),
         ("config.labeled_batch", str(labeled_batch)),
         ("config.unlabeled_batch", "16"), ("config.epochs", "2"),
-        ("config.seed", "7"), ("config.freeze_classifier", "true"),
-        ("config.labeled_aug", "none")]
+        ("config.seed", "7"), ("config.freeze_classifier", "true")]
+
+
+def _with_recipe_lines(text):
+    """text with the two config lines a report had while Nesterov
+    momentum and the labeled rows' weak augmentation were settings, at
+    the places that report's field order put them."""
+    after = {"config.momentum": "config.nesterov = true",
+             "config.freeze_classifier": "config.labeled_aug = weak"}
+    lines = []
+    for line in text.splitlines():
+        lines.append(line)
+        key = line.partition(" = ")[0]
+        if key in after:
+            lines.append(after[key])
+    return "\n".join(lines) + "\n"
+
+
+def test_report_with_the_removed_recipe_settings_still_loads():
+    text = _report_text()
+    old = _with_recipe_lines(text)
+    assert old.splitlines()[0] == text.splitlines()[0] == "ssht-report/1"
+    dropped = set(old.splitlines()) - set(text.splitlines())
+    assert dropped == {"config.nesterov = true", "config.labeled_aug = weak"}
+    assert len(old.splitlines()) == len(text.splitlines()) + 2
+    loaded = reports.deserialize_report(old)
+    assert loaded == reports.deserialize_report(text)
+    assert reports.serialize_report(loaded) == text
 
 
 def test_int_given_to_a_float_setting_is_written_as_a_float():

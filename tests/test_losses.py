@@ -368,9 +368,11 @@ def test_diversity_gradient_finite_differences():
 
 
 def _one_batch_ratio(pred, true):
-    """The diversity ratio of one batch: all rows, drawn once."""
+    """The diversity ratio of one batch: all rows, drawn once, so the
+    draw's order, and with it the generator, leaves the ratio as is."""
     return metrics.aggregate_diversity(np.asarray(pred), np.asarray(true),
-                                       batch_size=len(true), num_batches=1)
+                                       batch_size=len(true), num_batches=1,
+                                       rng=np.random.default_rng(0))
 
 
 def test_diversity_ratio_collapsed():
@@ -445,7 +447,8 @@ def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
 def test_aggregate_diversity_rejects_no_batches():
     with pytest.raises(ValueError):
         metrics.aggregate_diversity(np.zeros(4, int), np.zeros(4, int),
-                                    batch_size=2, num_batches=0)
+                                    batch_size=2, num_batches=0,
+                                    rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("pred,ys", [(np.zeros(4, int), np.zeros(5, int)),
@@ -453,7 +456,8 @@ def test_aggregate_diversity_rejects_no_batches():
                                       np.zeros((4, 2), int))])
 def test_aggregate_diversity_rejects_mismatched_labels(pred, ys):
     with pytest.raises(ValueError, match="label vectors"):
-        metrics.aggregate_diversity(pred, ys, batch_size=2, num_batches=1)
+        metrics.aggregate_diversity(pred, ys, batch_size=2, num_batches=1,
+                                    rng=np.random.default_rng(0))
 
 
 def test_diversity_of_a_stack_equals_its_views_bit_for_bit():

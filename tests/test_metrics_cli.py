@@ -1,5 +1,6 @@
 """Report persistence and command-line round-trip tests."""
 
+import argparse
 import contextlib
 import csv
 import functools
@@ -8,7 +9,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -513,6 +514,37 @@ def test_cli_usage_error_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["adapt", "ablate"])
+def test_cli_labeled_aug_flag_is_a_usage_error(cli_files, tmp_path, capsys,
+                                               command):
+    _, task_path, model_path = cli_files
+    files = {"adapt": ["--seed", "0", "--out-model", str(tmp_path / "m.txt"),
+                       "--report", str(tmp_path / "r.txt")],
+             "ablate": ["--seeds", "0", "--out", str(tmp_path / "x.csv")]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--model", model_path, "--data", task_path]
+                 + files[command] + ["--labeled-aug", "weak"])
+    assert exc.value.code == 2
+    assert "--labeled-aug" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _destinations(command):
+    """The destinations of one subcommand's arguments."""
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def test_every_adapt_setting_has_a_flag():
+    """No AdaptConfig field is settable from the library only: each is
+    a destination of adapt, and of ablate but for the method and the
+    seed, which its --methods and --seeds lists give."""
+    names = {f.name for f in fields(pipeline.AdaptConfig)}
+    assert names - _destinations("adapt") == set()
+    assert names - _destinations("ablate") == {"method", "seed"}
+
+
 def test_cli_gradcheck_failure_is_exit_3(monkeypatch, capsys):
     from ssht import gradcheck
 
@@ -587,18 +619,56 @@ def _batch_size(split: int):
         st.sampled_from(twenty_digits + [-v for v in twenty_digits])
 
 
+def _small_cli_files(root):
+    """A task with N_LABELED labeled and N_UNLABELED unlabeled rows, and
+    a 1-epoch source model of it, written under root: their paths."""
+    task_path = os.path.join(root, "task.txt")
+    model_path = os.path.join(root, "model.txt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--n-source", "200", "--n-unlabeled",
+                         str(N_UNLABELED), "--n-test", "100",
+                         "--out", task_path]) == 0
+        assert cli.main(["train-source", "--data", task_path, "--seed", "0",
+                         "--epochs", "1", "--out", model_path]) == 0
+    return task_path, model_path
+
+
+def _adapt_argv(command, task_path, model_path, out):
+    """adapt (cdl) or ablate (its default grid) at --epochs 1 and seed 0,
+    writing into the directory out."""
+    argv = [command, "--model", model_path, "--data", task_path,
+            "--epochs", "1"]
+    if command == "adapt":
+        return argv + ["--seed", "0", "--method", "cdl",
+                       "--out-model", os.path.join(out, "m.txt"),
+                       "--report", os.path.join(out, "r.txt")]
+    return argv + ["--seeds", "0", "--out", os.path.join(out, "g.csv")]
+
+
+def _check_written(command, out):
+    """Check that the files a successful adapt or ablate wrote into out
+    load and that no grid cell failed; return adapt's report."""
+    written = sorted(os.listdir(out))
+    if command == "adapt":
+        assert written == ["m.txt", "r.txt", "r.txt.csv"]
+        network.deserialize(read_text(os.path.join(out, "m.txt")))
+        report = reports.read_report(os.path.join(out, "r.txt"))
+        with open(os.path.join(out, "r.txt.csv")) as f:
+            assert len(list(csv.reader(f))) == 1 + len(report.records)
+        return report
+    assert written == ["g.csv"]
+    with open(os.path.join(out, "g.csv")) as f:
+        rows = list(csv.reader(f))
+    assert rows[0][0] == "method" and len(rows) == 11
+    assert all(row[-1] == "" for row in rows[1:5])
+    return None
+
+
 def test_cli_batch_size_flags_exit_cleanly():
     """adapt and ablate at --epochs 1 either succeed and write files that
     load, or exit 1 with an error line and write nothing."""
     with tempfile.TemporaryDirectory() as root:
-        task_path = os.path.join(root, "task.txt")
-        model_path = os.path.join(root, "model.txt")
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["gen-data", "--n-source", "200", "--n-unlabeled",
-                             str(N_UNLABELED), "--n-test", "100",
-                             "--out", task_path]) == 0
-            assert cli.main(["train-source", "--data", task_path, "--seed",
-                             "0", "--epochs", "1", "--out", model_path]) == 0
+        task_path, model_path = _small_cli_files(root)
 
         @settings(max_examples=60, deadline=None)
         @given(command=st.sampled_from(["adapt", "ablate"]),
@@ -610,14 +680,7 @@ def test_cli_batch_size_flags_exit_cleanly():
         @example(command="ablate", lb=1, ub=1)
         def check(command, lb, ub):
             out = tempfile.mkdtemp(dir=root)
-            argv = [command, "--model", model_path, "--data", task_path,
-                    "--epochs", "1"]
-            if command == "adapt":
-                argv += ["--seed", "0", "--method", "cdl",
-                         "--out-model", os.path.join(out, "m.txt"),
-                         "--report", os.path.join(out, "r.txt")]
-            else:
-                argv += ["--seeds", "0", "--out", os.path.join(out, "g.csv")]
+            argv = _adapt_argv(command, task_path, model_path, out)
             argv += [f"--labeled-batch={lb}"] if lb is not None else []
             argv += [f"--unlabeled-batch={ub}"] if ub is not None else []
             err = io.StringIO()
@@ -630,22 +693,83 @@ def test_cli_batch_size_flags_exit_cleanly():
                 1 <= ub <= N_UNLABELED
             assert "Traceback" not in err.getvalue()
             assert rc == (0 if fits else 1), err.getvalue()
-            written = sorted(os.listdir(out))
             if rc == 1:
                 assert err.getvalue().startswith("error: ")
-                assert written == []
-            elif command == "adapt":
-                assert written == ["m.txt", "r.txt", "r.txt.csv"]
-                network.deserialize(read_text(os.path.join(out, "m.txt")))
-                reports.read_report(os.path.join(out, "r.txt"))
-                with open(os.path.join(out, "r.txt.csv")) as f:
-                    assert len(list(csv.reader(f))) == 2  # header, epoch 1
-            else:
-                assert written == ["g.csv"]
-                with open(os.path.join(out, "g.csv")) as f:
-                    rows = list(csv.reader(f))
-                assert rows[0][0] == "method" and all(
-                    row[-1] == "" for row in rows[1:5])  # no cell failed
+                assert os.listdir(out) == []
+                return
+            report = _check_written(command, out)
+            if report is not None:
+                assert len(report.records) == 1
+
+        check()
+
+
+# adapt's real-valued setting flags -> the word an error that rejects the
+# value names it by (lr is the optimizer's learning_rate)
+FLOAT_SETTINGS = {"--tau": "tau", "--lambda-u": "lambda_u",
+                  "--lambda-d": "lambda_d", "--lr": "learning_rate",
+                  "--momentum": "momentum", "--weight-decay": "weight_decay"}
+FLOAT_VALUES = ["0", "-0.0", "0.5", "1", "-1", "nan", "inf", "-inf", "1e308"]
+
+
+def _validate_error(values):
+    """The message AdaptConfig.validate gives for the drawn values (flag ->
+    text), or None if it accepts them."""
+    config = pipeline.AdaptConfig(**{flag[2:].replace("-", "_"): float(v)
+                                     for flag, v in values.items()})
+    try:
+        config.validate()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_cli_float_setting_flags_exit_cleanly():
+    """adapt and ablate at --epochs 1, each real-valued setting absent or
+    set to an edge value: exit 1 with AdaptConfig.validate's error,
+    which names a rejected setting, and write nothing; or exit 0 and
+    write files that load, with a warning if the run aborted (a huge
+    learning rate or weight makes the loss non-finite)."""
+    with tempfile.TemporaryDirectory() as root:
+        task_path, model_path = _small_cli_files(root)
+
+        @settings(max_examples=80, deadline=None)
+        @given(command=st.sampled_from(["adapt", "ablate"]),
+               values=st.fixed_dictionaries(
+                   {}, optional={flag: st.sampled_from(FLOAT_VALUES)
+                                 for flag in FLOAT_SETTINGS}))
+        @example(command="adapt", values={})
+        @example(command="adapt", values={"--lr": "1e308"})
+        @example(command="ablate", values={"--lambda-u": "1e308"})
+        @example(command="adapt", values={"--weight-decay": "1e308"})
+        @example(command="adapt", values={"--momentum": "-0.0", "--tau": "1"})
+        @example(command="ablate", values={"--tau": "-0.0", "--lr": "nan"})
+        def check(command, values):
+            out = tempfile.mkdtemp(dir=root)
+            argv = _adapt_argv(command, task_path, model_path, out)
+            argv += [f"{flag}={v}" for flag, v in values.items()]
+            err = io.StringIO()
+            # a diverging run overflows on its way to the abort
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                rc = cli.main(argv)
+            err = err.getvalue()
+            assert "Traceback" not in err
+            expected = _validate_error(values)
+            assert rc == (0 if expected is None else 1), err
+            if rc == 1:
+                assert err == f"error: {expected}\n"
+                assert any(FLOAT_SETTINGS[flag] in err
+                           for flag, v in values.items()
+                           if _validate_error({flag: v}) is not None), err
+                assert os.listdir(out) == []
+                return
+            report = _check_written(command, out)
+            if report is not None and report.aborted_epoch is not None:
+                assert err.startswith("warning: run aborted at epoch 1 ")
+            elif report is not None:
+                assert err == ""
 
         check()
 

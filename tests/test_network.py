@@ -271,9 +271,8 @@ def test_network_copies_the_callers_arrays():
         network.Network(small_spec(), [a.T for a in arrays])
 
 
-def _sgd(net, learning_rate, momentum=0.9, nesterov=True, weight_decay=0.0):
-    return network.init_sgd(net, learning_rate, momentum, nesterov,
-                            weight_decay)
+def _sgd(net, learning_rate, momentum=0.9, weight_decay=0.0):
+    return network.init_sgd(net, learning_rate, momentum, weight_decay)
 
 
 def _per_tensor_sgd_step(params, grads, velocity, state, freeze_classifier):
@@ -283,19 +282,17 @@ def _per_tensor_sgd_step(params, grads, velocity, state, freeze_classifier):
         g_eff = g + state.weight_decay * p
         v *= state.momentum
         v += g_eff
-        update = state.momentum * v + g_eff if state.nesterov else v
-        p -= state.learning_rate * update
+        p -= state.learning_rate * (state.momentum * v + g_eff)
 
 
-@pytest.mark.parametrize("nesterov,decay,freeze", [
-    (True, 0.0, False),
-    (False, 0.0, False),
-    (True, 5e-4, False),
-    (False, 5e-4, True),
-], ids=["nesterov", "plain-momentum", "weight-decay", "frozen-classifier"])
-def test_flat_sgd_matches_per_tensor_loop(nesterov, decay, freeze):
+@pytest.mark.parametrize("decay,freeze", [
+    (0.0, False),
+    (5e-4, False),
+    (5e-4, True),
+], ids=["nesterov", "weight-decay", "frozen-classifier"])
+def test_flat_sgd_matches_per_tensor_loop(decay, freeze):
     net = network.init_network(small_spec(), seed=33)
-    state = _sgd(net, 0.05, nesterov=nesterov, weight_decay=decay)
+    state = _sgd(net, 0.05, weight_decay=decay)
     params = [p.copy() for p in net.params]
     velocity = [np.zeros_like(p) for p in params]
     rng = np.random.default_rng(34)
@@ -318,9 +315,10 @@ def test_sgd_zero_lr_is_identity():
 
 
 def test_sgd_plain_step():
+    # at momentum 0 the Nesterov update is the gradient itself
     net = network.init_network(small_spec(), seed=9)
     before = net.flat.copy()
-    state = _sgd(net, 1.0, momentum=0.0, nesterov=False)
+    state = _sgd(net, 1.0, momentum=0.0)
     network.sgd_step(net, np.full_like(net.flat, 0.25), state)
     np.testing.assert_allclose(before - net.flat, 0.25, rtol=1e-12)
 
@@ -426,8 +424,8 @@ def test_sgd_rejects_a_gradient_of_the_wrong_shape():
     ("weight_decay", np.inf)])
 def test_init_sgd_rejects_bad_hyperparameters(field, value):
     net = network.init_network(small_spec(), seed=16)
-    kw = {"learning_rate": 0.1, "momentum": 0.9, "nesterov": True,
-          "weight_decay": 0.0, field: value}
+    kw = {"learning_rate": 0.1, "momentum": 0.9, "weight_decay": 0.0,
+          field: value}
     with pytest.raises(ValueError, match=f"{field} must .* got {value}"):
         network.init_sgd(net, **kw)
 

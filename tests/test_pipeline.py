@@ -103,6 +103,19 @@ def test_train_source_validation_quality(model_text):
     assert 1 <= int(net.meta["best_epoch"]) <= 30
 
 
+def test_source_training_and_adaptation_share_one_sgd_recipe(
+        monkeypatch, task, model_text):
+    recipes = []
+    init_sgd = network.init_sgd
+    monkeypatch.setattr(network, "init_sgd", lambda net, *recipe: (
+        recipes.append(recipe) or init_sgd(net, *recipe)))
+    pipeline.train_source(task, seed=0, epochs=1, lr=0.01)
+    pipeline.adapt(model_text, task, short_config(epochs=1, lr=0.02))
+    assert recipes == [(0.01, network.MOMENTUM, network.WEIGHT_DECAY),
+                       (0.02, network.MOMENTUM, network.WEIGHT_DECAY)]
+    assert (network.MOMENTUM, network.WEIGHT_DECAY) == (0.9, 0.0005)
+
+
 def test_train_source_reads_source_once():
     task = data.generate_task(data.DomainShiftSpec(), seed=5)
     assert task.source_reads == 0
