@@ -205,8 +205,8 @@ def _cmd_adapt(args) -> int:
           f"over {len(report.records)} epochs")
     if report.aborted_epoch is not None:
         print(f"warning: run aborted at epoch {report.aborted_epoch} "
-              f"on a non-finite loss; model and report hold the last good "
-              f"epoch", file=sys.stderr)
+              f"({report.abort_reason}); model and report hold the last "
+              f"good epoch", file=sys.stderr)
     return 0
 
 

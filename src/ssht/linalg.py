@@ -25,7 +25,7 @@ RANK_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """An iteration failed to converge or produced non-finite values."""
+    """A computation produced, or would produce, non-finite values."""
 
 
 class SvdResult(NamedTuple):

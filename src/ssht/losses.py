@@ -253,9 +253,10 @@ def total_loss(logits: np.ndarray, labels: np.ndarray,
         lv = diversity_loss(p[n_l:].reshape(2, n, c))
         add("diversity", slice(n_l, None), lv.value,
             lv.grad.reshape(2 * n, c))
-    total = l_c.value
+    # numpy scalars, so that np.errstate sees an overflow of the sum
+    total = np.float64(l_c.value)
     for term in TERMS:
-        total += weights.get(term, 0.0) * values[term]
+        total += np.float64(weights.get(term, 0.0)) * values[term]
     return StepLoss(l_c=l_c.value,
                     l_u=values["consistency"] + values["entropy"],
                     l_d=values["diversity"], total=float(total),

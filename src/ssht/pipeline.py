@@ -29,9 +29,10 @@ The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
 task are counted, so the source-free contract is testable.
 
-A step that meets a non-finite loss or gradient aborts the run: the
-parameters roll back to the end of the last completed epoch (the source
-model's if none completed), and that state is returned and evaluated.
+Both training loops run their steps under np.errstate(**STEP_ERRORS).
+In adapt, a step that overflows, divides by zero or makes a NaN rolls
+the model back to its last epoch end (the source model if none), which
+is returned and evaluated; the report names the step and the reason.
 
 Per-epoch prediction-diversity is measured on held-out test batches,
 from the predictions of that epoch's test evaluation.
@@ -57,6 +58,10 @@ METHOD_TERMS = {"cdl": ("consistency", "diversity"),
                 "cdl_no_cl": ("diversity",), "cdl_no_dl": ("consistency",),
                 "s_plus_t": (), "ent": ("entropy",)}
 METHODS = tuple(METHOD_TERMS)
+
+# the floating-point faults that abort a training step; underflow is not
+# one, since softmax_and_log's exponential underflows to 0 by design
+STEP_ERRORS = dict(all="raise", under="ignore")
 
 
 @dataclass
@@ -126,6 +131,7 @@ class RunReport:
     unlabeled_weak_passes: int = 0
     unlabeled_strong_passes: int = 0
     aborted_epoch: Optional[int] = None
+    abort_reason: Optional[str] = None  # "step S: <numpy's message>"
 
 
 def model_fingerprint(model_text: str) -> str:
@@ -195,15 +201,18 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     best_epoch = -1
     for epoch in range(1, epochs + 1):
         order = rng_batch.permutation(train_x.shape[0])
-        for start in range(0, order.size, bs):
-            idx = order[start:start + bs]
-            tape = network.forward(net, train_x[idx], keep=True)
-            lv = losses.classification_loss(
-                *losses.softmax_and_log(tape.logits), train_y[idx])
-            if not math.isfinite(lv.value):
-                raise NumericalError(f"source training diverged at epoch "
-                                     f"{epoch}, step {start // bs}")
-            network.sgd_step(net, network.backward(net, tape, lv.grad), state)
+        try:
+            with np.errstate(**STEP_ERRORS):
+                for start in range(0, order.size, bs):
+                    idx = order[start:start + bs]
+                    tape = network.forward(net, train_x[idx], keep=True)
+                    lv = losses.classification_loss(
+                        *losses.softmax_and_log(tape.logits), train_y[idx])
+                    network.sgd_step(
+                        net, network.backward(net, tape, lv.grad), state)
+        except FloatingPointError as e:
+            raise NumericalError(f"source training diverged at epoch {epoch}, "
+                                 f"step {start // bs + 1}: {e}") from None
         val_acc = evaluate(net, val_x, val_y).accuracy
         if val_acc > best_acc:
             best_acc = val_acc
@@ -283,7 +292,6 @@ def adapt(model_text: str, task, config: AdaptConfig
 
     report = RunReport(config=config,
                        model_fingerprint=model_fingerprint(model_text))
-    aborted = False
     good = net.flat.copy()  # the parameters as of the last epoch end
     final: Optional[EvalResult] = None  # test evaluation of good
     for epoch in range(1, config.epochs + 1):
@@ -294,32 +302,25 @@ def adapt(model_text: str, task, config: AdaptConfig
         xl = data.weak_augment_batch(xl, policy, rng_labeled)
         xv = [fn(xu, policy, rng) for fn, rng in augment]
         sums = np.zeros(5)  # l_c, l_u, l_d, total, mask_rate
-        for i in range(steps):
-            rows_l = slice(i * lb, (i + 1) * lb)
-            rows_u = slice(i * ub, (i + 1) * ub)
-            report.unlabeled_weak_passes += "weak" in views
-            report.unlabeled_strong_passes += "strong" in views
-            tape = network.forward(
-                net, np.concatenate([xl[rows_l]] + [x[rows_u] for x in xv]),
-                keep=True)
-            if not np.isfinite(tape.logits).all():
-                aborted = True
-                break
-            step = losses.total_loss(tape.logits, yl[rows_l], weights,
-                                     config.tau)
-            if not math.isfinite(step.total):
-                aborted = True
-                break
-            try:
-                network.sgd_step(net, network.backward(net, tape, step.grad),
-                                 state, config.freeze_classifier)
-            except NumericalError:
-                aborted = True
-                break
-            sums += (step.l_c, step.l_u, step.l_d, step.total, step.mask_rate)
-
-        if aborted:
+        try:
+            with np.errstate(**STEP_ERRORS):
+                for i in range(steps):
+                    rows_l = slice(i * lb, (i + 1) * lb)
+                    rows_u = slice(i * ub, (i + 1) * ub)
+                    report.unlabeled_weak_passes += "weak" in views
+                    report.unlabeled_strong_passes += "strong" in views
+                    tape = network.forward(net, np.concatenate(
+                        [xl[rows_l]] + [x[rows_u] for x in xv]), keep=True)
+                    step = losses.total_loss(tape.logits, yl[rows_l],
+                                             weights, config.tau)
+                    network.sgd_step(
+                        net, network.backward(net, tape, step.grad), state,
+                        config.freeze_classifier)
+                    sums += (step.l_c, step.l_u, step.l_d, step.total,
+                             step.mask_rate)
+        except FloatingPointError as e:
             report.aborted_epoch = epoch
+            report.abort_reason = f"step {i + 1}: {e}"
             net.flat[...] = good
             break
         final = evaluate(net, view.test_x, view.test_y)

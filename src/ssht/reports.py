@@ -3,11 +3,13 @@
 The document, an "ssht-report/1" key-value document (see fileio),
 round-trips every RunReport field losslessly: write -> read -> write is
 byte identical; fileio's settings codec writes the config, and each
-epoch line holds its EpochRecord's other fields in field order. Keys
-the format does not name are ignored on read, so a report from before
-Nesterov momentum and the labeled rows' weak augmentation stopped being
-settings loads, and a rewrite drops its two lines for them. The
-sidecar at <path>.csv holds the per-epoch curves with exactly the columns
+epoch line holds its EpochRecord's other fields in field order. Only an
+aborted run has an abort_reason line; a report without one (any from
+before the line existed) loads with None. Keys the format does not name
+are ignored on read, so a report from before Nesterov momentum and the
+labeled rows' weak augmentation stopped being settings loads, and a
+rewrite drops its two lines for them. The sidecar at <path>.csv holds
+the per-epoch curves with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -45,6 +47,8 @@ def serialize_report(report: RunReport) -> str:
                ("passes.unlabeled_strong", report.unlabeled_strong_passes),
                ("aborted_epoch", "none" if report.aborted_epoch is None
                 else report.aborted_epoch)]
+    if report.abort_reason is not None:
+        fields.append(("abort_reason", report.abort_reason))
     fields += [(f"epoch.{rec.epoch}",
                 format_floats([getattr(rec, f) for f in _EPOCH_FIELDS]))
                for rec in report.records]
@@ -100,7 +104,7 @@ def deserialize_report(text: str) -> RunReport:
         confusion=[flat[i * c:(i + 1) * c] for i in range(c)],
         unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", int),
         unlabeled_strong_passes=kv.parse("passes.unlabeled_strong", int),
-        aborted_epoch=aborted)
+        aborted_epoch=aborted, abort_reason=kv.get("abort_reason"))
 
 
 def read_report(path: str) -> RunReport:

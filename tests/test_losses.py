@@ -71,8 +71,8 @@ def test_classification_loss_is_exact_for_a_label_logit_trailing_by_1000():
 
 
 def test_total_loss_is_not_finite_when_a_logit_spread_overflows():
-    # no clamp hides the overflow: adapt sees a non-finite loss and rolls
-    # back to the last completed epoch
+    # no clamp hides the overflow: under adapt's floating-point guard it
+    # raises, and the run rolls back to the last completed epoch
     with pytest.warns(RuntimeWarning, match="overflow"):
         step = losses.total_loss(np.array([[1e308, -1e308]]), np.array([1]),
                                  {}, TAU)
@@ -291,6 +291,21 @@ def test_total_merges_gradients_per_pass():
                               {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
     expected_strong = 2.5 * l_u.grad + l_d.grad[0]
     np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
+
+
+def test_total_overflow_is_seen_by_np_errstate():
+    # the weighted terms are summed as numpy scalars, so an overflow of
+    # the total raises under a training loop's guard; in Python floats it
+    # would give inf, with a finite gradient, and raise nothing
+    logits = np.random.default_rng(4).normal(size=(8, 4))
+    labels = np.array([0, 1])
+    l_u = losses.total_loss(logits, labels, {"consistency": 1.0}, 0.1).l_u
+    assert 1.7e308 * l_u == math.inf  # the weighted term alone overflows
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            losses.total_loss(logits, labels,
+                              {"consistency": 1.7e308, "diversity": 1.0},
+                              tau=0.1)
 
 
 def fd_logit_grad(fn, z, h=1e-5):

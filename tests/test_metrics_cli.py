@@ -50,6 +50,30 @@ def test_report_round_trip_idempotent(small_report):
         assert a == b
 
 
+def test_aborted_report_round_trips_with_its_reason(task, model_text):
+    report, _ = pipeline.adapt(model_text, task,
+                               pipeline.AdaptConfig(lr=1e20, epochs=2))
+    assert report.aborted_epoch == 1
+    assert report.abort_reason.startswith("step ")
+    assert "overflow" in report.abort_reason
+    text = reports.serialize_report(report)
+    assert f"\nabort_reason = {report.abort_reason}\n" in text
+    loaded = reports.deserialize_report(text)
+    assert loaded == report
+    assert reports.serialize_report(loaded) == text
+
+
+def test_report_without_an_abort_reason_loads(small_report):
+    # a clean run writes no abort_reason line; a report written before the
+    # line existed, aborted or not, loads with abort_reason None
+    text = reports.serialize_report(small_report)
+    assert "abort_reason" not in text
+    assert reports.deserialize_report(text).abort_reason is None
+    aborted = text.replace("aborted_epoch = none", "aborted_epoch = 2")
+    loaded = reports.deserialize_report(aborted)
+    assert loaded.aborted_epoch == 2 and loaded.abort_reason is None
+
+
 def test_report_numpy_float_config_round_trips(small_report):
     cfg = replace(small_report.config, tau=np.float64(0.75))
     text = reports.serialize_report(replace(small_report, config=cfg))
@@ -252,6 +276,49 @@ def test_cli_train_source_non_finite_lr_is_exit_1(cli_files, tmp_path,
         assert f"error: learning_rate must be finite and positive, " \
             f"got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_train_source_diverging_lr_is_exit_1(cli_files, tmp_path,
+                                                 capsys):
+    # the step's floating-point guard turns the overflow into one error
+    # line: no numpy warning, no traceback, no model
+    _, task_path, _ = cli_files
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train-source", "--data", task_path, "--seed", "0",
+                   "--lr", "1e308", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: source training diverged at epoch 1, "
+                          "step ")
+    assert err.count("\n") == 1 and "overflow" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda-d", "--lr", "--weight-decay"])
+def test_cli_adapt_overflowing_step_aborts_with_only_the_warning(
+        cli_files, tmp_path, flag):
+    # --lambda-d 1e308 gives finite step losses whose epoch sum overflows;
+    # the other two overflow inside the step. Each run aborts: no total of
+    # -inf in the report or its CSV, no numpy warning on stderr.
+    _, task_path, model_path = cli_files
+    report_path = str(tmp_path / "r.txt")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(["adapt", "--model", model_path, "--data", task_path,
+                       "--seed", "0", "--epochs", "1", flag, "1e308",
+                       "--out-model", str(tmp_path / "m.txt"),
+                       "--report", report_path])
+    assert rc == 0
+    text = read_text(report_path)
+    assert "inf" not in text and "inf" not in read_text(report_path + ".csv")
+    report = reports.deserialize_report(text)
+    assert report.aborted_epoch == 1 and report.records == []
+    assert report.abort_reason.startswith("step ")
+    assert "overflow" in report.abort_reason
+    assert err.getvalue() == (f"warning: run aborted at epoch 1 "
+                              f"({report.abort_reason}); model and report "
+                              f"hold the last good epoch\n")
 
 
 # every adapt hyperparameter flag, with a value that NaN or inf slips past
@@ -728,8 +795,8 @@ def test_cli_float_setting_flags_exit_cleanly():
     """adapt and ablate at --epochs 1, each real-valued setting absent or
     set to an edge value: exit 1 with AdaptConfig.validate's error,
     which names a rejected setting, and write nothing; or exit 0 and
-    write files that load, with a warning if the run aborted (a huge
-    learning rate or weight makes the loss non-finite)."""
+    write files that load, with only the warning line on stderr if the
+    run aborted (a huge learning rate or weight overflows a step)."""
     with tempfile.TemporaryDirectory() as root:
         task_path, model_path = _small_cli_files(root)
 
@@ -749,10 +816,8 @@ def test_cli_float_setting_flags_exit_cleanly():
             argv = _adapt_argv(command, task_path, model_path, out)
             argv += [f"{flag}={v}" for flag, v in values.items()]
             err = io.StringIO()
-            # a diverging run overflows on its way to the abort
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err), \
-                    np.errstate(over="ignore", invalid="ignore"):
+                    contextlib.redirect_stderr(err):
                 rc = cli.main(argv)
             err = err.getvalue()
             assert "Traceback" not in err
@@ -767,8 +832,10 @@ def test_cli_float_setting_flags_exit_cleanly():
                 return
             report = _check_written(command, out)
             if report is not None and report.aborted_epoch is not None:
-                assert err.startswith("warning: run aborted at epoch 1 ")
-            elif report is not None:
+                assert err == (f"warning: run aborted at epoch 1 "
+                               f"({report.abort_reason}); model and report "
+                               f"hold the last good epoch\n")
+            else:
                 assert err == ""
 
         check()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ssht import data, linalg, losses, network, pipeline
-from ssht.linalg import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -295,9 +294,9 @@ def test_adapt_rejects_bad_config(task, model_text):
 
 def test_adapt_abort_on_divergence(task, model_text):
     cfg = short_config(lr=1e9, epochs=4, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep, text = pipeline.adapt(model_text, task, cfg)
+    rep, text = pipeline.adapt(model_text, task, cfg)
     assert rep.aborted_epoch is not None
+    assert rep.abort_reason.startswith("step ")
     assert len(rep.records) < cfg.epochs
     # the model and the final evaluation roll back to the last epoch end:
     # the state a run that stops there returns
@@ -305,12 +304,11 @@ def test_adapt_abort_on_divergence(task, model_text):
     assert rep.aborted_epoch == good + 1
     clean, clean_text = pipeline.adapt(model_text, task,
                                        replace(cfg, epochs=good))
-    assert clean.aborted_epoch is None
+    assert clean.aborted_epoch is None and clean.abort_reason is None
     assert rep.final_accuracy == clean.final_accuracy
     assert _same_params(text, clean_text)
     # a step size that diverges in the first epoch leaves the source model
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep, text = pipeline.adapt(model_text, task, replace(cfg, lr=1e20))
+    rep, text = pipeline.adapt(model_text, task, replace(cfg, lr=1e20))
     assert rep.aborted_epoch == 1 and rep.records == []
     assert _same_params(text, model_text)
     assert rep.final_accuracy == pipeline.evaluate(
@@ -328,13 +326,14 @@ def test_adapt_abort_rolls_back_to_last_epoch(monkeypatch, task, model_text):
     def failing(*args, **kwargs):
         calls.append(1)
         if len(calls) == steps + 5:
-            raise NumericalError("injected")
+            raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(network, "sgd_step", failing)
     rep, text = pipeline.adapt(model_text, task,
                                short_config(method="cdl", epochs=3))
     assert rep.aborted_epoch == 2
+    assert rep.abort_reason == "step 5: injected"
     assert rep.records == one.records
     assert rep.final_accuracy == one.final_accuracy
     assert rep.confusion == one.confusion
