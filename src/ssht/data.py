@@ -342,15 +342,15 @@ def epoch_batches(view, labeled_batch: int, unlabeled_batch: int,
     The unlabeled rows are a fresh permutation of the split, so an epoch
     touches every unlabeled sample exactly once. Labeled rows resample
     with replacement (the labeled set is tiny): after the permutation,
-    one draw per step, in step order. The caller checks the sizes
-    (check_batch_sizes).
+    one draw of all the epoch's labeled indices, which gives the same
+    values, and leaves the generator in the same state, as one draw per
+    step in step order. The caller checks the sizes (check_batch_sizes).
     """
     n_lab = view.labeled_x.shape[0]
     n_unl = view.unlabeled_x.shape[0]
     perm = rng.permutation(n_unl)
-    lab_idx = np.concatenate([
-        rng.integers(0, n_lab, size=labeled_batch)
-        for _ in range(steps_per_epoch(n_unl, unlabeled_batch))])
+    steps = steps_per_epoch(n_unl, unlabeled_batch)
+    lab_idx = rng.integers(0, n_lab, size=labeled_batch * steps)
     return (view.labeled_x[lab_idx], view.labeled_y[lab_idx],
             view.unlabeled_x[perm])
 

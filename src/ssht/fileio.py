@@ -105,7 +105,8 @@ def format_ints(values) -> str:
 
 
 def parse_floats(value: str) -> np.ndarray:
-    return np.array([float(t) for t in value.split()])
+    # numpy applies float() to each token of the list
+    return np.array(value.split(), dtype=float)
 
 
 def parse_ints(value: str) -> np.ndarray:

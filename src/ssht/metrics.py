@@ -5,6 +5,11 @@ classes divided by the number of distinct true classes in that batch.
 A collapsed model (everything mapped to the majority class) scores near
 1/C on balanced batches; a healthy model scores near 1. The ratio can
 exceed 1 when the model predicts more classes than the batch contains.
+
+The batches are consecutive slices of random permutations of the rows,
+the way data.epoch_batches draws unlabeled training batches: a few
+generator calls per measurement, whatever the number of batches, and a
+cost that does not depend on the class count.
 """
 
 import numpy as np
@@ -20,8 +25,12 @@ def aggregate_diversity(pred: np.ndarray, ys: np.ndarray, batch_size: int,
                         num_batches: int, rng: np.random.Generator) -> float:
     """Mean diversity ratio of predicted labels over random batches.
 
-    Batch b is `rng.choice(n, batch_size, replace=False)`, drawn in batch
-    order; the distinct classes of all batches are counted at once.
+    Each `rng.permutation(n)` gives `n // batch_size` disjoint batches,
+    its consecutive `batch_size`-row slices; the function draws
+    `ceil(num_batches / (n // batch_size))` permutations, one after
+    another, and keeps the first `num_batches` slices in draw order.
+    Every batch is a uniform sample without replacement. The distinct
+    classes of all batches are counted at once.
     """
     pred = np.asarray(pred)
     ys = np.asarray(ys)
@@ -33,8 +42,10 @@ def aggregate_diversity(pred: np.ndarray, ys: np.ndarray, batch_size: int,
         raise ValueError(f"batch_size must lie in [1, {n}]")
     if num_batches < 1:
         raise ValueError(f"num_batches must be positive, got {num_batches}")
-    idx = np.stack([rng.choice(n, size=batch_size, replace=False)
-                    for _ in range(num_batches)])
+    per_perm = n // batch_size
+    perms = [rng.permutation(n)[:per_perm * batch_size]
+             for _ in range(-(-num_batches // per_perm))]
+    idx = np.concatenate(perms).reshape(-1, batch_size)[:num_batches]
     ratios = _distinct_per_row(pred[idx]) / _distinct_per_row(ys[idx])
     total = 0.0
     for ratio in ratios.tolist():  # summed in batch order, as one by one

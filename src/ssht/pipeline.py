@@ -35,7 +35,10 @@ the model back to its last epoch end (the source model if none), which
 is returned and evaluated; the report names the step and the reason.
 
 Per-epoch prediction-diversity is measured on held-out test batches,
-from the predictions of that epoch's test evaluation.
+from the predictions of that epoch's test evaluation, on a random
+stream of its own: metrics.aggregate_diversity slices its batches from
+a few permutations, so an epoch's bookkeeping (its batches and its
+diversity batches) takes a handful of generator calls.
 The unlabeled split's private labels stay untouched during adaptation;
 suite-level diversity on the unlabeled split is computed afterwards
 through the counting accessor. run_ablation_suite runs adapt's checks

@@ -377,6 +377,25 @@ def test_epoch_batches_match_one_draw_per_step_bit_for_bit(lb, ub):
             assert g.shape == w.shape
 
 
+
+@pytest.mark.parametrize("n_lab,batch,steps",
+                         [(12, 12, 21), (12, 4, 75), (1, 1, 1), (7, 5, 3),
+                          (13, 3, 101), (2**32 + 15, 12, 21),
+                          (2**40 + 1, 7, 9)])
+def test_one_labeled_draw_per_epoch_is_the_per_step_stream(n_lab, batch,
+                                                           steps):
+    # epoch_batches' bit-identity with one draw per step rests on this
+    # numpy behaviour: a draw of batch * steps bounded integers gives
+    # the per-step draws' values and leaves the same generator state
+    for seed in range(20):
+        one, per_step = (np.random.default_rng(seed) for _ in range(2))
+        got = one.integers(0, n_lab, size=batch * steps)
+        want = np.concatenate([per_step.integers(0, n_lab, size=batch)
+                               for _ in range(steps)])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert one.bit_generator.state == per_step.bit_generator.state
+
 def test_task_round_trip(tmp_path):
     task = small_task(seed=21)
     path = str(tmp_path / "task.txt")

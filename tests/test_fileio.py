@@ -3,6 +3,7 @@ files, the settings codec and the atomic writer."""
 
 import dataclasses
 import os
+import re
 import stat
 from typing import Dict
 
@@ -116,6 +117,21 @@ def test_corrupted_line_loads_or_raises_its_format_error(fmt, draw):
         load("\n".join(lines) + "\n")
     except error:
         pass
+
+
+@pytest.mark.parametrize("value", [
+    "", "0.5 -0.0 5e-324 1.5e-310 1e400", "1_0 ١٢ Infinity +nan",
+    "1 0x10", "1__0", "nan(1)", "2.5 x"])
+def test_parse_floats_reads_each_token_as_float_does(value):
+    try:
+        want = [float(t) for t in value.split()]
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            fileio.parse_floats(value)
+        return
+    got = fileio.parse_floats(value)
+    assert got.dtype == float and got.shape == (len(want),)
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
 
 
 # ------------------------------------------------------------ settings codec

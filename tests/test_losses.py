@@ -451,12 +451,55 @@ def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
     got = metrics.aggregate_diversity(pred, ys, batch_size=batch_size,
                                       num_batches=num_batches,
                                       rng=np.random.default_rng(33))
+    # batch b is slice b % k of permutation b // k, k = 60 // batch_size
     draws = np.random.default_rng(33)
+    per_perm = 60 // batch_size
     total = 0.0
     for b in range(num_batches):
-        idx = draws.choice(60, size=batch_size, replace=False)
+        if b % per_perm == 0:
+            perm = draws.permutation(60)
+        idx = perm[(b % per_perm) * batch_size:][:batch_size]
         total += np.unique(pred[idx]).size / np.unique(ys[idx]).size
     assert got == total / num_batches
+
+
+class CountingGenerator:
+    """Forwards permutation to a real generator, keeps what it returned,
+    and fails on any other generator method."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.perms = []
+
+    def permutation(self, n):
+        perm = self._rng.permutation(n)
+        self.perms.append(perm.copy())
+        return perm
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unexpected generator call {name}")
+
+
+
+@pytest.mark.parametrize("n,batch_size,num_batches",
+                         [(1000, 48, 50), (60, 60, 4), (60, 31, 5),
+                          (60, 7, 20), (10, 1, 25), (50, 17, 1)])
+def test_aggregate_diversity_draws_whole_permutations(n, batch_size,
+                                                      num_batches):
+    # pred is the row number and every true label is 0, so a batch's
+    # ratio is its count of distinct rows
+    rng = CountingGenerator(0)
+    ratio = metrics.aggregate_diversity(np.arange(n), np.zeros(n, int),
+                                        batch_size, num_batches, rng)
+    per_perm = n // batch_size
+    assert len(rng.perms) == -(-num_batches // per_perm)
+    assert all(np.array_equal(np.sort(p), np.arange(n)) for p in rng.perms)
+    # every batch holds batch_size distinct rows
+    assert ratio == batch_size
+    # the batches cut from one permutation are disjoint
+    for perm in rng.perms:
+        cut = perm[:per_perm * batch_size].reshape(per_perm, batch_size)
+        assert np.unique(cut).size == cut.size
 
 
 def test_aggregate_diversity_rejects_no_batches():

@@ -1,5 +1,8 @@
 """Workflow tests: source training, adaptation methods, ablation suite."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -458,3 +461,29 @@ def test_adapt_makes_one_kernel_call_per_step_for_both_views(
     steps = data.steps_per_epoch(task.num_unlabeled, 48)
     assert len(shapes) == calls * steps
     assert all(len(s) == 3 and s[0] == 2 for s in shapes)
+
+
+# a 16-class source model (1 epoch) and its 1-epoch cdl adapt; prints a
+# digest of both model documents
+_WIDE_RUN = """
+import hashlib
+from ssht import data, pipeline
+task = data.generate_task(data.DomainShiftSpec(num_classes=16), seed=0)
+model = pipeline.train_source(task, seed=0, epochs=1)
+_, adapted = pipeline.adapt(model, task, pipeline.AdaptConfig(epochs=1))
+print(hashlib.sha256(model.encode()).hexdigest(),
+      hashlib.sha256(adapted.encode()).hexdigest())
+"""
+
+
+def test_models_do_not_depend_on_the_openblas_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    digests = [subprocess.run([sys.executable, "-c", _WIDE_RUN], env=e,
+                              capture_output=True, text=True,
+                              check=True).stdout
+               for e in (env, dict(env, OPENBLAS_NUM_THREADS="1"))]
+    assert digests[0] == digests[1]
+    assert len(digests[0].split()) == 2
