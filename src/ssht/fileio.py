@@ -101,7 +101,7 @@ def format_floats(values) -> str:
 
 
 def format_ints(values) -> str:
-    return " ".join(str(int(v)) for v in np.ravel(values))
+    return " ".join(map(str, np.ravel(values).tolist()))
 
 
 def parse_floats(value: str) -> np.ndarray:
@@ -110,7 +110,7 @@ def parse_floats(value: str) -> np.ndarray:
 
 
 def parse_ints(value: str) -> np.ndarray:
-    return np.array([int(t) for t in value.split()])
+    return np.array(list(map(int, value.split())))
 
 
 def _parse_bool(value: str) -> bool:

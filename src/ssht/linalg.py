@@ -11,12 +11,9 @@ largest left out of the subgradient.
 
 The decomposition is LAPACK's (numpy.linalg.svd), one batched call
 per stack, each matrix bit for bit what it gives alone; at these sizes
-the cost is the Python calls around it, not the arithmetic. Each
-matrix is first scaled by a power of two, exactly, so that LAPACK sees
-the same input for A and 2^k A.
+the cost is the Python calls around it, not the arithmetic.
 """
 
-import math
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -38,11 +35,9 @@ def svd(a) -> SvdResult:
     """Thin SVD of every matrix of a (k, rows, cols) stack, in one LAPACK
     call, deterministic for a given input; r = min(rows, cols).
 
-    Each matrix is first scaled by a power of two (exact) so its largest
-    entry lies in [1, 2), and its sigma is scaled back; a matrix whose
-    singular values overflow float64 raises NumericalError. A stack that
-    is not 3-D, has an empty dimension or a non-finite entry raises
-    ValueError.
+    A matrix whose singular values overflow float64 raises
+    NumericalError. A stack that is not 3-D, has an empty dimension or a
+    non-finite entry raises ValueError.
     """
     stack = np.asarray(a, dtype=np.float64)
     if stack.ndim != 3:
@@ -53,16 +48,12 @@ def svd(a) -> SvdResult:
                          f"got {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
-    scales = np.ldexp(0.5, np.frexp(np.abs(stack).max(axis=(1, 2)))[1])
-    u, sigma, vt = np.linalg.svd(stack / scales[:, None, None],
-                                 full_matrices=False)
-    if not all(math.isfinite(top * scale) for top, scale
-               in zip(sigma[:, 0].tolist(), scales.tolist())):
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    if not np.isfinite(sigma[:, 0]).all():
         _, rows, cols = stack.shape
         raise NumericalError(f"singular values of a {rows}x{cols} "
                              f"matrix overflow float64")
-    return SvdResult(u=u, sigma=sigma * scales[:, None],
-                     v=vt.transpose(0, 2, 1))
+    return SvdResult(u=u, sigma=sigma, v=vt.transpose(0, 2, 1))
 
 
 def nuclear_norm_and_subgradient(a) -> Tuple[np.ndarray, np.ndarray]:

@@ -210,11 +210,12 @@ def total_loss(logits: np.ndarray, labels: np.ndarray,
     that order. Rows that do not split into non-empty blocks, or rows
     left over when no term reads a view, raise ValueError. weights maps
     each term of TERMS the method uses to its weight: total =
-    classification + weight * term, summed in TERMS order. The logit
-    gradient starts as a zero matrix of the logits' shape, with the
-    classification gradient in the labeled rows; each term adds its
-    weighted gradient to the rows it read, the diversity term to both
-    views' rows in one addition.
+    classification + weight * term over the terms weights names, summed
+    in TERMS order. The logit gradient starts as a zero matrix of the
+    logits' shape, with the classification gradient in the labeled rows;
+    each term scales its own gradient by its weight in place and adds it
+    to the rows it read, the diversity term to both views' rows in one
+    addition.
     """
     views = views_read(weights)
     p, log_p = softmax_and_log(logits)
@@ -230,34 +231,32 @@ def total_loss(logits: np.ndarray, labels: np.ndarray,
     grad = np.zeros(p.shape)
     l_c = classification_loss(p[labeled], log_p[labeled], labels)
     grad[labeled] = l_c.grad
-    values = dict.fromkeys(TERMS, 0.0)
+    # numpy scalars, so that np.errstate sees an overflow of the sum
+    total = np.float64(l_c.value)
+    l_u = l_d = 0.0
     mask_rate = 0.0
-
-    def add(term: str, rows: slice, value: float, term_grad: np.ndarray
-            ) -> None:
-        values[term] += value
-        grad[rows] += weights[term] * term_grad
-
     if "consistency" in weights:
         lv, mask_rate = consistency_loss(p[weak], p[strong], log_p[strong],
                                          tau)
-        add("consistency", strong, lv.value, lv.grad)
+        lv.grad *= weights["consistency"]
+        grad[strong] += lv.grad
+        total += np.float64(weights["consistency"]) * lv.value
+        l_u += lv.value
     elif views:
         pw = p[weak]
         mask_rate = float((pw.max(axis=1) > tau).sum() / pw.shape[0])
     if "entropy" in weights:
         lv = entropy_loss(p[weak], log_p[weak])
-        add("entropy", weak, lv.value, lv.grad)
+        lv.grad *= weights["entropy"]
+        grad[weak] += lv.grad
+        total += np.float64(weights["entropy"]) * lv.value
+        l_u += lv.value
     if "diversity" in weights:
         c = p.shape[1]
         lv = diversity_loss(p[n_l:].reshape(2, n, c))
-        add("diversity", slice(n_l, None), lv.value,
-            lv.grad.reshape(2 * n, c))
-    # numpy scalars, so that np.errstate sees an overflow of the sum
-    total = np.float64(l_c.value)
-    for term in TERMS:
-        total += np.float64(weights.get(term, 0.0)) * values[term]
-    return StepLoss(l_c=l_c.value,
-                    l_u=values["consistency"] + values["entropy"],
-                    l_d=values["diversity"], total=float(total),
+        lv.grad *= weights["diversity"]
+        grad[n_l:] += lv.grad.reshape(2 * n, c)
+        total += np.float64(weights["diversity"]) * lv.value
+        l_d += lv.value
+    return StepLoss(l_c=l_c.value, l_u=l_u, l_d=l_d, total=float(total),
                     mask_rate=mask_rate, grad=grad)

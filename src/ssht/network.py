@@ -76,6 +76,10 @@ class NetworkSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, "
                              f"got {self.activation!r}")
+        size = sum(a * b + b for a, b in self.layer_dims())
+        if size * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ValueError(f"{self} has {size} parameters, more than numpy "
+                             f"can allocate")
 
     def layer_dims(self) -> List[Tuple[int, int]]:
         """(fan_in, fan_out) pairs for every layer, classifier last."""

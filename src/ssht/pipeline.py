@@ -29,7 +29,8 @@ The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
 task are counted, so the source-free contract is testable.
 
-Both training loops run their steps under np.errstate(**STEP_ERRORS).
+Both training loops run their steps under np.errstate(**STEP_ERRORS),
+train_source its validation passes too.
 In adapt, a step that overflows, divides by zero or makes a NaN rolls
 the model back to its last epoch end (the source model if none), which
 is returned and evaluated; the report names the step and the reason.
@@ -168,7 +169,9 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     Returns the serialized model document of the epoch with the best
     validation accuracy (earliest epoch wins ties). The counted
     source accessor is used exactly once; a source split of fewer than
-    2 rows, which leaves no training row, raises ValueError.
+    2 rows, which leaves no training row, raises ValueError. A step or
+    validation pass that overflows, divides by zero or makes a NaN
+    raises NumericalError naming the epoch and the step or validation.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -213,10 +216,12 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
                         *losses.softmax_and_log(tape.logits), train_y[idx])
                     network.sgd_step(
                         net, network.backward(net, tape, lv.grad), state)
+                start = None  # past the steps: the validation pass
+                val_acc = evaluate(net, val_x, val_y).accuracy
         except FloatingPointError as e:
+            where = "validation" if start is None else f"step {start // bs + 1}"
             raise NumericalError(f"source training diverged at epoch {epoch}, "
-                                 f"step {start // bs + 1}: {e}") from None
-        val_acc = evaluate(net, val_x, val_y).accuracy
+                                 f"{where}: {e}") from None
         if val_acc > best_acc:
             best_acc = val_acc
             best = net.flat.copy()

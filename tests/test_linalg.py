@@ -136,15 +136,6 @@ def test_svd_contract_property(a):
     check_sigma_matches_lapack(a, r.sigma[0])
 
 
-@settings(max_examples=40, deadline=None)
-@given(SIDES, SIDES, SEEDS, st.integers(-900, 900))
-def test_svd_power_of_two_scaling_is_exact(m, n, seed, k):
-    a = np.random.default_rng(seed).normal(size=(m, n))
-    r, rs = linalg.svd(a[None]), linalg.svd((a * 2.0 ** k)[None])
-    assert np.array_equal(rs.sigma, r.sigma * 2.0 ** k)
-    assert np.array_equal(rs.u, r.u) and np.array_equal(rs.v, r.v)
-
-
 def test_svd_near_rank_deficient_small_integers():
     # rank 2 with two equal columns: the null direction sits deep in
     # rounding noise, which must not leave a noise vector in U

@@ -938,6 +938,110 @@ def test_cli_gen_data_counts_exit_cleanly():
         check()
 
 
+# the rows train-source fits on in the small task: 90% of its 200 source
+# rows (the other 10% are its validation split)
+N_SOURCE_TRAIN = 180
+# --hidden values that are not comma-separated integers
+BAD_HIDDEN = ["", "3,,4", "4,", "x", "1.5"]
+
+
+def _width():
+    """A --hidden item or a --feature-dim value: an edge below 1, a small
+    width, or a 20-digit one of either sign."""
+    twenty_digits = [10 ** 19, 10 ** 20 - 1]
+    return st.sampled_from([0, -1, 1, 64]) | st.integers(-2, 64) | \
+        st.sampled_from(twenty_digits + [-v for v in twenty_digits])
+
+
+def _train_source_rejects(lr, batch_size, hidden, feature_dim):
+    """The words by which an error names each drawn train-source setting
+    that the command rejects: every width is at most 64 or 20 digits
+    long, and a 20-digit one makes a network numpy cannot allocate."""
+    bad = set()
+    if lr is not None and not 0.0 < float(lr) < math.inf:
+        bad.add("learning_rate")
+    if batch_size is not None and batch_size < 1:
+        bad.add("batch_size")
+    if isinstance(hidden, str):
+        bad.add("--hidden")
+    elif hidden is not None and not all(1 <= w <= 64 for w in hidden):
+        bad.add("hidden_dims")
+    if feature_dim is not None and not 1 <= feature_dim <= 64:
+        bad.add("feature_dim")
+    return bad
+
+
+def test_cli_train_source_flags_exit_cleanly():
+    """train-source --epochs 1 with its learning rate, batch size and
+    widths each absent or drawn: exit 1 with one error line naming a
+    rejected setting and write nothing, or take its steps. A run that
+    overflows (only a learning rate of 1e308 does) exits 1 with the
+    divergence error and writes nothing; every other run exits 0, prints
+    nothing on stderr and writes a model that loads with the widths
+    asked for."""
+    with tempfile.TemporaryDirectory() as root:
+        task_path, _ = _small_cli_files(root)
+
+        @settings(max_examples=80, deadline=None)
+        @given(lr=st.none() | st.sampled_from(FLOAT_VALUES),
+               batch_size=_batch_size(N_SOURCE_TRAIN),
+               hidden=st.none() | st.lists(_width(), min_size=1, max_size=3)
+               | st.sampled_from(BAD_HIDDEN),
+               feature_dim=st.none() | _width())
+        @example(lr="1e308", batch_size=None, hidden=None, feature_dim=None)
+        # one step per epoch: the validation pass overflows
+        @example(lr="1e308", batch_size=10 ** 19, hidden=None,
+                 feature_dim=None)
+        # one step per epoch: nothing overflows
+        @example(lr="1e308", batch_size=N_SOURCE_TRAIN, hidden=[64, 1],
+                 feature_dim=1)
+        @example(lr=None, batch_size=10 ** 19, hidden=[10 ** 20 - 1],
+                 feature_dim=None)
+        @example(lr=None, batch_size=None, hidden=[4 * 10 ** 18],
+                 feature_dim=None)
+        @example(lr=None, batch_size=None, hidden=None, feature_dim=10 ** 19)
+        @example(lr="0", batch_size=0, hidden="3,,4", feature_dim=0)
+        def check(lr, batch_size, hidden, feature_dim):
+            out = tempfile.mkdtemp(dir=root)
+            model_path = os.path.join(out, "m.txt")
+            argv = ["train-source", "--data", task_path, "--seed", "0",
+                    "--epochs", "1", "--out", model_path]
+            for flag, value in (("--lr", lr), ("--batch-size", batch_size),
+                                ("--feature-dim", feature_dim)):
+                argv += [f"{flag}={value}"] if value is not None else []
+            if hidden is not None:
+                text = hidden if isinstance(hidden, str) else \
+                    ",".join(map(str, hidden))
+                argv.append(f"--hidden={text}")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            err = err.getvalue()
+            assert "Traceback" not in err
+            rejected = _train_source_rejects(lr, batch_size, hidden,
+                                             feature_dim)
+            if rejected or rc == 1:
+                assert rc == 1, err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                if rejected:
+                    assert any(word in err for word in rejected), err
+                else:
+                    assert lr == "1e308", err
+                    assert err.startswith("error: source training diverged "
+                                          "at epoch 1, "), err
+                assert os.listdir(out) == []
+                return
+            assert rc == 0 and err == ""
+            spec = network.deserialize(read_text(model_path)).spec
+            if hidden is not None:
+                assert spec.hidden_dims == hidden
+            if feature_dim is not None:
+                assert spec.feature_dim == feature_dim
+
+        check()
+
+
 def _no_work(monkeypatch):
     """Make every entry point a command could start its work at fail."""
     def refuse(*args, **kwargs):

@@ -47,6 +47,41 @@ def test_init_validates_spec():
             network.NetworkSpec(2, [4], 4, 3, activation="gelu"), seed=0)
 
 
+@pytest.mark.parametrize("hidden,feature_dim", [
+    ([10 ** 20], 16),              # a dimension past numpy's index
+    ([4 * 10 ** 18], 16),          # indexable, but too many bytes
+    ([64, 64], 10 ** 19),
+    ([2 ** 30, 2 ** 30, 2 ** 30], 16),  # each tensor fits, the sum does not
+])
+def test_spec_numpy_cannot_allocate_is_rejected_naming_its_widths(
+        hidden, feature_dim):
+    spec = network.NetworkSpec(2, hidden, feature_dim, 4)
+    with pytest.raises(ValueError, match="more than numpy can allocate") as e:
+        spec.validate()
+    assert f"hidden_dims={hidden}, feature_dim={feature_dim}" in str(e.value)
+
+
+def test_spec_at_numpy_allocation_limit_validates():
+    # one float64 per parameter: a spec of exactly intp-max // 8
+    # parameters passes validate (it fails, if at all, at allocation)
+    limit = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    # 1 x h, h biases, h x 1, 1 bias, 1 x 2, 2 biases: 3h + 5 parameters
+    h = (limit - 5) // 3
+    network.NetworkSpec(1, [h], 1, 2).validate()
+    with pytest.raises(ValueError, match="numpy can allocate"):
+        network.NetworkSpec(1, [h + 1], 1, 2).validate()
+
+
+def test_model_file_with_an_unallocatable_spec_fails_at_load():
+    text = network.serialize(network.init_network(small_spec(), seed=18))
+    bad = text.replace("spec.hidden_dims = 5,4",
+                       f"spec.hidden_dims = 5,{10 ** 20}")
+    assert bad != text
+    with pytest.raises(network.ModelFormatError,
+                       match="more than numpy can allocate"):
+        network.deserialize(bad)
+
+
 def test_forward_zero_params():
     net = network.init_network(small_spec(), seed=1)
     for p in net.params:
