@@ -87,8 +87,6 @@ def _add_adapt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-u", type=float)
     p.add_argument("--lambda-d", type=float)
     p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--unlabeled-batch", type=int)
     p.add_argument("--labeled-batch", type=int,

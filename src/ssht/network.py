@@ -26,9 +26,10 @@ enough for OpenBLAS to hand it to a second thread.
 
 The optimizer is SGD with Nesterov momentum and coupled L2 weight
 decay (added to the gradient before the momentum update, the classic
-formulation), at MOMENTUM and WEIGHT_DECAY unless told otherwise. A
-step updates the parameters, and their velocity, as one vector each;
-freezing the classifier head, the tail of that vector, shortens both.
+formulation), always at MOMENTUM and WEIGHT_DECAY: only the learning
+rate is set per run. A step updates the parameters, and their
+velocity, as one vector each; freezing the classifier head, the tail
+of that vector, shortens both.
 
 A model is an "ssht-model/1" document (see fileio, whose codec writes
 the spec), bit exact on a round trip; non-finite parameters fail load.
@@ -49,7 +50,7 @@ _format_shape, _parse_shape = CODECS[List[int]]
 
 ACTIVATIONS = ("tanh", "relu")
 
-# the SGD recipe of source training and of adaptation's defaults
+# the SGD recipe of source training and adaptation alike
 MOMENTUM = 0.9
 WEIGHT_DECAY = 0.0005
 
@@ -258,26 +259,17 @@ def backward(net: Network, tape: Tape, logit_grad: np.ndarray) -> np.ndarray:
 @dataclass
 class SgdState:
     learning_rate: float
-    momentum: float
-    weight_decay: float
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def validate(self) -> None:
-        # chained comparisons, so that NaN fails them too
+        # a chained comparison, so that NaN fails it too
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and non-negative, "
-                             f"got {self.weight_decay}")
 
 
-def init_sgd(net: Network, learning_rate: float, momentum: float,
-             weight_decay: float) -> SgdState:
-    state = SgdState(learning_rate, momentum, weight_decay,
-                     velocity=np.zeros_like(net.flat))
+def init_sgd(net: Network, learning_rate: float) -> SgdState:
+    state = SgdState(learning_rate, velocity=np.zeros_like(net.flat))
     state.validate()
     return state
 
@@ -286,10 +278,10 @@ def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
              freeze_classifier: bool = False) -> None:
     """One optimizer step in place, from a gradient in the flat layout.
 
-    With g the raw gradient plus weight_decay * param, the Nesterov
+    With g the raw gradient plus WEIGHT_DECAY * param, the Nesterov
     step is
-        v <- momentum * v + g
-        param <- param - lr * (momentum * v + g)
+        v <- MOMENTUM * v + g
+        param <- param - lr * (MOMENTUM * v + g)
     With freeze_classifier, the classifier head (the tail of `flat`) and
     its velocity are skipped entirely. Nothing checks the arithmetic:
     pipeline's training loops run every step under np.errstate.
@@ -299,11 +291,11 @@ def sgd_step(net: Network, grad: np.ndarray, state: SgdState,
     live = net.offsets[-3] if freeze_classifier else net.flat.size
     g = grad[:live]
     p, v = net.flat[:live], state.velocity[:live]
-    g_eff = state.weight_decay * p
+    g_eff = WEIGHT_DECAY * p
     g_eff += g  # g + decay * p: the sum commutes exactly
-    v *= state.momentum
+    v *= MOMENTUM
     v += g_eff
-    p -= state.learning_rate * np.add(state.momentum * v, g_eff, out=g_eff)
+    p -= state.learning_rate * np.add(MOMENTUM * v, g_eff, out=g_eff)
 
 
 def serialize(net: Network) -> str:

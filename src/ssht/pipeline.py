@@ -2,9 +2,9 @@
 
 train_source fits a classifier on the imbalanced source split (with a
 9:1 train/validation split, best-validation checkpointing and SGD at
-network.MOMENTUM and network.WEIGHT_DECAY, adapt's defaults too) and
-emits a model document. adapt consumes that document plus the target
-half of a task and runs one of five methods:
+network.MOMENTUM and network.WEIGHT_DECAY, as in adapt) and emits a
+model document. adapt consumes that document plus the target half of a
+task and runs one of five methods:
 
   cdl        classification + thresholded consistency + batch
              nuclear-norm diversity on both unlabeled views
@@ -29,11 +29,12 @@ The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
 task are counted, so the source-free contract is testable.
 
-Both training loops run their steps under np.errstate(**STEP_ERRORS),
-train_source its validation passes too.
-In adapt, a step that overflows, divides by zero or makes a NaN rolls
-the model back to its last epoch end (the source model if none), which
-is returned and evaluated; the report names the step and the reason.
+Both training loops run each epoch's steps and evaluations under
+np.errstate(**STEP_ERRORS). In adapt, a step or evaluation that
+overflows, divides by zero or makes a NaN rolls the model back to its
+last epoch end (the source model if none), which is returned and gives
+the report's final evaluation; the report's abort_reason reads
+"step S: <numpy's message>" or "evaluation: <numpy's message>".
 
 Per-epoch prediction-diversity is measured on held-out test batches,
 from the predictions of that epoch's test evaluation, on a random
@@ -67,6 +68,11 @@ METHODS = tuple(METHOD_TERMS)
 # one, since softmax_and_log's exponential underflows to 0 by design
 STEP_ERRORS = dict(all="raise", under="ignore")
 
+# the prediction-diversity sample of adapt's epochs (test split) and of
+# the grid's cells (unlabeled split): batches of min(size, rows) rows
+DIVERSITY_BATCH_SIZE = 48
+DIVERSITY_BATCHES = 50
+
 
 @dataclass
 class AdaptConfig:
@@ -75,8 +81,6 @@ class AdaptConfig:
     lambda_u: float = 2.5
     lambda_d: float = 1.0
     lr: float = 0.005
-    momentum: float = network.MOMENTUM
-    weight_decay: float = network.WEIGHT_DECAY
     labeled_batch: Optional[int] = None
     unlabeled_batch: int = 48
     epochs: int = 30
@@ -89,7 +93,7 @@ class AdaptConfig:
                              f"got {self.method!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        network.SgdState(self.lr, self.momentum, self.weight_decay).validate()
+        network.SgdState(self.lr).validate()
         for name in ("lambda_u", "lambda_d"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails it too
@@ -135,7 +139,7 @@ class RunReport:
     unlabeled_weak_passes: int = 0
     unlabeled_strong_passes: int = 0
     aborted_epoch: Optional[int] = None
-    abort_reason: Optional[str] = None  # "step S: <numpy's message>"
+    abort_reason: Optional[str] = None  # "step S: ..." or "evaluation: ..."
 
 
 def model_fingerprint(model_text: str) -> str:
@@ -186,7 +190,7 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
     rng_split = np.random.default_rng(streams[0])
     rng_batch = np.random.default_rng(streams[2])
     net = network.init_network(spec, seed=int(streams[1].generate_state(1)[0]))
-    state = network.init_sgd(net, lr, network.MOMENTUM, network.WEIGHT_DECAY)
+    state = network.init_sgd(net, lr)
 
     source_x, source_y = task.source()
     n = source_x.shape[0]
@@ -287,8 +291,7 @@ def adapt(model_text: str, task, config: AdaptConfig
     rng_strong = np.random.default_rng(streams[3])
     rng_diversity = np.random.default_rng(streams[4])
 
-    state = network.init_sgd(net, config.lr, config.momentum,
-                             config.weight_decay)
+    state = network.init_sgd(net, config.lr)
     lb, ub = config.labeled_batch, config.unlabeled_batch
     steps = data.steps_per_epoch(view.num_unlabeled, ub)
     weights = step_weights(config)
@@ -326,16 +329,21 @@ def adapt(model_text: str, task, config: AdaptConfig
                         config.freeze_classifier)
                     sums += (step.l_c, step.l_u, step.l_d, step.total,
                              step.mask_rate)
+                i = None  # past the steps: the epoch's evaluations
+                test = evaluate(net, view.test_x, view.test_y)
+                labeled_acc = evaluate(net, view.labeled_x,
+                                       view.labeled_y).accuracy
+                div = metrics.aggregate_diversity(
+                    test.predictions, view.test_y,
+                    batch_size=min(DIVERSITY_BATCH_SIZE, len(view.test_y)),
+                    num_batches=DIVERSITY_BATCHES, rng=rng_diversity)
         except FloatingPointError as e:
             report.aborted_epoch = epoch
-            report.abort_reason = f"step {i + 1}: {e}"
+            where = "evaluation" if i is None else f"step {i + 1}"
+            report.abort_reason = f"{where}: {e}"
             net.flat[...] = good
             break
-        final = evaluate(net, view.test_x, view.test_y)
-        labeled_acc = evaluate(net, view.labeled_x, view.labeled_y).accuracy
-        div = metrics.aggregate_diversity(final.predictions, view.test_y,
-                                          batch_size=min(48, len(view.test_y)),
-                                          num_batches=50, rng=rng_diversity)
+        final = test
         m = sums / steps
         report.records.append(EpochRecord(
             epoch=epoch, l_c=float(m[0]), l_u=float(m[1]), l_d=float(m[2]),
@@ -399,7 +407,8 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
                                          task.unlabeled_x)
                 div = metrics.aggregate_diversity(
                     np.argmax(logits, axis=1), task.unlabeled_labels(),
-                    batch_size=min(48, task.num_unlabeled), num_batches=50,
+                    batch_size=min(DIVERSITY_BATCH_SIZE, task.num_unlabeled),
+                    num_batches=DIVERSITY_BATCHES,
                     rng=np.random.default_rng(10_000 + seed))
                 minority = report.per_class_accuracy[-1]
                 rows.append(SuiteRow(method=method, seed=seed,

@@ -6,10 +6,10 @@ byte identical; fileio's settings codec writes the config, and each
 epoch line holds its EpochRecord's other fields in field order. Only an
 aborted run has an abort_reason line; a report without one (any from
 before the line existed) loads with None. Keys the format does not name
-are ignored on read, so a report from before Nesterov momentum and the
-labeled rows' weak augmentation stopped being settings loads, and a
-rewrite drops its two lines for them. The sidecar at <path>.csv holds
-the per-epoch curves with exactly the columns
+are ignored on read, so a report written while Nesterov momentum, the
+labeled rows' weak augmentation, the momentum or the weight decay were
+settings loads, and a rewrite drops its lines for them. The sidecar at
+<path>.csv holds the per-epoch curves with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 

@@ -145,8 +145,8 @@ NON_DEFAULT_SHIFT = data.DomainShiftSpec(
     shift_scale=1.5, source_imbalance_ratio=4.0, noise_std=0.5)
 NON_DEFAULT_CONFIG = pipeline.AdaptConfig(
     method="ent", tau=0.5, lambda_u=1.0, lambda_d=0.25, lr=0.01,
-    momentum=0.5, weight_decay=0.0, labeled_batch=5, unlabeled_batch=16,
-    epochs=2, seed=7, freeze_classifier=True)
+    labeled_batch=5, unlabeled_batch=16, epochs=2, seed=7,
+    freeze_classifier=True)
 
 
 @pytest.mark.parametrize("obj,default", [
@@ -210,25 +210,27 @@ def test_adapt_config_round_trips_through_a_report(labeled_batch):
     assert fileio.format_settings("config", config) == [
         ("config.method", "ent"), ("config.tau", "0.5"),
         ("config.lambda_u", "1.0"), ("config.lambda_d", "0.25"),
-        ("config.lr", "0.01"), ("config.momentum", "0.5"),
-        ("config.weight_decay", "0.0"),
-        ("config.labeled_batch", str(labeled_batch)),
+        ("config.lr", "0.01"), ("config.labeled_batch", str(labeled_batch)),
         ("config.unlabeled_batch", "16"), ("config.epochs", "2"),
         ("config.seed", "7"), ("config.freeze_classifier", "true")]
 
 
+# the config lines a report had while the SGD recipe (Nesterov momentum,
+# the momentum and the weight decay) and the labeled rows' weak
+# augmentation were settings, each after the line its field followed
+RECIPE_LINES = {"config.lr": ["config.momentum = 0.9",
+                              "config.nesterov = true",
+                              "config.weight_decay = 0.0005"],
+                "config.freeze_classifier": ["config.labeled_aug = weak"]}
+
+
 def _with_recipe_lines(text):
-    """text with the two config lines a report had while Nesterov
-    momentum and the labeled rows' weak augmentation were settings, at
-    the places that report's field order put them."""
-    after = {"config.momentum": "config.nesterov = true",
-             "config.freeze_classifier": "config.labeled_aug = weak"}
+    """text with RECIPE_LINES at the places that report's field order
+    put them."""
     lines = []
     for line in text.splitlines():
         lines.append(line)
-        key = line.partition(" = ")[0]
-        if key in after:
-            lines.append(after[key])
+        lines += RECIPE_LINES.get(line.partition(" = ")[0], [])
     return "\n".join(lines) + "\n"
 
 
@@ -237,8 +239,9 @@ def test_report_with_the_removed_recipe_settings_still_loads():
     old = _with_recipe_lines(text)
     assert old.splitlines()[0] == text.splitlines()[0] == "ssht-report/1"
     dropped = set(old.splitlines()) - set(text.splitlines())
-    assert dropped == {"config.nesterov = true", "config.labeled_aug = weak"}
-    assert len(old.splitlines()) == len(text.splitlines()) + 2
+    assert dropped == {line for group in RECIPE_LINES.values()
+                       for line in group}
+    assert len(old.splitlines()) == len(text.splitlines()) + 4
     loaded = reports.deserialize_report(old)
     assert loaded == reports.deserialize_report(text)
     assert reports.serialize_report(loaded) == text

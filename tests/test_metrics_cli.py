@@ -8,6 +8,7 @@ import inspect
 import io
 import math
 import os
+import re
 import tempfile
 from dataclasses import fields, replace
 
@@ -294,11 +295,11 @@ def test_cli_train_source_diverging_lr_is_exit_1(cli_files, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--lambda-d", "--lr", "--weight-decay"])
+@pytest.mark.parametrize("flag", ["--lambda-d", "--lr"])
 def test_cli_adapt_overflowing_step_aborts_with_only_the_warning(
         cli_files, tmp_path, flag):
     # --lambda-d 1e308 gives finite step losses whose epoch sum overflows;
-    # the other two overflow inside the step. Each run aborts: no total of
+    # --lr 1e308 overflows inside the step. Each run aborts: no total of
     # -inf in the report or its CSV, no numpy warning on stderr.
     _, task_path, model_path = cli_files
     report_path = str(tmp_path / "r.txt")
@@ -328,9 +329,6 @@ BAD_ADAPT_FLAGS = [
     ("--lr", "inf", "learning_rate must be finite and positive, got inf"),
     ("--lambda-u", "nan", "lambda_u must be finite and non-negative, got nan"),
     ("--lambda-d", "inf", "lambda_d must be finite and non-negative, got inf"),
-    ("--weight-decay", "nan",
-     "weight_decay must be finite and non-negative, got nan"),
-    ("--momentum", "nan", "momentum must lie in [0, 1), got nan"),
 ]
 
 
@@ -581,18 +579,24 @@ def test_cli_usage_error_is_exit_2(capsys):
     capsys.readouterr()
 
 
+# the flags of settings that no caller changed, deleted with them
+REMOVED_FLAGS = [["--labeled-aug", "weak"], ["--momentum", "0.9"],
+                 ["--weight-decay", "0.0005"]]
+
+
+@pytest.mark.parametrize("removed", REMOVED_FLAGS, ids=lambda f: f[0][2:])
 @pytest.mark.parametrize("command", ["adapt", "ablate"])
-def test_cli_labeled_aug_flag_is_a_usage_error(cli_files, tmp_path, capsys,
-                                               command):
+def test_cli_removed_setting_flag_is_a_usage_error(cli_files, tmp_path, capsys,
+                                                   command, removed):
     _, task_path, model_path = cli_files
     files = {"adapt": ["--seed", "0", "--out-model", str(tmp_path / "m.txt"),
                        "--report", str(tmp_path / "r.txt")],
              "ablate": ["--seeds", "0", "--out", str(tmp_path / "x.csv")]}
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--model", model_path, "--data", task_path]
-                 + files[command] + ["--labeled-aug", "weak"])
+                 + files[command] + removed)
     assert exc.value.code == 2
-    assert "--labeled-aug" in capsys.readouterr().err
+    assert removed[0] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -686,9 +690,9 @@ def _batch_size(split: int):
         st.sampled_from(twenty_digits + [-v for v in twenty_digits])
 
 
-def _small_cli_files(root):
+def _small_cli_files(root, source_epochs=1):
     """A task with N_LABELED labeled and N_UNLABELED unlabeled rows, and
-    a 1-epoch source model of it, written under root: their paths."""
+    a source model of it, written under root: their paths."""
     task_path = os.path.join(root, "task.txt")
     model_path = os.path.join(root, "model.txt")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -696,8 +700,39 @@ def _small_cli_files(root):
                          str(N_UNLABELED), "--n-test", "100",
                          "--out", task_path]) == 0
         assert cli.main(["train-source", "--data", task_path, "--seed", "0",
-                         "--epochs", "1", "--out", model_path]) == 0
+                         "--epochs", str(source_epochs),
+                         "--out", model_path]) == 0
     return task_path, model_path
+
+
+def test_cli_adapt_overflowing_evaluation_aborts_with_only_the_warning(
+        tmp_path):
+    # one step per epoch leaves weights that overflow nothing in the step
+    # but overflow the epoch's evaluation: the run aborts at epoch 1 and
+    # the model and the report hold the source model
+    task_path, model_path = _small_cli_files(str(tmp_path), source_epochs=2)
+    out_model, report_path = str(tmp_path / "m.txt"), str(tmp_path / "r.txt")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(["adapt", "--model", model_path, "--data", task_path,
+                       "--seed", "0", "--epochs", "1",
+                       "--unlabeled-batch", str(N_UNLABELED),
+                       "--labeled-batch", str(N_LABELED), "--lr", "1e308",
+                       "--out-model", out_model, "--report", report_path])
+    assert rc == 0
+    report = reports.read_report(report_path)
+    assert report.aborted_epoch == 1 and report.records == []
+    assert report.abort_reason.startswith("evaluation: overflow")
+    assert err.getvalue() == (f"warning: run aborted at epoch 1 "
+                              f"({report.abort_reason}); model and report "
+                              f"hold the last good epoch\n")
+    source = network.deserialize(read_text(model_path))
+    assert np.array_equal(network.deserialize(read_text(out_model)).flat,
+                          source.flat)
+    task = data.load_task(task_path)
+    assert report.final_accuracy == pipeline.evaluate(
+        source, task.test_x, task.test_y).accuracy
 
 
 def _adapt_argv(command, task_path, model_path, out):
@@ -774,8 +809,7 @@ def test_cli_batch_size_flags_exit_cleanly():
 # adapt's real-valued setting flags -> the word an error that rejects the
 # value names it by (lr is the optimizer's learning_rate)
 FLOAT_SETTINGS = {"--tau": "tau", "--lambda-u": "lambda_u",
-                  "--lambda-d": "lambda_d", "--lr": "learning_rate",
-                  "--momentum": "momentum", "--weight-decay": "weight_decay"}
+                  "--lambda-d": "lambda_d", "--lr": "learning_rate"}
 FLOAT_VALUES = ["0", "-0.0", "0.5", "1", "-1", "nan", "inf", "-inf", "1e308"]
 
 
@@ -796,7 +830,7 @@ def test_cli_float_setting_flags_exit_cleanly():
     set to an edge value: exit 1 with AdaptConfig.validate's error,
     which names a rejected setting, and write nothing; or exit 0 and
     write files that load, with only the warning line on stderr if the
-    run aborted (a huge learning rate or weight overflows a step)."""
+    run aborted (a huge learning rate overflows a step)."""
     with tempfile.TemporaryDirectory() as root:
         task_path, model_path = _small_cli_files(root)
 
@@ -808,8 +842,7 @@ def test_cli_float_setting_flags_exit_cleanly():
         @example(command="adapt", values={})
         @example(command="adapt", values={"--lr": "1e308"})
         @example(command="ablate", values={"--lambda-u": "1e308"})
-        @example(command="adapt", values={"--weight-decay": "1e308"})
-        @example(command="adapt", values={"--momentum": "-0.0", "--tau": "1"})
+        @example(command="adapt", values={"--tau": "1"})
         @example(command="ablate", values={"--tau": "-0.0", "--lr": "nan"})
         def check(command, values):
             out = tempfile.mkdtemp(dir=root)
@@ -934,6 +967,129 @@ def test_cli_gen_data_counts_exit_cleanly():
                 assert os.listdir(out) == ["task.txt"]
             else:
                 network.deserialize(read_text(model_path))
+
+        check()
+
+
+# gen-data's counts in the spec-flag property test: small splits that
+# fit every class count up to data.MAX_CLASSES at one shot
+SPEC_TEST_COUNTS = ["--n-source", "40", "--shots", "1", "--n-unlabeled",
+                    str(20 * data.MAX_CLASSES), "--n-test", "20"]
+
+
+def _spec_rejects(values, translation):
+    """The words by which an error names each drawn gen-data spec setting
+    that DomainShiftSpec rejects (values: flag -> text; translation: a
+    list of texts or None). A spec can also pass and still overflow a
+    split's draws; see the test."""
+    bad = set()
+    classes = values.get("--classes")
+    if classes is not None and not 2 <= classes <= data.MAX_CLASSES:
+        bad.add("num_classes")
+    dim = values.get("--input-dim", 2)
+    if dim < 2:
+        bad.add("input_dim")
+    if translation is not None and len(translation) != dim or \
+            translation is None and dim != 2:
+        bad.add("shift_translation")
+    reals = {flag: float(values[flag]) for flag in
+             ("--rotation-deg", "--scale", "--imbalance", "--noise-std")
+             if flag in values}
+    if not all(math.isfinite(v) for v in
+               list(reals.values()) + [float(t) for t in translation or []]):
+        bad.add("finite")
+    if not reals.get("--scale", 1.0) > 0.0:
+        bad.add("shift_scale")
+    if not reals.get("--imbalance", 1.0) >= 1.0:
+        bad.add("source_imbalance_ratio")
+    if not reals.get("--noise-std", 1.0) > 0.0:
+        bad.add("noise_std")
+    return bad
+
+
+@st.composite
+def _spec_flags(draw):
+    """gen-data's spec flags, each absent or drawn: (flag -> value, the
+    --translation items or None). A translation list mostly matches the
+    drawn input width, or misses it by one; its items are one value with
+    up to two others in it."""
+    values = draw(st.fixed_dictionaries({}, optional={
+        "--classes": st.sampled_from([1, 2, data.MAX_CLASSES,
+                                      data.MAX_CLASSES + 1, 10 ** 19])
+        | st.integers(-1, data.MAX_CLASSES + 1),
+        "--input-dim": st.sampled_from([0, 1, 2, 64]) | st.integers(-1, 64),
+        "--geometry": st.sampled_from(data.GEOMETRIES + ("bogus",)),
+        "--rotation-deg": st.sampled_from(FLOAT_VALUES),
+        "--scale": st.sampled_from(FLOAT_VALUES),
+        "--imbalance": st.sampled_from(FLOAT_VALUES),
+        "--noise-std": st.sampled_from(FLOAT_VALUES)}))
+    if not draw(st.booleans()):
+        return values, None
+    dim = values.get("--input-dim", 2)
+    length = max(1, draw(st.sampled_from([dim, dim, dim + 1, dim - 1])))
+    translation = [draw(st.sampled_from(FLOAT_VALUES))] * length
+    for i in draw(st.sets(st.integers(0, length - 1), max_size=2)):
+        translation[i] = draw(st.sampled_from(FLOAT_VALUES))
+    return values, translation
+
+
+def test_cli_gen_data_spec_flags_exit_cleanly():
+    """gen-data with its spec flags each absent or drawn: exit 2 naming
+    the flag for a geometry it does not offer; exit 1 with one error
+    line naming a rejected setting, or the split whose draws a finite
+    1e308 overflows, and write nothing; or exit 0 with nothing on stderr
+    and write a task that loads with the spec asked for."""
+    with tempfile.TemporaryDirectory() as root:
+
+        @settings(max_examples=100, deadline=None)
+        @given(drawn=_spec_flags())
+        @example(drawn=({"--noise-std": "1e308"}, None))
+        @example(drawn=({"--scale": "1e308"}, None))
+        @example(drawn=({"--rotation-deg": "1e308"}, ["1e308", "1e308"]))
+        @example(drawn=({"--input-dim": 3}, ["0", "1"]))
+        @example(drawn=({"--input-dim": 64}, ["0.5"] * 64))
+        @example(drawn=({"--classes": data.MAX_CLASSES, "--imbalance": "1",
+                         "--geometry": "two_moons_multi"}, None))
+        @example(drawn=({"--classes": 10 ** 19, "--noise-std": "-0.0"}, None))
+        @example(drawn=({"--geometry": "bogus"}, None))
+        def check(drawn):
+            values, translation = drawn
+            out = tempfile.mkdtemp(dir=root)
+            task_path = os.path.join(out, "task.txt")
+            argv = ["gen-data", "--out", task_path] + SPEC_TEST_COUNTS
+            argv += [f"{flag}={v}" for flag, v in values.items()]
+            if translation is not None:
+                argv.append(f"--translation={','.join(translation)}")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as e:
+                    rc = e.code
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if values.get("--geometry") == "bogus":
+                assert rc == 2 and "error: argument --geometry" in err, err
+                assert os.listdir(out) == []
+                return
+            rejected = _spec_rejects(values, translation)
+            if rejected or rc == 1:
+                assert rc == 1, err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                if rejected:
+                    assert any(word in err for word in rejected), err
+                else:
+                    assert "1e308" in list(values.values()) + \
+                        (translation or []), err
+                    assert re.fullmatch(r"error: split \w+: the spec draws "
+                                        r"non-finite sample values\n", err)
+                assert os.listdir(out) == []
+                return
+            assert rc == 0 and err == ""
+            spec = data.load_task(task_path).spec
+            assert spec.num_classes == values.get("--classes", 4)
+            assert spec.input_dim == values.get("--input-dim", 2)
 
         check()
 

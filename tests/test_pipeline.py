@@ -113,8 +113,7 @@ def test_source_training_and_adaptation_share_one_sgd_recipe(
         recipes.append(recipe) or init_sgd(net, *recipe)))
     pipeline.train_source(task, seed=0, epochs=1, lr=0.01)
     pipeline.adapt(model_text, task, short_config(epochs=1, lr=0.02))
-    assert recipes == [(0.01, network.MOMENTUM, network.WEIGHT_DECAY),
-                       (0.02, network.MOMENTUM, network.WEIGHT_DECAY)]
+    assert recipes == [(0.01,), (0.02,)]
     assert (network.MOMENTUM, network.WEIGHT_DECAY) == (0.9, 0.0005)
 
 
@@ -337,6 +336,28 @@ def test_adapt_abort_rolls_back_to_last_epoch(monkeypatch, task, model_text):
                                short_config(method="cdl", epochs=3))
     assert rep.aborted_epoch == 2
     assert rep.abort_reason == "step 5: injected"
+    assert rep.records == one.records
+    assert rep.final_accuracy == one.final_accuracy
+    assert rep.confusion == one.confusion
+    assert _same_params(text, one_text)
+
+    # so does an evaluation that fails in epoch 2, after that epoch's
+    # test evaluation succeeded: the final evaluation stays epoch 1's
+    monkeypatch.setattr(network, "sgd_step", real)
+    evaluations = []
+    evaluate = pipeline.evaluate
+
+    def failing_evaluation(*args):
+        evaluations.append(1)
+        if len(evaluations) == 4:  # epoch 2's labeled evaluation
+            raise FloatingPointError("injected")
+        return evaluate(*args)
+
+    monkeypatch.setattr(pipeline, "evaluate", failing_evaluation)
+    rep, text = pipeline.adapt(model_text, task,
+                               short_config(method="cdl", epochs=3))
+    assert rep.aborted_epoch == 2
+    assert rep.abort_reason == "evaluation: injected"
     assert rep.records == one.records
     assert rep.final_accuracy == one.final_accuracy
     assert rep.confusion == one.confusion
