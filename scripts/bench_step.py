@@ -1,4 +1,5 @@
-"""Time `pipeline.adapt` of two `ssht` source trees side by side.
+"""Time `pipeline.adapt` and `pipeline.train_source` of two `ssht`
+source trees side by side.
 
     python scripts/bench_step.py BEFORE_SRC AFTER_SRC
 
@@ -8,16 +9,20 @@ the names `ssht_before` and `ssht_after`, so both run on the same
 interpreter, allocator and OpenBLAS threads. The BEFORE tree builds
 TASKS tasks (seeds 0..3, default spec) and trains their source models;
 both trees then read the same task and model documents. Each round
-runs, for every method, one adapt per tree on task round mod TASKS,
-which tree goes first alternating by round, and times each with
-`time.process_time` (CPU seconds of the process).
+runs, for every row, one run per tree on task round mod TASKS, which
+tree goes first alternating by round, and times each with
+`time.process_time` (CPU seconds of the process). A row is a method,
+one adapt of the source model with that method, or `train_source`,
+one source training on the task, both at seed `round`.
 
-For each method it prints both trees' median CPU seconds, the
+For each row it prints both trees' median CPU seconds, the
 after/before ratio of the medians, in how many rounds the AFTER tree
-took less CPU, and whether every adapted model document of the AFTER
-tree equals the BEFORE tree's for the same task; the last line is the
-same as one JSON object. `--epochs` shortens source training and every
-adapt; without it both run at their library defaults.
+took less CPU, and whether every model document of the AFTER tree
+equals the BEFORE tree's for the same task and seed; the last line is
+the same as one JSON object. `--methods` picks the rows (default:
+every method, then `train_source`). `--epochs` shortens source
+training and every adapt; without it both run at their library
+defaults.
 """
 
 import argparse
@@ -31,6 +36,7 @@ import time
 
 TASKS = 4
 ROUNDS = 32
+SOURCE_ROW = "train_source"
 
 
 def load_package(src: str, name: str):
@@ -62,39 +68,49 @@ def build_inputs(pkg, epochs):
     return inputs
 
 
-def run(sides, methods, rounds: int, epochs):
-    """Time every method's adapt on both sides ({"before": package,
-    "after": package}); a dict of results per method."""
+def timed(pipeline, row: str, model: str, task, seed: int, loop):
+    """CPU seconds and model document of one run of row on one tree."""
+    if row == SOURCE_ROW:
+        start = time.process_time()
+        text = pipeline.train_source(task, seed=seed, **loop)
+    else:
+        config = pipeline.AdaptConfig(method=row, seed=seed, **loop)
+        start = time.process_time()
+        _, text = pipeline.adapt(model, task, config)
+    return time.process_time() - start, text
+
+
+def run(sides, rows, rounds: int, epochs):
+    """Time every row on both sides ({"before": package, "after":
+    package}); a dict of results per row."""
     inputs = build_inputs(sides["before"], epochs)
     loop = {} if epochs is None else {"epochs": epochs}
     tasks = {side: [pkg.data.deserialize_task(text) for text, _ in inputs]
              for side, pkg in sides.items()}
-    cpu = {m: {side: [] for side in sides} for m in methods}
-    identical = {m: True for m in methods}
+    cpu = {row: {side: [] for side in sides} for row in rows}
+    identical = {row: True for row in rows}
     for r in range(rounds):
         j = r % TASKS
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for method in methods:
+        for row in rows:
             texts = {}
             for side in order:
-                pipeline = sides[side].pipeline
-                config = pipeline.AdaptConfig(method=method, seed=r, **loop)
-                start = time.process_time()
-                _, texts[side] = pipeline.adapt(inputs[j][1], tasks[side][j],
-                                                config)
-                cpu[method][side].append(time.process_time() - start)
-            identical[method] &= texts["before"] == texts["after"]
+                seconds, texts[side] = timed(sides[side].pipeline, row,
+                                             inputs[j][1], tasks[side][j], r,
+                                             loop)
+                cpu[row][side].append(seconds)
+            identical[row] &= texts["before"] == texts["after"]
     results = {}
-    for method in methods:
-        before, after = cpu[method]["before"], cpu[method]["after"]
-        results[method] = {
+    for row in rows:
+        before, after = cpu[row]["before"], cpu[row]["after"]
+        results[row] = {
             "before_cpu_s": round(statistics.median(before), 4),
             "after_cpu_s": round(statistics.median(after), 4),
             "ratio": round(statistics.median(after)
                            / statistics.median(before), 3),
             "after_wins": sum(a < b for a, b in zip(after, before)),
             "rounds": rounds,
-            "identical": identical[method]}
+            "identical": identical[row]}
     return results
 
 
@@ -102,8 +118,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before_src")
     parser.add_argument("after_src")
-    parser.add_argument("--methods",
-                        help="comma-separated methods (default: all)")
+    parser.add_argument("--methods", help="comma-separated rows: methods "
+                        f"and {SOURCE_ROW} (default: every method, then "
+                        f"{SOURCE_ROW})")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--epochs", type=int)
     args = parser.parse_args(argv)
@@ -111,11 +128,11 @@ def main(argv=None) -> int:
         parser.error("--rounds must be positive")
     sides = {"before": load_package(args.before_src, "ssht_before"),
              "after": load_package(args.after_src, "ssht_after")}
-    methods = args.methods.split(",") if args.methods else \
-        list(sides["before"].pipeline.METHODS)
-    results = run(sides, methods, args.rounds, args.epochs)
-    for method, r in results.items():
-        print(f"{method:10s} before {r['before_cpu_s']:.4f} s  after "
+    rows = args.methods.split(",") if args.methods else \
+        list(sides["before"].pipeline.METHODS) + [SOURCE_ROW]
+    results = run(sides, rows, args.rounds, args.epochs)
+    for row, r in results.items():
+        print(f"{row:12s} before {r['before_cpu_s']:.4f} s  after "
               f"{r['after_cpu_s']:.4f} s  ratio {r['ratio']:.3f}  after "
               f"won {r['after_wins']}/{r['rounds']}  identical "
               f"{'yes' if r['identical'] else 'NO'}")

@@ -1,6 +1,6 @@
-"""Training objectives, each returning a value plus its logit gradient.
+"""Training objectives, each giving a value plus its logit gradient.
 
-An adaptation step runs one forward pass over a stacked batch: the
+A training step runs one forward pass over a stacked batch: the
 labeled rows first, then the unlabeled views in VIEWS order, the weak
 and then the strong view of one unlabeled batch, as many rows each.
 TERM_VIEWS says how many of those views each unlabeled term reads, and
@@ -8,13 +8,16 @@ views_read which of them a step with given term weights stacks, so the
 stacked rows alone give the layout. total_loss takes the step's logits,
 and softmax_and_log turns them into probabilities and exact
 log-probabilities from one max-shifted exponential, so no log is taken
-of a rounded or zero probability and none is clamped. Each objective
-takes the rows it reads, and its LossValue carries one gradient at the
-logits of those rows, built from the probabilities. total_loss adds
-every weighted gradient to its rows of one logit-gradient matrix, so
-one network backward pass follows. The diversity term reads the weak
-and strong rows as one (2, rows, classes) view, without a copy, and
-its gradient goes back to both in one addition.
+of a rounded or zero probability and none is clamped. The two
+hard-target cross-entropies, classification and consistency, are one
+formula on different rows, (p - onehot(target)) / rows, and total_loss
+builds both in one pass over the stacked matrix. entropy_loss and
+diversity_loss take the rows they read, and their LossValue carries
+one gradient at the logits of those rows. total_loss adds every
+weighted gradient to its rows of one logit-gradient matrix, so one
+network backward pass follows. The diversity term reads the weak and
+strong rows as one (2, rows, classes) view, without a copy, and its
+gradient goes back to both in one addition.
 
 A step's arrays are small (108 x 4 by default), so what a term costs is
 the number of numpy calls it makes, not their arithmetic: each term
@@ -36,7 +39,9 @@ Objectives:
                    the weak and the strong view, and one kernel call
                    gives every norm and subgradient
   entropy          mean prediction entropy of the weak view
-  total            classification + the weighted unlabeled terms
+  total            classification + the weighted unlabeled terms; with
+                   none, the s_plus_t objective that source training
+                   runs on source rows
 """
 
 from dataclasses import dataclass
@@ -67,14 +72,6 @@ def _as_matrix(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def _with_logs(p: np.ndarray, log_p: np.ndarray, name: str
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    p, log_p = _as_matrix(p, name), np.asarray(log_p, dtype=float)
-    if log_p.shape != p.shape:
-        raise ValueError(f"{name} has shape {p.shape}, its logs {log_p.shape}")
-    return p, log_p
-
-
 def softmax_and_log(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax probabilities and their exact logs.
 
@@ -89,57 +86,6 @@ def softmax_and_log(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     p /= norm
     shifted -= np.log(norm)
     return p, shifted
-
-
-def classification_loss(probs_labeled: np.ndarray,
-                        log_probs_labeled: np.ndarray,
-                        labels: np.ndarray) -> LossValue:
-    """Mean cross-entropy against hard labels, gradient (p - onehot)/B."""
-    p, log_p = _with_logs(probs_labeled, log_probs_labeled, "probs_labeled")
-    y = np.asarray(labels)
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-    b, c = p.shape
-    if y.shape != (b,):
-        raise ValueError(f"labels must have shape ({b},), got {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise ValueError(f"labels must lie in [0, {c})")
-    rows = np.arange(b)
-    value = float(-log_p[rows, y].sum() / b)
-    grad = p.copy()
-    grad[rows, y] -= 1.0
-    grad /= b
-    return LossValue(value=value, grad=grad)
-
-
-def consistency_loss(probs_weak: np.ndarray, probs_strong: np.ndarray,
-                     log_probs_strong: np.ndarray, tau: float):
-    """Thresholded pseudo-label cross-entropy from weak to strong view.
-
-    Rows whose weak confidence does not exceed tau contribute zero, and
-    the mean runs over the full batch. The pseudo-label is a constant:
-    the gradient is at the strong view's logits only. Returns
-    (LossValue, mask_rate).
-    """
-    pw = _as_matrix(probs_weak, "probs_weak")
-    ps, log_ps = _with_logs(probs_strong, log_probs_strong, "probs_strong")
-    if pw.shape != ps.shape:
-        raise ValueError(f"shape mismatch: weak {pw.shape}, strong {ps.shape}")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    b, c = pw.shape
-    rows = np.arange(b)
-    pseudo = pw.argmax(axis=1)
-    selected = pw[rows, pseudo] > tau  # the row max: argmax's entry
-    dropped = ~selected
-    terms = -log_ps[rows, pseudo]
-    terms[dropped] = 0.0
-    grad = ps.copy()
-    grad[rows, pseudo] -= 1.0
-    grad[dropped] = 0.0
-    grad /= b
-    return (LossValue(value=float(terms.sum() / b), grad=grad),
-            float(selected.sum() / b))
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -172,7 +118,9 @@ def diversity_loss(probs: np.ndarray) -> LossValue:
 def entropy_loss(probs: np.ndarray, log_probs: np.ndarray) -> LossValue:
     """Mean prediction entropy; a probability that underflowed to 0
     has a finite log, so it adds 0 to the value and the gradient."""
-    p, log_p = _with_logs(probs, log_probs, "probs")
+    p, log_p = _as_matrix(probs, "probs"), np.asarray(log_probs, dtype=float)
+    if log_p.shape != p.shape:
+        raise ValueError(f"probs has shape {p.shape}, its logs {log_p.shape}")
     b = p.shape[0]
     h_rows = -(p * log_p).sum(axis=1)
     grad = p * (-log_p - h_rows[:, None])
@@ -200,22 +148,76 @@ def views_read(weights: Dict[str, float]) -> Tuple[str, ...]:
     return VIEWS[:max([TERM_VIEWS[term] for term in weights], default=0)]
 
 
+def _hard_targets(p: np.ndarray, log_p: np.ndarray, labels: np.ndarray,
+                  n: int, weights: Dict[str, float], tau: float
+                  ) -> Tuple[np.ndarray, float, float, float]:
+    """Classification on the labeled rows (the first len(labels)) and,
+    when weights has consistency, consistency on the strong rows (the
+    last n; n rows per view, 0 without a weak view), in one pass: one
+    copy of p takes -1.0 at every (row, target), each block is divided
+    by its own row count, and the strong block is zeroed where the weak
+    confidence does not exceed tau, then weighted. Rows no hard-target
+    term reads hold +0.0. Returns that logit gradient, the unweighted
+    classification and consistency values (0 without the term) and the
+    mask rate (0 without a weak view).
+    """
+    y = np.asarray(labels)
+    n_l, c = len(y), p.shape[1]
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    if y.shape != (n_l,):
+        raise ValueError(f"labels must have shape ({n_l},), got {y.shape}")
+    if y.size and (y.min() < 0 or y.max() >= c):
+        raise ValueError(f"labels must lie in [0, {c})")
+    rows, targets = np.arange(n_l), y
+    mask_rate = 0.0
+    if n:
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"tau must lie in (0, 1], got {tau}")
+        pw = p[n_l:n_l + n]
+        pseudo = pw.argmax(axis=1)
+        selected = pw[np.arange(n), pseudo] > tau  # the row max
+        mask_rate = float(selected.sum() / n)
+    consistency = "consistency" in weights
+    if consistency:
+        rows = np.concatenate((rows, np.arange(n_l + n, n_l + 2 * n)))
+        targets = np.concatenate((y, pseudo))
+    grad = p.copy()
+    grad[rows, targets] -= 1.0
+    picked = log_p[rows, targets]
+    grad[:n_l] /= n_l
+    l_c, l_u = float(-picked[:n_l].sum() / n_l), 0.0
+    if consistency:
+        dropped = ~selected
+        strong = grad[n_l + n:]
+        strong /= n
+        strong[dropped] = 0.0
+        strong *= weights["consistency"]
+        strong += 0.0  # -0.0 from a zero weight becomes +0.0
+        terms = -picked[n_l:]
+        terms[dropped] = 0.0
+        l_u = float(terms.sum() / n)
+    grad[n_l:n_l + n if consistency else None] = 0.0
+    return grad, l_c, l_u, mask_rate
+
+
 def total_loss(logits: np.ndarray, labels: np.ndarray,
                weights: Dict[str, float], tau: float) -> StepLoss:
-    """An adaptation step's objective over its stacked logits.
+    """A training step's objective over its stacked logits.
 
     softmax_and_log turns the logits into probabilities and their logs
     once. The first len(labels) rows are the labeled rows; the rest
     split into equal blocks, one per view of views_read(weights), in
     that order. Rows that do not split into non-empty blocks, or rows
     left over when no term reads a view, raise ValueError. weights maps
-    each term of TERMS the method uses to its weight: total =
+    each term of TERMS the objective uses to its weight: total =
     classification + weight * term over the terms weights names, summed
-    in TERMS order. The logit gradient starts as a zero matrix of the
-    logits' shape, with the classification gradient in the labeled rows;
-    each term scales its own gradient by its weight in place and adds it
-    to the rows it read, the diversity term to both views' rows in one
-    addition.
+    in TERMS order; with no term, the s_plus_t objective, which source
+    training runs too. _hard_targets builds the classification and
+    consistency gradient of every row in one pass; entropy and diversity
+    scale their own gradient by their weight in place and add it to
+    their rows, diversity to both views' rows in one addition. tau is
+    checked and read only when a weak view is stacked.
     """
     views = views_read(weights)
     p, log_p = softmax_and_log(logits)
@@ -226,25 +228,14 @@ def total_loss(logits: np.ndarray, labels: np.ndarray,
         raise ValueError(f"{n_u} rows after the {n_l} labeled rows do not "
                          f"split into one non-empty block per view of "
                          f"{views}")
-    labeled, weak = slice(0, n_l), slice(n_l, n_l + n)
-    strong = slice(n_l + n, None)
-    grad = np.zeros(p.shape)
-    l_c = classification_loss(p[labeled], log_p[labeled], labels)
-    grad[labeled] = l_c.grad
+    grad, l_c, l_u, mask_rate = _hard_targets(p, log_p, labels, n, weights,
+                                              tau)
     # numpy scalars, so that np.errstate sees an overflow of the sum
-    total = np.float64(l_c.value)
-    l_u = l_d = 0.0
-    mask_rate = 0.0
+    total = np.float64(l_c)
     if "consistency" in weights:
-        lv, mask_rate = consistency_loss(p[weak], p[strong], log_p[strong],
-                                         tau)
-        lv.grad *= weights["consistency"]
-        grad[strong] += lv.grad
-        total += np.float64(weights["consistency"]) * lv.value
-        l_u += lv.value
-    elif views:
-        pw = p[weak]
-        mask_rate = float((pw.max(axis=1) > tau).sum() / pw.shape[0])
+        total += np.float64(weights["consistency"]) * l_u
+    weak = slice(n_l, n_l + n)
+    l_d = 0.0
     if "entropy" in weights:
         lv = entropy_loss(p[weak], log_p[weak])
         lv.grad *= weights["entropy"]
@@ -257,6 +248,6 @@ def total_loss(logits: np.ndarray, labels: np.ndarray,
         lv.grad *= weights["diversity"]
         grad[n_l:] += lv.grad.reshape(2 * n, c)
         total += np.float64(weights["diversity"]) * lv.value
-        l_d += lv.value
-    return StepLoss(l_c=l_c.value, l_u=l_u, l_d=l_d, total=float(total),
+        l_d = lv.value
+    return StepLoss(l_c=l_c, l_u=l_u, l_d=l_d, total=float(total),
                     mask_rate=mask_rate, grad=grad)

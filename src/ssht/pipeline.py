@@ -3,8 +3,10 @@
 train_source fits a classifier on the imbalanced source split (with a
 9:1 train/validation split, best-validation checkpointing and SGD at
 network.MOMENTUM and network.WEIGHT_DECAY, as in adapt) and emits a
-model document. adapt consumes that document plus the target half of a
-task and runs one of five methods:
+model document. Its step runs losses.total_loss with no unlabeled
+term, the s_plus_t objective on source rows, so both training loops
+share one objective. adapt consumes that document plus the target half
+of a task and runs one of five methods:
 
   cdl        classification + thresholded consistency + batch
              nuclear-norm diversity on both unlabeled views
@@ -216,10 +218,11 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
                 for start in range(0, order.size, bs):
                     idx = order[start:start + bs]
                     tape = network.forward(net, train_x[idx], keep=True)
-                    lv = losses.classification_loss(
-                        *losses.softmax_and_log(tape.logits), train_y[idx])
+                    # s_plus_t on source rows: no view, so no term reads tau
+                    step = losses.total_loss(tape.logits, train_y[idx], {},
+                                             1.0)
                     network.sgd_step(
-                        net, network.backward(net, tape, lv.grad), state)
+                        net, network.backward(net, tape, step.grad), state)
                 start = None  # past the steps: the validation pass
                 val_acc = evaluate(net, val_x, val_y).accuracy
         except FloatingPointError as e:

@@ -138,22 +138,27 @@ def test_svd_suite():
         f"(worst violation ratio {worst:.3f}), {dt:.1f}s < 60s")
 
 
+def _consistency_step(weak_logits, strong_logits, tau):
+    """total_loss under consistency at weight 1 on one labeled row, then
+    the weak and the strong rows."""
+    logits = np.vstack((np.zeros((1, 4)), weak_logits, strong_logits))
+    return losses.total_loss(logits, np.array([0]), {"consistency": 1.0}, tau)
+
+
 def test_masking_property():
     rng = np.random.default_rng(2)
     grid = np.linspace(0.01, 1.0, 100)
     monotone = True
     for _ in range(20):
-        probs_w, _ = losses.softmax_and_log(rng.normal(size=(48, 4)) * 2.0)
-        strong = losses.softmax_and_log(rng.normal(size=(48, 4)))
-        rates = np.array([losses.consistency_loss(probs_w, *strong, t)[1]
+        weak = rng.normal(size=(48, 4)) * 2.0
+        strong = rng.normal(size=(48, 4))
+        rates = np.array([_consistency_step(weak, strong, t).mask_rate
                           for t in grid])
         monotone = monotone and bool(np.all(np.diff(rates) <= 0.0))
 
-    uniform, _ = losses.softmax_and_log(np.zeros((16, 4)))
-    sharp = losses.softmax_and_log(rng.normal(size=(16, 4)))
-    lv, rate = losses.consistency_loss(uniform, *sharp, 0.8)
-    zero_ok = (lv.value == 0.0 and rate == 0.0 and
-               bool(np.all(lv.grad == 0.0)))
+    step = _consistency_step(np.zeros((16, 4)), rng.normal(size=(16, 4)), 0.8)
+    zero_ok = (step.l_u == 0.0 and step.mask_rate == 0.0 and
+               bool(np.all(step.grad[1:] == 0.0)))
     ok = monotone and zero_ok
     assert record(
         "masking-property",

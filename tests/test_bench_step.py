@@ -1,4 +1,4 @@
-"""Smoke test of scripts/bench_step.py: the repo's tree against itself."""
+"""Smoke tests of scripts/bench_step.py: the repo's tree against itself."""
 
 import importlib.util
 import json
@@ -8,19 +8,40 @@ from ssht import pipeline
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCRIPT = os.path.join(ROOT, "scripts", "bench_step.py")
+SRC = os.path.join(ROOT, "src")
 
 
-def test_bench_step_one_epoch_tree_against_itself(capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("bench_step", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    src = os.path.join(ROOT, "src")
-    assert script.main([src, src, "--epochs", "1", "--rounds", "2"]) == 0
+    return script
+
+
+def test_bench_step_one_epoch_tree_against_itself(capsys):
+    script = load_script()
+    assert script.main([SRC, SRC, "--epochs", "1", "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     results = json.loads(lines[-1])
-    assert list(results) == sorted(pipeline.METHODS)
-    assert [ln.split()[0] for ln in lines[:-1]] == list(pipeline.METHODS)
+    rows = list(pipeline.METHODS) + ["train_source"]
+    assert list(results) == sorted(rows)
+    assert [ln.split()[0] for ln in lines[:-1]] == rows
     for r in results.values():
         assert r["identical"] and r["rounds"] == 2
         assert 0 <= r["after_wins"] <= 2
         assert r["before_cpu_s"] > 0 and r["after_cpu_s"] > 0
+
+
+def test_bench_step_train_source_row_compares_model_texts(monkeypatch):
+    # an AFTER tree whose source training writes another model document
+    # is not identical on that row, and only there
+    script = load_script()
+    sides = {"before": script.load_package(SRC, "ssht_before"),
+             "after": script.load_package(SRC, "ssht_after")}
+    train_source = sides["after"].pipeline.train_source
+    monkeypatch.setattr(sides["after"].pipeline, "train_source",
+                        lambda *args, **kw: train_source(*args, **kw) + "\n")
+    results = script.run(sides, ["s_plus_t", "train_source"], 2, 1)
+    assert results["s_plus_t"]["identical"]
+    assert not results["train_source"]["identical"]
+    assert results["train_source"]["before_cpu_s"] > 0

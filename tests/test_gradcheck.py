@@ -16,17 +16,37 @@ def test_run_all_checks_the_network_then_every_method():
 def _scaled_gradient(loss):
     """loss with its logit gradient scaled by 1.01."""
     def scaled(*args):
-        out = loss(*args)
-        value = out[0] if isinstance(out, tuple) else out
+        value = loss(*args)
         value.grad = 1.01 * value.grad
-        return out
+        return value
+    return scaled
+
+
+def _scaled_hard_target_rows(term):
+    """losses._hard_targets with the gradient of term's rows scaled by
+    1.01: the labeled rows for classification, the strong rows (the last
+    n) for consistency."""
+    hard_targets = losses._hard_targets
+
+    def scaled(p, log_p, labels, n, weights, tau):
+        grad, *values = hard_targets(p, log_p, labels, n, weights, tau)
+        n_l = len(labels)
+        rows = slice(0, n_l) if term == "classification" else \
+            slice(n_l + n, n_l + 2 * n)
+        grad[rows] *= 1.01
+        return grad, *values
     return scaled
 
 
 @pytest.mark.parametrize("term", ["classification", *losses.TERMS])
 def test_a_wrong_term_gradient_fails_every_method_using_it(monkeypatch, term):
-    name = f"{term}_loss"
-    monkeypatch.setattr(losses, name, _scaled_gradient(getattr(losses, name)))
+    if term in ("classification", "consistency"):
+        monkeypatch.setattr(losses, "_hard_targets",
+                            _scaled_hard_target_rows(term))
+    else:
+        name = f"{term}_loss"
+        monkeypatch.setattr(losses, name,
+                            _scaled_gradient(getattr(losses, name)))
     failed = [m for i, m in enumerate(pipeline.METHODS)
               if not gradcheck.check_method(m, seed=1 + i).passed]
     assert failed == [m for m in pipeline.METHODS if term == "classification"

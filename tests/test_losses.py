@@ -5,6 +5,8 @@ import pytest
 
 from ssht import linalg, losses, metrics, network, pipeline
 
+TAU = 0.5
+
 
 def rand_probs(rng, b, c):
     return losses.softmax_and_log(rng.normal(size=(b, c)))[0]
@@ -21,51 +23,95 @@ def two_view_diversity(pw, ps):
     return losses.diversity_loss(np.stack((pw, ps))).value
 
 
+def plain_classification(p, log_p, y):
+    """Mean cross-entropy against hard labels and its gradient
+    (p - onehot) / B: the plain formula, kept as the oracle."""
+    b = p.shape[0]
+    rows = np.arange(b)
+    grad = p.copy()
+    grad[rows, y] -= 1.0
+    grad /= b
+    return float(-log_p[rows, y].sum() / b), grad
+
+
+def plain_consistency(pw, ps, log_ps, tau):
+    """Thresholded pseudo-label cross-entropy from the weak to the strong
+    view and its strong-row gradient: the plain formula, kept as the
+    oracle."""
+    b = pw.shape[0]
+    rows = np.arange(b)
+    pseudo = pw.argmax(axis=1)
+    selected = pw[rows, pseudo] > tau
+    terms = -log_ps[rows, pseudo]
+    terms[~selected] = 0.0
+    grad = ps.copy()
+    grad[rows, pseudo] -= 1.0
+    grad[~selected] = 0.0
+    grad /= b
+    return float(terms.sum() / b), grad
+
+
+def classification_step(logits, labels):
+    """total_loss on labeled rows alone: the s_plus_t objective."""
+    return losses.total_loss(np.asarray(logits, dtype=float),
+                             np.asarray(labels), {}, TAU)
+
+
+def consistency_step(weak_logits, strong_logits, tau):
+    """total_loss under consistency at weight 1 on one labeled row, then
+    the weak rows, then as many strong rows; the strong rows' gradient
+    is step.grad[1 + len(weak_logits):]."""
+    strong_logits = np.asarray(strong_logits, dtype=float)
+    logits = np.vstack((np.zeros((1, strong_logits.shape[1])),
+                        weak_logits, strong_logits))
+    return losses.total_loss(logits, np.array([0]), {"consistency": 1.0}, tau)
+
+
 def test_classification_perfect_prediction():
-    p, log_p = from_logits([[0.0, -1000.0, -1000.0], [-1000.0, 0.0, -1000.0]])
-    assert np.array_equal(p, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    lv = losses.classification_loss(p, log_p, np.array([0, 1]))
-    assert lv.value == pytest.approx(0.0, abs=1e-12)
+    logits = [[0.0, -1000.0, -1000.0], [-1000.0, 0.0, -1000.0]]
+    assert np.array_equal(from_logits(logits)[0],
+                          [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    step = classification_step(logits, [0, 1])
+    assert step.l_c == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classification_uniform():
-    p, log_p = from_logits(np.zeros((3, 4)))
-    assert np.array_equal(p, np.full((3, 4), 0.25))
-    lv = losses.classification_loss(p, log_p, np.array([0, 1, 2]))
-    assert lv.value == pytest.approx(math.log(4.0), rel=1e-12)
+    assert np.array_equal(from_logits(np.zeros((3, 4)))[0],
+                          np.full((3, 4), 0.25))
+    step = classification_step(np.zeros((3, 4)), [0, 1, 2])
+    assert step.l_c == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_classification_hand_value():
-    lv = losses.classification_loss(*from_logits(np.log([[0.7, 0.2, 0.1]])),
-                                    np.array([0]))
-    assert lv.value == pytest.approx(0.3566749, abs=1e-6)
+    step = classification_step(np.log([[0.7, 0.2, 0.1]]), [0])
+    assert step.l_c == pytest.approx(0.3566749, abs=1e-6)
 
 
 def test_classification_gradient_form():
     rng = np.random.default_rng(0)
-    p, log_p = from_logits(rng.normal(size=(5, 4)))
+    z = rng.normal(size=(5, 4))
+    p = from_logits(z)[0]
     y = np.array([0, 1, 2, 3, 0])
-    lv = losses.classification_loss(p, log_p, y)
+    step = classification_step(z, y)
     onehot = np.zeros_like(p)
     onehot[np.arange(5), y] = 1.0
-    np.testing.assert_allclose(lv.grad,
+    np.testing.assert_allclose(step.grad,
                                (p - onehot) / 5, atol=1e-12)
 
 
 def test_classification_clamps_zero_probability():
     # a label probability that underflows to 0 is not clamped: its
     # loss is the exact logit gap, and the gradient is still p - onehot
-    p, log_p = from_logits([[3.0, 803.0]])
+    p, _ = from_logits([[3.0, 803.0]])
     assert p[0, 0] == 0.0
-    lv = losses.classification_loss(p, log_p, np.array([0]))
-    assert lv.value == 800.0
-    assert np.array_equal(lv.grad, [[-1.0, 1.0]])
+    step = classification_step([[3.0, 803.0]], [0])
+    assert step.l_c == 800.0
+    assert np.array_equal(step.grad, [[-1.0, 1.0]])
 
 
 def test_classification_loss_is_exact_for_a_label_logit_trailing_by_1000():
     logits, labels = np.array([[0.0, 1000.0]]), np.array([0])
-    assert losses.classification_loss(*from_logits(logits),
-                                      labels).value == 1000.0
+    assert plain_classification(*from_logits(logits), labels)[0] == 1000.0
     step = losses.total_loss(logits, labels, {}, TAU)
     assert step.l_c == step.total == 1000.0
 
@@ -80,86 +126,96 @@ def test_total_loss_is_not_finite_when_a_logit_spread_overflows():
 
 
 def test_classification_rejects_bad_labels():
-    p, log_p = from_logits(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        losses.classification_loss(p, log_p, np.array([0, 3]))
-    with pytest.raises(ValueError):
-        losses.classification_loss(p, log_p, np.array([0.5, 1.5]))
+    for labels, match in [([0, 3], r"labels must lie in \[0, 3\)"),
+                          ([-1, 0], r"labels must lie in \[0, 3\)"),
+                          ([0.5, 1.5], "labels must be integers"),
+                          ([[0], [1]], r"labels must have shape \(2,\)")]:
+        for weights in ({}, {"consistency": 1.0}):
+            n_rows = 2 + 2 * len(losses.views_read(weights))
+            with pytest.raises(ValueError, match=match):
+                losses.total_loss(np.zeros((n_rows, 3)), np.array(labels),
+                                  weights, TAU)
 
 
 def test_consistency_below_threshold_is_zero():
-    pw = np.array([[0.6, 0.4]])
-    ps, log_ps = from_logits([[0.0, 0.0]])
-    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
-    assert lv.value == 0.0
-    assert mask == 0.0
-    assert np.all(lv.grad == 0.0)
+    step = consistency_step(np.log([[0.6, 0.4]]), [[0.0, 0.0]], tau=0.8)
+    assert step.l_u == 0.0
+    assert step.mask_rate == 0.0
+    assert np.all(step.grad[1:] == 0.0)
 
 
 def test_consistency_confident_and_correct_strong():
-    pw = np.array([[0.9, 0.1]])
-    ps, log_ps = from_logits([[0.0, -1000.0]])
-    assert np.array_equal(ps, [[1.0, 0.0]])
-    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
-    assert lv.value == pytest.approx(0.0, abs=1e-12)
-    assert mask == 1.0
+    assert np.array_equal(from_logits([[0.0, -1000.0]])[0], [[1.0, 0.0]])
+    step = consistency_step(np.log([[0.9, 0.1]]), [[0.0, -1000.0]], tau=0.8)
+    assert step.l_u == pytest.approx(0.0, abs=1e-12)
+    assert step.mask_rate == 1.0
 
 
 def test_consistency_hand_value():
-    pw = np.array([[0.9, 0.1]])
-    ps, log_ps = from_logits([[0.0, 0.0]])
-    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
-    assert lv.value == pytest.approx(0.6931472, abs=1e-6)
-    assert mask == 1.0
+    step = consistency_step(np.log([[0.9, 0.1]]), [[0.0, 0.0]], tau=0.8)
+    assert step.l_u == pytest.approx(0.6931472, abs=1e-6)
+    assert step.mask_rate == 1.0
 
 
 def test_consistency_full_batch_mean():
     # one confident row, one not: the sum divides by the full batch
-    pw = np.array([[0.9, 0.1], [0.6, 0.4]])
-    ps, log_ps = from_logits([[0.0, 0.0], [0.0, math.log(4.0)]])
-    lv, mask = losses.consistency_loss(pw, ps, log_ps, tau=0.8)
-    assert lv.value == pytest.approx(-math.log(0.5) / 2)
-    assert mask == 0.5
-    g = lv.grad
+    zs = [[0.0, 0.0], [0.0, math.log(4.0)]]
+    ps = from_logits(zs)[0]
+    step = consistency_step(np.log([[0.9, 0.1], [0.6, 0.4]]), zs, tau=0.8)
+    assert step.l_u == pytest.approx(-math.log(0.5) / 2)
+    assert step.mask_rate == 0.5
+    g = step.grad[3:]
     assert np.all(g[1] == 0.0)
     np.testing.assert_allclose(g[0], (ps[0] - [1.0, 0.0]) / 2, atol=1e-12)
 
 
 def test_consistency_threshold_strict():
-    pw = np.array([[0.8, 0.2]])
-    _, mask = losses.consistency_loss(pw, *from_logits([[0.0, 0.0]]), tau=0.8)
-    assert mask == 0.0  # max == tau does not select
+    # the weak row's confidence is exactly 0.5
+    step = consistency_step([[0.0, 0.0]], [[0.0, 0.0]], tau=0.5)
+    assert step.mask_rate == 0.0  # max == tau does not select
 
 
 def test_consistency_mask_monotone_in_tau():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        pw = rand_probs(rng, 16, 4)
-        ps, log_ps = from_logits(rng.normal(size=(16, 4)))
-        rates = [losses.consistency_loss(pw, ps, log_ps, t)[1]
+        zw, zs = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
+        rates = [consistency_step(zw, zs, t).mask_rate
                  for t in np.linspace(0.01, 0.99, 100)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
 def test_consistency_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        losses.consistency_loss(np.full((2, 3), 1 / 3),
-                                *from_logits(np.zeros((2, 4))), tau=0.5)
-    with pytest.raises(ValueError):
-        losses.consistency_loss(np.full((1, 2), 0.5),
-                                *from_logits(np.zeros((1, 2))), tau=0.0)
+    # a weak and a strong view of different row counts do not stack into
+    # one step; a tau of 0 is outside (0, 1]
+    with pytest.raises(ValueError, match="do not split"):
+        losses.total_loss(np.zeros((2 + 5, 3)), np.array([0, 1]),
+                          {"consistency": 1.0}, 0.5)
+    with pytest.raises(ValueError, match="tau must lie in"):
+        losses.total_loss(np.zeros((1 + 2, 2)), np.array([0]),
+                          {"consistency": 1.0}, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("weights", [{"consistency": 1.0}, {"entropy": 1.0},
+                                     {"diversity": 1.0}])
+def test_consistency_rejects_tau_outside_unit_interval(tau, weights):
+    # checked whenever a weak view is stacked, whichever term reads it;
+    # a step that stacks no view reads no tau
+    n_rows = 2 + 3 * len(losses.views_read(weights))
+    with pytest.raises(ValueError, match="tau must lie in"):
+        losses.total_loss(np.zeros((n_rows, 3)), np.array([0, 1]), weights,
+                          tau)
+    assert losses.total_loss(np.zeros((2, 3)), np.array([0, 1]), {},
+                             tau).mask_rate == 0.0
 
 
 def test_consistency_loss_is_exact_for_a_strong_row_trailing_by_1000():
     # labeled, weak and strong rows: the weak row is sure of class 0,
     # the strong row's class-0 logit trails its max by 1000
     logits = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
-    p, log_p = from_logits(logits)
-    lv, mask = losses.consistency_loss(p[1:2], p[2:], log_p[2:], tau=0.8)
-    assert (lv.value, mask) == (1000.0, 1.0)
     step = losses.total_loss(logits, np.array([0]), {"consistency": 1.0},
                              0.8)
-    assert step.l_u == 1000.0
+    assert (step.l_u, step.mask_rate) == (1000.0, 1.0)
 
 
 def test_diversity_single_one_hot_rows():
@@ -259,37 +315,41 @@ def test_total_arithmetic():
     probs, log_p = from_logits(logits)
     step = losses.total_loss(logits, labels,
                              {"consistency": 2.5, "diversity": 1.0}, tau=0.3)
-    assert step.l_c == losses.classification_loss(probs[:2], log_p[:2],
-                                                  labels).value
-    assert step.l_u == losses.consistency_loss(probs[2:5], probs[5:],
-                                               log_p[5:], 0.3)[0].value
+    assert step.l_c == plain_classification(probs[:2], log_p[:2], labels)[0]
+    assert step.l_u == plain_consistency(probs[2:5], probs[5:], log_p[5:],
+                                         0.3)[0]
     assert step.l_d == two_view_diversity(probs[2:5], probs[5:])
     assert step.total - (step.l_c + 2.5 * step.l_u + 1.0 * step.l_d) == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_zero_lambdas_equals_classification():
+    # zero weights leave the s_plus_t step of the labeled rows, with
+    # +0.0 in every unlabeled row
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(14, 3))
     labels = np.array([0, 1, 2, 0])
-    l_c = losses.classification_loss(*from_logits(logits[:4]), labels)
+    l_c = classification_step(logits[:4], labels)
     total = losses.total_loss(logits, labels,
                               {"consistency": 0.0, "diversity": 0.0}, tau=0.8)
-    assert total.total == l_c.value
+    assert total.total == l_c.total == l_c.l_c
+    assert total.total == plain_classification(*from_logits(logits[:4]),
+                                               labels)[0]
     np.testing.assert_array_equal(total.grad[:4], l_c.grad)
     assert np.all(total.grad[4:9] == 0.0)
     assert np.all(total.grad[9:] == 0.0)
+    assert not np.signbit(total.grad[4:]).any()
 
 
 def test_total_merges_gradients_per_pass():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(8, 4))
     p, log_p = from_logits(logits)
-    l_u, _ = losses.consistency_loss(p[2:5], p[5:], log_p[5:], tau=0.1)
+    _, g_u = plain_consistency(p[2:5], p[5:], log_p[5:], tau=0.1)
     l_d = losses.diversity_loss(p[None, 5:])
     total = losses.total_loss(logits, np.array([0, 1]),
                               {"consistency": 2.5, "diversity": 1.0}, tau=0.1)
-    expected_strong = 2.5 * l_u.grad + l_d.grad[0]
+    expected_strong = 2.5 * g_u + l_d.grad[0]
     np.testing.assert_allclose(total.grad[5:], expected_strong, atol=1e-15)
 
 
@@ -328,10 +388,9 @@ def test_classification_gradient_finite_differences():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(6, 4))
     y = rng.integers(0, 4, size=6)
-    lv = losses.classification_loss(*from_logits(z), y)
-    fd = fd_logit_grad(
-        lambda zz: losses.classification_loss(*from_logits(zz), y).value, z)
-    assert rel_err(lv.grad, fd) <= 1e-4
+    step = classification_step(z, y)
+    fd = fd_logit_grad(lambda zz: classification_step(zz, y).l_c, z)
+    assert rel_err(step.grad, fd) <= 1e-4
 
 
 def test_consistency_gradient_finite_differences():
@@ -339,12 +398,10 @@ def test_consistency_gradient_finite_differences():
     rng = np.random.default_rng(6)
     zw = 3.0 * rng.normal(size=(8, 4))
     zs = rng.normal(size=(8, 4))
-    pw = from_logits(zw)[0]
-    lv, _ = losses.consistency_loss(pw, *from_logits(zs), tau=0.5)
-    fd = fd_logit_grad(
-        lambda zz: losses.consistency_loss(
-            pw, *from_logits(zz), tau=0.5)[0].value, zs)
-    assert rel_err(lv.grad, fd) <= 1e-4
+    step = consistency_step(zw, zs, tau=0.5)
+    assert step.mask_rate > 0.0
+    fd = fd_logit_grad(lambda zz: consistency_step(zw, zz, tau=0.5).l_u, zs)
+    assert rel_err(step.grad[9:], fd) <= 1e-4
 
 
 def test_entropy_gradient_finite_differences():
@@ -538,9 +595,6 @@ def test_diversity_loss_rejects_a_single_matrix():
         losses.diversity_loss(np.full((4, 2), 0.5))
 
 
-TAU = 0.5
-
-
 def view_rows(n_labeled, n_unlabeled, views):
     """The rows of the weak and of the strong view in a step that stacks
     n_labeled labeled rows, then n_unlabeled rows of each view in views
@@ -576,14 +630,14 @@ def assembled_step(logits, labels, weights, weak, strong):
     probs, log_p = losses.softmax_and_log(logits)
     grad = np.zeros_like(probs)
     labeled = slice(0, len(labels))
-    l_c = losses.classification_loss(probs[labeled], log_p[labeled], labels)
-    grad[labeled] = l_c.grad
+    l_c, grad[labeled] = plain_classification(probs[labeled], log_p[labeled],
+                                              labels)
     values = dict.fromkeys(losses.TERMS, 0.0)
     if "consistency" in weights:
-        lv, _ = losses.consistency_loss(probs[weak], probs[strong],
-                                        log_p[strong], TAU)
-        values["consistency"] += lv.value
-        grad[strong] += weights["consistency"] * lv.grad
+        value, g_u = plain_consistency(probs[weak], probs[strong],
+                                       log_p[strong], TAU)
+        values["consistency"] += value
+        grad[strong] += weights["consistency"] * g_u
     if "entropy" in weights:
         lv = losses.entropy_loss(probs[weak], log_p[weak])
         values["entropy"] += lv.value
@@ -593,25 +647,27 @@ def assembled_step(logits, labels, weights, weak, strong):
             lv = losses.diversity_loss(probs[None, rows])
             values["diversity"] += lv.value
             grad[rows] += weights["diversity"] * lv.grad[0]
-    total = l_c.value
+    total = l_c
     for term in losses.TERMS:
         total += weights.get(term, 0.0) * values[term]
     mask_rate = 0.0 if weak is None else \
         float(np.mean(np.max(probs[weak], axis=1) > TAU))
-    return (l_c.value, values["consistency"] + values["entropy"],
+    return (l_c, values["consistency"] + values["entropy"],
             values["diversity"], total, mask_rate), grad
 
 
 def check_assembled(method, n_labeled, n_unlabeled, rng):
-    weights = pipeline.step_weights(pipeline.AdaptConfig(
-        method=method, lambda_u=2.5, lambda_d=0.75))
-    views = losses.views_read(weights)
-    labels = np.arange(n_labeled) % 4
-    for _ in range(3):
+    # zero weights too: a zero-weighted term must leave +0.0, not -0.0
+    for lambda_u, lambda_d in [(2.5, 0.75)] * 3 + [(0.0, 0.0)]:
+        weights = pipeline.step_weights(pipeline.AdaptConfig(
+            method=method, lambda_u=lambda_u, lambda_d=lambda_d))
+        views = losses.views_read(weights)
+        labels = np.arange(n_labeled) % 4
         logits = step_logits(rng, n_labeled, n_unlabeled, views)
         step = losses.total_loss(logits, labels, weights, TAU)
-        scalars, grad = assembled_step(
-            logits, labels, weights, *view_rows(n_labeled, n_unlabeled, views))
+        scalars, grad = assembled_step(logits, labels, weights,
+                                       *view_rows(n_labeled, n_unlabeled,
+                                                  views))
         assert (step.l_c, step.l_u, step.l_d, step.total,
                 step.mask_rate) == scalars
         assert np.array_equal(step.grad, grad)

@@ -1198,6 +1198,114 @@ def test_cli_train_source_flags_exit_cleanly():
         check()
 
 
+# evaluate's task: the small task's 4 classes and 2 input features
+EVAL_CLASSES, EVAL_INPUT_DIM = 4, 2
+EVAL_SPLITS = ("test", "labeled", "unlabeled")
+
+
+def _tree(root):
+    """Every path under root with its size and modification time."""
+    return sorted((path, os.stat(path).st_size, os.stat(path).st_mtime_ns)
+                  for top, dirs, files in os.walk(root)
+                  for path in [top] + [os.path.join(top, f) for f in files])
+
+
+def test_cli_evaluate_paths_exit_cleanly():
+    """evaluate with the model's class count and input width drawn
+    against the task's, --split one of its choices or not, and --model
+    and --data each a model or task file, a missing path or a directory:
+    a bad --split exits 2, any other rejected input exits 1, each with
+    one error line naming the rejected value or path, no traceback and
+    no change under the directory; a run that fits prints the accuracy
+    of pipeline.evaluate on the split."""
+    with tempfile.TemporaryDirectory() as root:
+        # the model that fits is a trained one, so that its accuracy
+        # differs between the splits
+        task_path, fit_path = _small_cli_files(root, source_epochs=3)
+        task = data.load_task(task_path)
+        models = {(EVAL_CLASSES, EVAL_INPUT_DIM): fit_path}
+        for classes in range(2, 7):
+            for input_dim in range(1, 5):
+                path = os.path.join(root, f"model_{classes}_{input_dim}.txt")
+                if (classes, input_dim) not in models:
+                    with open(path, "w") as f:
+                        f.write(network.serialize(network.init_network(
+                            network.default_spec(input_dim=input_dim,
+                                                 num_classes=classes),
+                            seed=0)))
+                    models[classes, input_dim] = path
+        paths = {"missing": os.path.join(root, "absent.txt"),
+                 "directory": tempfile.mkdtemp(dir=root)}
+        before = _tree(root)
+
+        @settings(max_examples=60, deadline=None)
+        @given(classes=st.integers(2, 6), input_dim=st.integers(1, 4),
+               split=st.sampled_from(EVAL_SPLITS + ("train",)),
+               model_at=st.sampled_from(["file", "missing", "directory"]),
+               data_at=st.sampled_from(["file", "missing", "directory"]))
+        # a model of 3 or 5 classes, or of 3 inputs, against the task
+        @example(classes=3, input_dim=2, split="test", model_at="file",
+                 data_at="file")
+        @example(classes=5, input_dim=2, split="test", model_at="file",
+                 data_at="file")
+        @example(classes=4, input_dim=3, split="test", model_at="file",
+                 data_at="file")
+        # the model that fits, on each split
+        @example(classes=4, input_dim=2, split="test", model_at="file",
+                 data_at="file")
+        @example(classes=4, input_dim=2, split="labeled", model_at="file",
+                 data_at="file")
+        @example(classes=4, input_dim=2, split="unlabeled", model_at="file",
+                 data_at="file")
+        @example(classes=4, input_dim=2, split="labeled",
+                 model_at="directory", data_at="missing")
+        def check(classes, input_dim, split, model_at, data_at):
+            model_path = paths.get(model_at, models[classes, input_dim])
+            data_path = paths.get(data_at, task_path)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(["evaluate", "--model", model_path,
+                                   "--data", data_path, "--split", split])
+                except SystemExit as e:
+                    rc = e.code
+            err = err.getvalue()
+            assert "Traceback" not in err
+            assert _tree(root) == before
+            if split not in EVAL_SPLITS:
+                rejected, code = f"invalid choice: '{split}'", 2
+            elif model_at != "file":
+                rejected, code = f"'{model_path}'", 1
+            elif data_at != "file":
+                rejected, code = f"'{data_path}'", 1
+            elif input_dim != EVAL_INPUT_DIM:
+                rejected, code = (f"model expects input_dim {input_dim}, "
+                                  f"task provides {EVAL_INPUT_DIM}"), 1
+            elif classes != EVAL_CLASSES:
+                rejected, code = (f"model has {classes} classes, task has "
+                                  f"{EVAL_CLASSES}"), 1
+            else:
+                assert rc == 0 and err == ""
+                xs, ys = {"test": (task.test_x, task.test_y),
+                          "labeled": (task.labeled_x, task.labeled_y),
+                          "unlabeled": (task.unlabeled_x,
+                                        task.unlabeled_labels())}[split]
+                net = network.deserialize(read_text(model_path))
+                accuracy = pipeline.evaluate(net, xs, ys).accuracy
+                assert out.getvalue().splitlines()[0] == \
+                    f"accuracy {accuracy:.6f}"
+                return
+            assert rc == code, err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and rejected in errors[0], err
+            if code == 1:
+                assert err == f"{errors[0]}\n" and \
+                    errors[0].startswith("error: "), err
+
+        check()
+
+
 def _no_work(monkeypatch):
     """Make every entry point a command could start its work at fail."""
     def refuse(*args, **kwargs):
