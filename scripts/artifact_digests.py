@@ -4,8 +4,10 @@ For each seed it runs, in a temporary directory:
 
   gen-data      the task file
   train-source  the source model
-  adapt         every method, plus cdl with --freeze-classifier: the
-                adapted model, the report and its CSV sidecar
+  adapt         every method, plus cdl with --freeze-classifier and
+                cdl with --lr 1e308 (a run that aborts in its first
+                epoch and rolls back): the adapted model, the report
+                and its CSV sidecar
   ablate        the default method grid over that one seed
   gradcheck     its stdout, with --seed N, saved as gradcheck.out
   wide_*        the widest task (data.MAX_CLASSES classes, default
@@ -71,10 +73,10 @@ def _seed_artifacts(seed: int, epochs, root: str):
 
     task, model = source("", [])
     yield from (task, model)
-    runs = [(m, []) for m in cli.pipeline.METHODS] + \
-        [("cdl", ["--freeze-classifier"])]
-    for method, extra in runs:
-        name = method + ("_frozen" if extra else "")
+    runs = [(m, m, []) for m in cli.pipeline.METHODS] + \
+        [("cdl_frozen", "cdl", ["--freeze-classifier"]),
+         ("cdl_aborted", "cdl", ["--lr", "1e308"])]
+    for name, method, extra in runs:
         yield from adapt(task, model, name, method, extra)
     grid = os.path.join(d, "ablate.csv")
     _run(["ablate", "--model", model, "--data", task, "--seeds", str(seed),

@@ -4,7 +4,9 @@ Subcommands: gen-data, train-source, adapt, evaluate, ablate,
 gradcheck, version. Exit codes: 0 success, 1 runtime or file error,
 2 usage error (argparse), 3 gradient-check failure. An output path in
 a missing directory, or one that names a directory, fails a command
-before it starts any work.
+before it starts any work, as do two output flags that would write the
+same file (after os.path.realpath, a report's CSV sidecar included).
+An output may name an input file, which is read first.
 
 A flag that sets a library setting has no default of its own: its
 destination is the name of that setting, it is absent from the parsed
@@ -287,14 +289,23 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 3
 
 
-def _check_output(flag: str, path: _Output) -> None:
-    """Raise OSError naming the flag unless every file the flag writes
-    can be created: its directory exists and no such file is a directory."""
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise FileNotFoundError(f"{flag} {path}: no such directory")
-    for name in (path + suffix for suffix in path.suffixes):
-        if os.path.isdir(name):
-            raise IsADirectoryError(f"{flag} {name}: is a directory")
+def _check_outputs(args) -> None:
+    """Raise OSError or ValueError naming the flag unless every file the
+    output flags write can be created: its directory exists, no such
+    file is a directory, and no two flags write the same file."""
+    writers = {}  # real path -> the flag that writes it
+    for dest, path in vars(args).items():
+        if not isinstance(path, _Output):
+            continue
+        flag = f"--{dest.replace('_', '-')}"
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"{flag} {path}: no such directory")
+        for name in (path + suffix for suffix in path.suffixes):
+            if os.path.isdir(name):
+                raise IsADirectoryError(f"{flag} {name}: is a directory")
+            first = writers.setdefault(os.path.realpath(name), flag)
+            if first != flag:
+                raise ValueError(f"{first} and {flag} both write {name}")
 
 
 def main(argv=None) -> int:
@@ -308,9 +319,7 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             _check_seed("--seed", args.seed)
-        for dest, path in vars(args).items():
-            if isinstance(path, _Output):
-                _check_output(f"--{dest.replace('_', '-')}", path)
+        _check_outputs(args)
         return handlers[args.command](args)
     except (OSError, ValueError, NumericalError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

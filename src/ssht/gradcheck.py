@@ -6,21 +6,23 @@ differences of the scalar objective, entry by entry. The relative error
 of entry pairs (a, b) is |a - b| / max(|a|, |b|, 1e-6).
 
 network_backward checks raw reverse mode. Then there is one suite per
-method of pipeline.METHODS, named after it: the method's whole step
-objective, built from pipeline.step_weights, losses.views_read and
-losses.total_loss on the logits, as adapt builds it, so a new method
-is checked with no edit here. Its tau is TAU, 0.4. Two kinds of
-instance are skipped and counted, judged on the probabilities of
-losses.softmax_and_log, which total_loss reads; a suite draws more
+method of pipeline.METHODS, named after it: the gradient that
+pipeline.step_gradient, the step both training loops run, returns for
+the method's term weights (pipeline.step_weights) and views
+(losses.views_read), against finite differences of losses.total_loss's
+total, so a new method is checked with no edit here. Its tau is TAU,
+0.4. Two kinds of instance are skipped and counted; a suite draws more
 until it has checked its quota (at most 20 attempts per instance
 wanted):
   - under the diversity term, a view whose prediction matrix has
     near-degenerate singular values (a gap or the smallest value below
     1e-3 of the largest), judged on one linalg.svd call over the
-    instance's views: the nuclear norm is not differentiable there, so
-    finite differences are not a valid oracle;
-  - under the consistency term, a batch with no weak row above tau,
-    where the term would contribute nothing to check.
+    instance's views' probabilities from losses.softmax_and_log: the
+    nuclear norm is not differentiable there, so finite differences
+    are not a valid oracle;
+  - under the consistency term, a batch with no weak row above tau
+    (the step's mask_rate is 0), where the term would contribute
+    nothing to check.
 """
 
 from dataclasses import dataclass
@@ -102,10 +104,10 @@ def check_network_backward(trials: int = 20, seed: int = 0) -> SuiteReport:
 
 
 def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
-    """One method's step objective, built as adapt builds it: 4 labeled
-    rows, then 6 rows for each unlabeled view losses.views_read names for
-    the term weights of pipeline.step_weights at the default config,
-    through losses.total_loss at tau TAU."""
+    """One method's step gradient from pipeline.step_gradient, as adapt
+    takes it: 4 labeled rows, then 6 rows for each unlabeled view
+    losses.views_read names for the term weights of pipeline.step_weights
+    at the default config, at tau TAU."""
     weights = pipeline.step_weights(pipeline.AdaptConfig(method=method))
     n_views = len(losses.views_read(weights))
     rng = np.random.default_rng(seed)
@@ -117,24 +119,19 @@ def check_method(method: str, trials: int = 6, seed: int = 0) -> SuiteReport:
         net = _small_net(seed=int(rng.integers(2 ** 31)))
         yl = rng.integers(0, 3, size=4)
         x = rng.normal(size=(4 + 6 * n_views, 3))
-        tape = network.forward(net, x, keep=True)
-        probs, _ = losses.softmax_and_log(tape.logits)
+        step, exact = pipeline.step_gradient(net, x, yl, weights, TAU)
+        probs, _ = losses.softmax_and_log(network.forward(net, x))
         views = probs[4:].reshape(n_views, 6, 3)  # weak first
         degenerate = "diversity" in weights and _spectrum_degenerate(views)
-        all_masked = "consistency" in weights and \
-            not np.any(np.max(views[0], axis=1) > TAU)
+        all_masked = "consistency" in weights and step.mask_rate == 0.0
         if degenerate or all_masked:
             skipped += 1
             continue
-
-        def step(logits):
-            return losses.total_loss(logits, yl, weights, TAU)
-
         # pseudo-labels and the mask are piecewise constant in the weak
         # rows, so letting them move with the parameters does not change
         # the derivative away from tau
-        exact = network.backward(net, tape, step(tape.logits).grad)
-        fd = fd_param_grads(net, lambda: step(network.forward(net, x)).total)
+        fd = fd_param_grads(net, lambda: losses.total_loss(
+            network.forward(net, x), yl, weights, TAU).total)
         worst = max(worst, _rel_err(exact, fd))
         checked += 1
     return SuiteReport(method, worst, checked, skipped,

@@ -20,12 +20,13 @@ call, then augments each view once over all of them (the labeled rows
 weakly, as FixMatch does, and the unlabeled views that
 losses.views_read names for the method's term weights, step_weights;
 each on its own random stream, under data.default_policy for the
-task). Each step stacks its slice of every view, runs them through one
-taped forward pass and losses.total_loss on its logits, and takes one
-backward pass from the single logit-gradient matrix that total_loss
-returns; total_loss finds the views' rows, in an epoch's shorter last
-step too, from the row count.
-gradcheck builds its method suites from the same two functions.
+task). Each step stacks its slice of every view and takes its gradient
+from step_gradient: one taped forward pass, losses.total_loss on its
+logits and one backward pass from the single logit-gradient matrix that
+total_loss returns; total_loss finds the views' rows, in an epoch's
+shorter last step too, from the row count. train_source's steps take
+theirs from step_gradient too, and gradcheck's method suites check
+step_gradient itself, with step_weights giving the term weights.
 
 The adaptation loop only ever sees an AdaptationView, which carries no
 source samples and no unlabeled labels; reads of either on the owning
@@ -166,6 +167,18 @@ def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult
                       predictions=pred)
 
 
+def step_gradient(net: network.Network, x: np.ndarray, labels: np.ndarray,
+                  weights: Dict[str, float], tau: float
+                  ) -> Tuple[losses.StepLoss, np.ndarray]:
+    """One training step: a taped forward pass of the stacked batch x
+    (the labeled rows, then each view losses.views_read(weights) names),
+    losses.total_loss on its logits and one backward pass. Returns the
+    step's losses and its parameter gradient, in the layout of net.flat."""
+    tape = network.forward(net, x, keep=True)
+    step = losses.total_loss(tape.logits, labels, weights, tau)
+    return step, network.backward(net, tape, step.grad)
+
+
 def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = None,
                  epochs: int = 30, seed: int = 0, lr: float = 0.005,
                  batch_size: int = 96) -> str:
@@ -217,12 +230,10 @@ def train_source(task: data.DomainTask, spec: Optional[network.NetworkSpec] = No
             with np.errstate(**STEP_ERRORS):
                 for start in range(0, order.size, bs):
                     idx = order[start:start + bs]
-                    tape = network.forward(net, train_x[idx], keep=True)
                     # s_plus_t on source rows: no view, so no term reads tau
-                    step = losses.total_loss(tape.logits, train_y[idx], {},
-                                             1.0)
-                    network.sgd_step(
-                        net, network.backward(net, tape, step.grad), state)
+                    _, grad = step_gradient(net, train_x[idx], train_y[idx],
+                                            {}, 1.0)
+                    network.sgd_step(net, grad, state)
                 start = None  # past the steps: the validation pass
                 val_acc = evaluate(net, val_x, val_y).accuracy
         except FloatingPointError as e:
@@ -323,13 +334,10 @@ def adapt(model_text: str, task, config: AdaptConfig
                     rows_u = slice(i * ub, (i + 1) * ub)
                     report.unlabeled_weak_passes += "weak" in views
                     report.unlabeled_strong_passes += "strong" in views
-                    tape = network.forward(net, np.concatenate(
-                        [xl[rows_l]] + [x[rows_u] for x in xv]), keep=True)
-                    step = losses.total_loss(tape.logits, yl[rows_l],
-                                             weights, config.tau)
-                    network.sgd_step(
-                        net, network.backward(net, tape, step.grad), state,
-                        config.freeze_classifier)
+                    step, grad = step_gradient(net, np.concatenate(
+                        [xl[rows_l]] + [x[rows_u] for x in xv]), yl[rows_l],
+                        weights, config.tau)
+                    network.sgd_step(net, grad, state, config.freeze_classifier)
                     sums += (step.l_c, step.l_u, step.l_d, step.total,
                              step.mask_rate)
                 i = None  # past the steps: the epoch's evaluations

@@ -3,13 +3,16 @@
 The document, an "ssht-report/1" key-value document (see fileio),
 round-trips every RunReport field losslessly: write -> read -> write is
 byte identical; fileio's settings codec writes the config, and each
-epoch line holds its EpochRecord's other fields in field order. Only an
-aborted run has an abort_reason line; a report without one (any from
-before the line existed) loads with None. Keys the format does not name
-are ignored on read, so a report written while Nesterov momentum, the
-labeled rows' weak augmentation, the momentum or the weight decay were
-settings loads, and a rewrite drops its lines for them. The sidecar at
-<path>.csv holds the per-epoch curves with exactly the columns
+epoch line holds its EpochRecord's other fields in field order. The
+epoch lines are read by key: a report with N `epoch.` keys must hold
+exactly epoch.1 ... epoch.N, as they are written, or it fails to load
+with "missing field epoch.k". Only an aborted run has an abort_reason
+line; a report without one (any from before the line existed) loads
+with None. Keys the format does not name are ignored on read, so a
+report written while Nesterov momentum, the labeled rows' weak
+augmentation, the momentum or the weight decay were settings loads,
+and a rewrite drops its lines for them. The sidecar at <path>.csv
+holds the per-epoch curves with exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -73,20 +76,19 @@ def write_report(report: RunReport, path: str) -> None:
     atomic_write_text(path + ".csv", report_csv(report))
 
 
-def _parse_epoch(key: str, value: str) -> EpochRecord:
+def _parse_epoch(epoch: int, value: str) -> EpochRecord:
     vals = parse_floats(value).tolist()
     if len(vals) != len(_EPOCH_FIELDS):
         raise ValueError(f"{len(vals)} values, wants {len(_EPOCH_FIELDS)}")
-    return EpochRecord(epoch=int(key.split(".")[1]),
-                       **dict(zip(_EPOCH_FIELDS, vals)))
+    return EpochRecord(epoch=epoch, **dict(zip(_EPOCH_FIELDS, vals)))
 
 
 def deserialize_report(text: str) -> RunReport:
     kv = read_document(text, REPORT_FORMAT, ReportFormatError)
     cfg = parse_settings(kv, "config", AdaptConfig)
-    records = sorted((kv.parse(key, partial(_parse_epoch, key))
-                      for key in kv if key.startswith("epoch.")),
-                     key=lambda rec: rec.epoch)
+    epochs = sum(key.startswith("epoch.") for key in kv)
+    records = [kv.parse(f"epoch.{k}", partial(_parse_epoch, k))
+               for k in range(1, epochs + 1)]
     per_class = kv.parse("final.per_class", parse_floats).tolist()
     flat = kv.parse("final.confusion", parse_ints).tolist()
     c = len(per_class)

@@ -16,9 +16,13 @@ def test_artifact_digests_one_line_per_file(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--seeds", "0", "--epochs", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    # the cdl_aborted run covers adapt's abort and rollback
+    assert "warning: run aborted at epoch 1 (step 2: overflow encountered " \
+        "in matmul)" in captured.err
 
-    runs = [*pipeline.METHODS, "cdl_frozen"]
+    runs = [*pipeline.METHODS, "cdl_frozen", "cdl_aborted"]
     names = ["task.txt", "source.txt"] + [
         f"{run}.{kind}" for run in runs
         for kind in ("model.txt", "report.txt", "report.txt.csv")] + \

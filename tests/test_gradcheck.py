@@ -38,9 +38,22 @@ def _scaled_hard_target_rows(term):
     return scaled
 
 
-@pytest.mark.parametrize("term", ["classification", *losses.TERMS])
+def _scaled_step_gradient(step_gradient):
+    """step_gradient with its parameter gradient scaled by 1.01."""
+    def scaled(*args):
+        step, grad = step_gradient(*args)
+        return step, 1.01 * grad
+    return scaled
+
+
+@pytest.mark.parametrize("term", ["classification", *losses.TERMS,
+                                  "step_gradient"])
 def test_a_wrong_term_gradient_fails_every_method_using_it(monkeypatch, term):
-    if term in ("classification", "consistency"):
+    # "step_gradient": the whole step's gradient, which every method uses
+    if term == "step_gradient":
+        monkeypatch.setattr(pipeline, "step_gradient",
+                            _scaled_step_gradient(pipeline.step_gradient))
+    elif term in ("classification", "consistency"):
         monkeypatch.setattr(losses, "_hard_targets",
                             _scaled_hard_target_rows(term))
     else:
@@ -49,7 +62,8 @@ def test_a_wrong_term_gradient_fails_every_method_using_it(monkeypatch, term):
                             _scaled_gradient(getattr(losses, name)))
     failed = [m for i, m in enumerate(pipeline.METHODS)
               if not gradcheck.check_method(m, seed=1 + i).passed]
-    assert failed == [m for m in pipeline.METHODS if term == "classification"
+    assert failed == [m for m in pipeline.METHODS
+                      if term in ("classification", "step_gradient")
                       or term in pipeline.METHOD_TERMS[m]]
 
 

@@ -75,6 +75,27 @@ def test_report_without_an_abort_reason_loads(small_report):
     assert loaded.aborted_epoch == 2 and loaded.abort_reason is None
 
 
+def test_report_epoch_keys_run_from_1_to_their_count(small_report):
+    # epoch lines are read by key, as serialize_report writes them: N
+    # epoch. keys must be epoch.1 ... epoch.N
+    text = reports.serialize_report(small_report)
+    assert len(small_report.records) == 3
+    first = next(ln for ln in text.splitlines() if ln.startswith("epoch.1 "))
+    padded = text.replace(first, first + "\n" + first.replace(
+        "epoch.1 ", "epoch.01 ", 1))
+    gap = text.replace("\nepoch.3 = ", "\nepoch.7 = ")
+    for broken, missing in ((padded, "epoch.4"), (gap, "epoch.3")):
+        with pytest.raises(reports.ReportFormatError,
+                           match=f"^missing field {missing}$"):
+            reports.deserialize_report(broken)
+    aborted = replace(small_report, aborted_epoch=4,
+                      abort_reason="step 1: overflow encountered in matmul")
+    for report in (small_report, aborted):
+        text = reports.serialize_report(report)
+        assert reports.serialize_report(
+            reports.deserialize_report(text)) == text
+
+
 def test_report_numpy_float_config_round_trips(small_report):
     cfg = replace(small_report.config, tau=np.float64(0.75))
     text = reports.serialize_report(replace(small_report, config=cfg))
@@ -1408,3 +1429,36 @@ def test_cli_output_naming_a_directory_is_exit_1_before_any_work(
         capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["out" + suffix]
     assert os.listdir(path + suffix) == []
+
+
+@pytest.mark.parametrize("model,report,written", [
+    ("out/x.txt", "out/x.txt", "out/x.txt"),
+    ("out/r.csv", "out/r", "out/r.csv"),
+    ("alias/x.txt", "out/x.txt", "out/x.txt"),
+    ("alias/r.csv", "out/r", "out/r.csv")])
+def test_cli_outputs_writing_one_file_are_exit_1_before_any_work(
+        cli_files, tmp_path, monkeypatch, capsys, model, report, written):
+    # alias is a symlink to the directory out; "r.csv" is the report's
+    # CSV sidecar
+    _, task_path, model_path = cli_files
+    (tmp_path / "out").mkdir()
+    os.symlink(tmp_path / "out", tmp_path / "alias")
+    _no_work(monkeypatch)
+    assert cli.main(["adapt", "--model", model_path, "--data", task_path,
+                     "--seed", "0", "--out-model", str(tmp_path / model),
+                     "--report", str(tmp_path / report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out-model and --report both write {tmp_path / written}"]
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_adapt_output_may_name_its_input(cli_files, tmp_path, capsys):
+    # inputs are read before any output is written
+    _, task_path, model_path = cli_files
+    model = tmp_path / "model.txt"
+    model.write_text(read_text(model_path))
+    assert cli.main(["adapt", "--model", str(model), "--data", task_path,
+                     "--seed", "0", "--epochs", "1", "--out-model",
+                     str(model), "--report", str(tmp_path / "r")]) == 0
+    assert network.deserialize(read_text(str(model))).meta[
+        "adapted_method"] == "cdl"

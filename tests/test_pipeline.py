@@ -484,6 +484,36 @@ def test_adapt_makes_one_kernel_call_per_step_for_both_views(
     assert all(len(s) == 3 and s[0] == 2 for s in shapes)
 
 
+@pytest.mark.parametrize("run", ["train_source", *pipeline.METHODS])
+def test_every_training_step_takes_its_gradient_from_step_gradient(
+        monkeypatch, task, model_text, run):
+    # each step: one step_gradient call, the one backward pass inside it,
+    # then the SGD step; no backward pass outside step_gradient
+    events = []
+    step_gradient, backward, sgd_step = (pipeline.step_gradient,
+                                         network.backward, network.sgd_step)
+
+    def logged_step_gradient(*args):
+        events.append("step_gradient")
+        result = step_gradient(*args)
+        events.append("returned")
+        return result
+    monkeypatch.setattr(pipeline, "step_gradient", logged_step_gradient)
+    monkeypatch.setattr(network, "backward", lambda *args: (
+        events.append("backward") or backward(*args)))
+    monkeypatch.setattr(network, "sgd_step", lambda *args: (
+        events.append("sgd_step") or sgd_step(*args)))
+    if run == "train_source":
+        pipeline.train_source(task, seed=0, epochs=2)
+        rows = task.source_x.shape[0]
+        steps = 2 * -(-(rows - max(1, rows // 10)) // 96)
+    else:
+        pipeline.adapt(model_text, task, short_config(method=run, epochs=2))
+        steps = 2 * data.steps_per_epoch(task.num_unlabeled, 48)
+    assert events == ["step_gradient", "backward", "returned",
+                      "sgd_step"] * steps
+
+
 # a 16-class source model (1 epoch) and its 1-epoch cdl adapt; prints a
 # digest of both model documents
 _WIDE_RUN = """
