@@ -8,7 +8,9 @@ For each seed it runs, in a temporary directory:
                 cdl with --lr 1e308 (a run that aborts in its first
                 epoch and rolls back): the adapted model, the report
                 and its CSV sidecar
-  ablate        the default method grid over that one seed
+  ablate        the default method grid over that one seed, and the
+                same grid with --lr 1e308 (every cell aborts in its
+                first epoch), saved as ablate_aborted.csv
   gradcheck     its stdout, with --seed N, saved as gradcheck.out
   wide_*        the widest task (data.MAX_CLASSES classes, default
                 counts), its source model, and its cdl adapt: the
@@ -78,10 +80,11 @@ def _seed_artifacts(seed: int, epochs, root: str):
          ("cdl_aborted", "cdl", ["--lr", "1e308"])]
     for name, method, extra in runs:
         yield from adapt(task, model, name, method, extra)
-    grid = os.path.join(d, "ablate.csv")
-    _run(["ablate", "--model", model, "--data", task, "--seeds", str(seed),
-          "--out", grid] + loop)
-    yield grid
+    for name, extra in (("ablate", []), ("ablate_aborted", ["--lr", "1e308"])):
+        grid = os.path.join(d, f"{name}.csv")
+        _run(["ablate", "--model", model, "--data", task, "--seeds",
+              str(seed), "--out", grid] + loop + extra)
+        yield grid
     checks = os.path.join(d, "gradcheck.out")
     with open(checks, "w") as f:
         f.write(_run(["gradcheck", "--seed", str(seed)]))

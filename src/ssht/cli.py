@@ -2,11 +2,15 @@
 
 Subcommands: gen-data, train-source, adapt, evaluate, ablate,
 gradcheck, version. Exit codes: 0 success, 1 runtime or file error,
-2 usage error (argparse), 3 gradient-check failure. An output path in
-a missing directory, or one that names a directory, fails a command
-before it starts any work, as do two output flags that would write the
-same file (after os.path.realpath, a report's CSV sidecar included).
-An output may name an input file, which is read first.
+2 usage error (argparse), 3 gradient-check failure. An output path
+whose resolved path (fileio.write_target, which follows symlinks)
+lies in a missing directory, one that names a directory, and one
+through a symlink that write_target refuses to follow fail a command
+before it starts any work, as do two outputs that would write the same
+resolved file (a report's CSV sidecar included, so also a sidecar that
+links to its report): a symlinked output keeps its link and has its
+target replaced. An output may name an input file, which is read
+first.
 
 A flag that sets a library setting has no default of its own: its
 destination is the name of that setting, it is absent from the parsed
@@ -24,7 +28,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, data, gradcheck, network, pipeline, reports
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write_text, read_text, write_target
 from .linalg import NumericalError
 
 
@@ -34,7 +38,7 @@ class _Output(str):
 
 
 class _Report(_Output):
-    suffixes = ("", ".csv")  # the report and its CSV sidecar
+    suffixes = ("", reports.CSV_SUFFIX)  # the report and its CSV sidecar
 
 
 def _given(args, target) -> dict:
@@ -273,8 +277,12 @@ def _cmd_ablate(args) -> int:
                   f"+/- {s['std_accuracy']:.4f}  diversity "
                   f"{s['mean_diversity']:.4f}")
         else:
-            print(f"{method:10s} all cells failed")
+            print(f"{method:10s} all cells aborted")
     print(f"wrote {args.out}")
+    for row in suite.rows:
+        if row.error is not None:
+            print(f"warning: cell {row.method} seed {row.seed} {row.error}",
+                  file=sys.stderr)
     return 0
 
 
@@ -291,21 +299,25 @@ def _cmd_gradcheck(args) -> int:
 
 def _check_outputs(args) -> None:
     """Raise OSError or ValueError naming the flag unless every file the
-    output flags write can be created: its directory exists, no such
-    file is a directory, and no two flags write the same file."""
+    output flags write can be created where atomic_write_text writes it,
+    at its write_target: that path's directory exists, no such file is a
+    directory, and no two files written share a real path. A link that
+    write_target will not follow raises its PermissionError."""
     writers = {}  # real path -> the flag that writes it
     for dest, path in vars(args).items():
         if not isinstance(path, _Output):
             continue
         flag = f"--{dest.replace('_', '-')}"
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(f"{flag} {path}: no such directory")
         for name in (path + suffix for suffix in path.suffixes):
+            real = write_target(name)
+            if not os.path.isdir(os.path.dirname(real)):
+                raise FileNotFoundError(f"{flag} {name}: no such directory")
             if os.path.isdir(name):
                 raise IsADirectoryError(f"{flag} {name}: is a directory")
-            first = writers.setdefault(os.path.realpath(name), flag)
-            if first != flag:
-                raise ValueError(f"{first} and {flag} both write {name}")
+            if real in writers:  # also a report whose sidecar links to it
+                raise ValueError(f"{writers[real]} and {flag} both write "
+                                 f"{name}")
+            writers[real] = flag
 
 
 def main(argv=None) -> int:

@@ -11,16 +11,50 @@ declaration order, each value in the format of its annotation (CODECS).
 """
 
 import dataclasses
+import errno
 import os
+import stat
 import tempfile
 from typing import Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
 
+def write_target(path: str) -> str:
+    """The real path of the file a write to path replaces: path itself,
+    or the file at the end of the symlinks it names.
+
+    Each of those links is followed only where the kernel's
+    protected_symlinks rule lets open() follow it: it lies outside a
+    sticky world-writable directory (such as /tmp), or it is owned by
+    the user or by that directory's owner. Otherwise PermissionError, as
+    open(path, "w") would raise there, so a link planted in a shared
+    directory does not redirect the write.
+    """
+    shared = stat.S_ISVTX | stat.S_IWOTH
+    for _ in range(40):  # the kernel's limit on links in one lookup
+        if not os.path.islink(path):
+            break
+        directory = os.path.realpath(os.path.dirname(path))
+        parent, link = os.stat(directory), os.lstat(path)
+        if (parent.st_mode & shared == shared
+                and link.st_uid not in (os.geteuid(), parent.st_uid)):
+            raise PermissionError(errno.EACCES, "not following a symlink "
+                                  "another user owns in a sticky directory",
+                                  path)
+        path = os.path.join(directory, os.readlink(path))
+    return os.path.realpath(path)
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, never a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write text to path via a temp file and rename, never a partial file.
+
+    The file written is write_target(path), with the temp file beside
+    it: a symlinked path keeps its link, and the link's target is
+    replaced.
+    """
+    path = write_target(path)
+    directory = os.path.dirname(path)
     umask = os.umask(0)  # os reads the umask only by setting it
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -6,13 +6,20 @@ A collapsed model (everything mapped to the majority class) scores near
 1/C on balanced batches; a healthy model scores near 1. The ratio can
 exceed 1 when the model predicts more classes than the batch contains.
 
-The batches are consecutive slices of random permutations of the rows,
-the way data.epoch_batches draws unlabeled training batches: a few
-generator calls per measurement, whatever the number of batches, and a
-cost that does not depend on the class count.
+The sample is metrics' own: BATCHES batches of min(BATCH_SIZE, n) rows
+of an n-row split, consecutive slices of random permutations of the
+rows, the way data.epoch_batches draws unlabeled training batches. It
+takes a few generator calls per measurement, whatever the number of
+batches, and costs the same whatever the class count. adapt measures
+each epoch on the test split, and run_ablation_suite each cell on the
+unlabeled split, with this one sample.
 """
 
 import numpy as np
+
+# the sample: BATCHES batches of min(BATCH_SIZE, rows) rows
+BATCH_SIZE = 48
+BATCHES = 50
 
 
 def _distinct_per_row(values: np.ndarray) -> np.ndarray:
@@ -21,16 +28,17 @@ def _distinct_per_row(values: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def aggregate_diversity(pred: np.ndarray, ys: np.ndarray, batch_size: int,
-                        num_batches: int, rng: np.random.Generator) -> float:
-    """Mean diversity ratio of predicted labels over random batches.
+def aggregate_diversity(pred: np.ndarray, ys: np.ndarray,
+                        rng: np.random.Generator) -> float:
+    """Mean diversity ratio of predicted labels over BATCHES random
+    batches of min(BATCH_SIZE, n) rows, where n is the row count.
 
-    Each `rng.permutation(n)` gives `n // batch_size` disjoint batches,
-    its consecutive `batch_size`-row slices; the function draws
-    `ceil(num_batches / (n // batch_size))` permutations, one after
-    another, and keeps the first `num_batches` slices in draw order.
-    Every batch is a uniform sample without replacement. The distinct
-    classes of all batches are counted at once.
+    Each `rng.permutation(n)` gives `n // size` disjoint batches, its
+    consecutive `size`-row slices; the function draws
+    `ceil(BATCHES / (n // size))` permutations, one after another, and
+    keeps the first BATCHES slices in draw order. Every batch is a
+    uniform sample without replacement. The distinct classes of all
+    batches are counted at once. Empty labels raise ValueError.
     """
     pred = np.asarray(pred)
     ys = np.asarray(ys)
@@ -38,16 +46,15 @@ def aggregate_diversity(pred: np.ndarray, ys: np.ndarray, batch_size: int,
         raise ValueError(f"pred and ys must be equal-length label vectors, "
                          f"got {pred.shape} and {ys.shape}")
     n = pred.shape[0]
-    if batch_size < 1 or batch_size > n:
-        raise ValueError(f"batch_size must lie in [1, {n}]")
-    if num_batches < 1:
-        raise ValueError(f"num_batches must be positive, got {num_batches}")
-    per_perm = n // batch_size
-    perms = [rng.permutation(n)[:per_perm * batch_size]
-             for _ in range(-(-num_batches // per_perm))]
-    idx = np.concatenate(perms).reshape(-1, batch_size)[:num_batches]
+    if n == 0:
+        raise ValueError("pred and ys hold no rows")
+    size = min(BATCH_SIZE, n)
+    per_perm = n // size
+    perms = [rng.permutation(n)[:per_perm * size]
+             for _ in range(-(-BATCHES // per_perm))]
+    idx = np.concatenate(perms).reshape(-1, size)[:BATCHES]
     ratios = _distinct_per_row(pred[idx]) / _distinct_per_row(ys[idx])
     total = 0.0
     for ratio in ratios.tolist():  # summed in batch order, as one by one
         total += ratio
-    return total / num_batches
+    return total / BATCHES

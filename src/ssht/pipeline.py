@@ -41,14 +41,20 @@ the report's final evaluation; the report's abort_reason reads
 
 Per-epoch prediction-diversity is measured on held-out test batches,
 from the predictions of that epoch's test evaluation, on a random
-stream of its own: metrics.aggregate_diversity slices its batches from
-a few permutations, so an epoch's bookkeeping (its batches and its
-diversity batches) takes a handful of generator calls.
-The unlabeled split's private labels stay untouched during adaptation;
-suite-level diversity on the unlabeled split is computed afterwards
-through the counting accessor. run_ablation_suite runs adapt's checks
-on the model, the task and the settings its cells share before the
-first cell runs.
+stream of its own: metrics.aggregate_diversity draws its own sample,
+slicing its batches from a few permutations, so an epoch's bookkeeping
+(its batches and its diversity batches) takes a handful of generator
+calls. The unlabeled split's private labels stay untouched during
+adaptation.
+
+run_ablation_suite is one loop over (method, seed) cells whose configs
+were all validated, and whose shared model and task passed adapt's
+checks, before the first cell runs; a bad setting raises ValueError
+and runs nothing. A cell fails in only one way: its run aborts. The
+cell then keeps its rolled-back model's measurements and its row's
+error names the abort, and the summary leaves it out. Each cell's
+diversity on the unlabeled split comes from one evaluate pass,
+afterwards, through the counting accessor.
 """
 
 import hashlib
@@ -70,11 +76,6 @@ METHODS = tuple(METHOD_TERMS)
 # the floating-point faults that abort a training step; underflow is not
 # one, since softmax_and_log's exponential underflows to 0 by design
 STEP_ERRORS = dict(all="raise", under="ignore")
-
-# the prediction-diversity sample of adapt's epochs (test split) and of
-# the grid's cells (unlabeled split): batches of min(size, rows) rows
-DIVERSITY_BATCH_SIZE = 48
-DIVERSITY_BATCHES = 50
 
 
 @dataclass
@@ -104,6 +105,8 @@ class AdaptConfig:
                                  f"got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.unlabeled_batch < 1:
             raise ValueError("unlabeled_batch must be positive")
         if self.labeled_batch is not None and self.labeled_batch < 1:
@@ -345,9 +348,7 @@ def adapt(model_text: str, task, config: AdaptConfig
                 labeled_acc = evaluate(net, view.labeled_x,
                                        view.labeled_y).accuracy
                 div = metrics.aggregate_diversity(
-                    test.predictions, view.test_y,
-                    batch_size=min(DIVERSITY_BATCH_SIZE, len(view.test_y)),
-                    num_batches=DIVERSITY_BATCHES, rng=rng_diversity)
+                    test.predictions, view.test_y, rng_diversity)
         except FloatingPointError as e:
             report.aborted_epoch = epoch
             where = "evaluation" if i is None else f"step {i + 1}"
@@ -396,42 +397,38 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
                        seeds: Sequence[int]) -> SuiteResult:
     """Adapt the same source model under every (method, seed) pair.
 
-    The diversity column is the mean prediction-diversity ratio over
-    random unlabeled batches, measured after adaptation through the
-    counting label accessor. Before the first cell, the checks adapt
-    makes before its first step run once on what every cell shares
-    (the model, the task and all settings but the method and the seed),
-    so a bad one raises ValueError and nothing runs; a cell that fails
-    on its own is recorded and the rest of the grid still runs.
+    Every cell's config is validated, and adapt's other checks before
+    its first step run once on what the cells share (the model and the
+    task), before the first cell runs: a bad setting raises ValueError
+    and nothing runs. A cell whose run aborts keeps the measurements of
+    its rolled-back model, as adapt's report does; its error reads
+    "aborted at epoch N: <abort_reason>" and the summary leaves it out.
+    The diversity column is the mean prediction-diversity ratio of
+    metrics.aggregate_diversity on the unlabeled split, measured after
+    adaptation through the counting label accessor.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
-    _source_network(model_text, task.adaptation_view(),
-                    replace(base_config, method=METHODS[0]))
+    configs = [replace(base_config, method=m, seed=s)
+               for m in methods for s in seeds]
+    for cfg in configs:
+        cfg.validate()
+    _source_network(model_text, task.adaptation_view(), configs[0])
     rows: List[SuiteRow] = []
-    for method in methods:
-        for seed in seeds:
-            cfg = replace(base_config, method=method, seed=seed)
-            try:
-                report, adapted_text = adapt(model_text, task, cfg)
-                logits = network.forward(network.deserialize(adapted_text),
-                                         task.unlabeled_x)
-                div = metrics.aggregate_diversity(
-                    np.argmax(logits, axis=1), task.unlabeled_labels(),
-                    batch_size=min(DIVERSITY_BATCH_SIZE, task.num_unlabeled),
-                    num_batches=DIVERSITY_BATCHES,
-                    rng=np.random.default_rng(10_000 + seed))
-                minority = report.per_class_accuracy[-1]
-                rows.append(SuiteRow(method=method, seed=seed,
-                                     final_accuracy=report.final_accuracy,
-                                     diversity_ratio=float(div),
-                                     minority_recall=float(minority)))
-            except (ValueError, NumericalError) as e:
-                rows.append(SuiteRow(method=method, seed=seed,
-                                     final_accuracy=float("nan"),
-                                     diversity_ratio=float("nan"),
-                                     minority_recall=float("nan"),
-                                     error=str(e)))
+    for cfg in configs:
+        report, adapted_text = adapt(model_text, task, cfg)
+        ys = task.unlabeled_labels()
+        pred = evaluate(network.deserialize(adapted_text), task.unlabeled_x,
+                        ys).predictions
+        div = metrics.aggregate_diversity(
+            pred, ys, np.random.default_rng(10_000 + cfg.seed))
+        error = None if report.aborted_epoch is None else \
+            f"aborted at epoch {report.aborted_epoch}: {report.abort_reason}"
+        rows.append(SuiteRow(method=cfg.method, seed=cfg.seed,
+                             final_accuracy=report.final_accuracy,
+                             diversity_ratio=div,
+                             minority_recall=report.per_class_accuracy[-1],
+                             error=error))
     summary: Dict[str, Dict[str, float]] = {}
     for method in methods:
         cells = [r for r in rows if r.method == method and r.error is None]

@@ -11,8 +11,9 @@ line; a report without one (any from before the line existed) loads
 with None. Keys the format does not name are ignored on read, so a
 report written while Nesterov momentum, the labeled rows' weak
 augmentation, the momentum or the weight decay were settings loads,
-and a rewrite drops its lines for them. The sidecar at <path>.csv
-holds the per-epoch curves with exactly the columns
+and a rewrite drops its lines for them. The sidecar at <path> +
+CSV_SUFFIX (<path>.csv) holds the per-epoch curves with exactly the
+columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -30,6 +31,7 @@ from .fileio import (FormatError, atomic_write_text, format_document,
 from .pipeline import AdaptConfig, EpochRecord, RunReport
 
 REPORT_FORMAT = "ssht-report/1"
+CSV_SUFFIX = ".csv"  # the sidecar's path is the report's plus this
 
 CSV_COLUMNS = ("epoch", "l_c", "l_u", "l_d", "total", "mask_rate",
                "test_acc", "diversity_ratio")
@@ -73,7 +75,7 @@ def report_csv(report: RunReport) -> str:
 
 def write_report(report: RunReport, path: str) -> None:
     atomic_write_text(path, serialize_report(report))
-    atomic_write_text(path + ".csv", report_csv(report))
+    atomic_write_text(path + CSV_SUFFIX, report_csv(report))
 
 
 def _parse_epoch(epoch: int, value: str) -> EpochRecord:

@@ -282,3 +282,75 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == {"atomic.txt": 0o666 & ~umask,
                      "plain.txt": 0o666 & ~umask}
+
+
+def test_atomic_write_through_a_symlink_replaces_its_target(tmp_path):
+    # the link survives, its target is replaced, and the temporary file
+    # lives beside the target, so nothing is left beside the link
+    (tmp_path / "elsewhere").mkdir()
+    target = tmp_path / "elsewhere" / "target.csv"
+    target.write_text("old\n")
+    os.symlink(target, tmp_path / "link.csv")
+    fileio.atomic_write_text(str(tmp_path / "link.csv"), "new\n")
+    assert os.readlink(tmp_path / "link.csv") == str(target)
+    assert target.read_text() == "new\n"
+    assert sorted(os.listdir(tmp_path)) == ["elsewhere", "link.csv"]
+    assert os.listdir(tmp_path / "elsewhere") == ["target.csv"]
+
+
+needs_root = pytest.mark.skipif(os.geteuid() != 0,
+                                reason="giving a link another owner needs root")
+
+
+def _foreign_link(directory, target, mode):
+    """A link in directory, owned by a uid neither the user nor the
+    directory's owner has, to target; directory gets mode."""
+    directory.mkdir()
+    directory.chmod(mode)
+    link = directory / "link.csv"
+    os.symlink(target, link)
+    os.lchown(link, 54321, 54321)
+    return link
+
+
+@needs_root
+def test_atomic_write_refuses_a_foreign_link_in_a_sticky_shared_directory(
+        tmp_path):
+    # protected_symlinks' rule: open() would not follow this link, so the
+    # write neither follows it nor replaces it
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = _foreign_link(tmp_path / "shared", target, 0o1777)
+    with pytest.raises(PermissionError, match="sticky directory"):
+        fileio.atomic_write_text(str(link), "new\n")
+    assert target.read_text() == "old\n"
+    assert os.readlink(link) == str(target)
+    assert os.listdir(tmp_path / "shared") == ["link.csv"]
+
+
+@needs_root
+@pytest.mark.parametrize("mode,owner", [(0o777, None), (0o1775, None),
+                                        (0o1777, 54321)])
+def test_atomic_write_follows_a_foreign_link_the_kernel_would_follow(
+        tmp_path, mode, owner):
+    # not sticky, not world-writable, or the directory's owner owns the link
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = _foreign_link(tmp_path / "dir", target, mode)
+    if owner is not None:
+        os.chown(tmp_path / "dir", owner, owner)
+    fileio.atomic_write_text(str(link), "new\n")
+    assert target.read_text() == "new\n"
+    assert os.path.islink(link)
+
+
+@needs_root
+def test_write_target_checks_every_link_it_follows(tmp_path):
+    # an own link to a foreign link in a sticky shared directory: refused
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = _foreign_link(tmp_path / "shared", target, 0o1777)
+    os.symlink(link, tmp_path / "mine.csv")
+    with pytest.raises(PermissionError):
+        fileio.write_target(str(tmp_path / "mine.csv"))
+    assert fileio.write_target(str(target)) == str(target)

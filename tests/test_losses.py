@@ -440,11 +440,12 @@ def test_diversity_gradient_finite_differences():
 
 
 def _one_batch_ratio(pred, true):
-    """The diversity ratio of one batch: all rows, drawn once, so the
-    draw's order, and with it the generator, leaves the ratio as is."""
+    """The diversity ratio of one batch: on fewer than BATCH_SIZE rows
+    every batch holds all of them, so the draw's order, and with it the
+    generator, leaves the ratio as is."""
+    assert len(true) < metrics.BATCH_SIZE
     return metrics.aggregate_diversity(np.asarray(pred), np.asarray(true),
-                                       batch_size=len(true), num_batches=1,
-                                       rng=np.random.default_rng(0))
+                                       np.random.default_rng(0))
 
 
 def test_diversity_ratio_collapsed():
@@ -470,8 +471,11 @@ def test_diversity_ratio_permutation_invariant():
 
 
 def test_diversity_ratio_rejects_empty():
-    with pytest.raises(ValueError):
-        _one_batch_ratio([], [])
+    # no rows: an error before any draw, not a sample of empty batches
+    rng = CountingGenerator(0)
+    with pytest.raises(ValueError, match="no rows"):
+        metrics.aggregate_diversity(np.zeros(0, int), np.zeros(0, int), rng)
+    assert rng.perms == []
 
 
 def test_aggregate_diversity_perfect_predictor():
@@ -490,34 +494,46 @@ def test_aggregate_diversity_perfect_predictor():
     net.params[2][0, :] = 1.0
     net.params[4][:, 1] = 5.0   # class 1 logit rises with -x0
     pred = np.argmax(network.forward(net, xs), axis=1)
-    ratios = metrics.aggregate_diversity(pred, ys, batch_size=10,
-                                         num_batches=20,
-                                         rng=np.random.default_rng(11))
+    ratios = metrics.aggregate_diversity(pred, ys, np.random.default_rng(11))
     assert ratios == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("batch_size,num_batches", [(48, 50), (1, 7), (60, 3)])
-def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches):
+def _per_batch_loop_matches(n):
+    """aggregate_diversity on n rows equals the mean of its batches' ratios
+    taken one by one: batch b is slice b % k of permutation b // k, with
+    k = n // size."""
     spec = network.NetworkSpec(input_dim=2, hidden_dims=[8], feature_dim=4,
                                num_classes=5)
     net = network.init_network(spec, seed=31)
     rng = np.random.default_rng(32)
-    xs = rng.normal(size=(60, 2)) * 4.0
-    ys = rng.integers(0, 5, size=60)
+    xs = rng.normal(size=(n, 2)) * 4.0
+    ys = rng.integers(0, 5, size=n)
     pred = np.argmax(network.forward(net, xs), axis=1)
-    got = metrics.aggregate_diversity(pred, ys, batch_size=batch_size,
-                                      num_batches=num_batches,
-                                      rng=np.random.default_rng(33))
-    # batch b is slice b % k of permutation b // k, k = 60 // batch_size
+    got = metrics.aggregate_diversity(pred, ys, np.random.default_rng(33))
     draws = np.random.default_rng(33)
-    per_perm = 60 // batch_size
+    size = min(metrics.BATCH_SIZE, n)
+    per_perm = n // size
     total = 0.0
-    for b in range(num_batches):
+    for b in range(metrics.BATCHES):
         if b % per_perm == 0:
-            perm = draws.permutation(60)
-        idx = perm[(b % per_perm) * batch_size:][:batch_size]
+            perm = draws.permutation(n)
+        idx = perm[(b % per_perm) * size:][:size]
         total += np.unique(pred[idx]).size / np.unique(ys[idx]).size
-    assert got == total / num_batches
+    assert got == total / metrics.BATCHES
+
+
+@pytest.mark.parametrize("n", [500, 60, 48, 30])
+def test_aggregate_diversity_matches_per_batch_loop_over_rows(n):
+    _per_batch_loop_matches(n)
+
+
+@pytest.mark.parametrize("batch_size,num_batches", [(48, 50), (1, 7), (60, 3)])
+def test_aggregate_diversity_matches_per_batch_loop(batch_size, num_batches,
+                                                    monkeypatch):
+    # the same draw at other sample shapes than the module's, on 60 rows
+    monkeypatch.setattr(metrics, "BATCH_SIZE", batch_size)
+    monkeypatch.setattr(metrics, "BATCHES", num_batches)
+    _per_batch_loop_matches(60)
 
 
 class CountingGenerator:
@@ -539,31 +555,31 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("n,batch_size,num_batches",
-                         [(1000, 48, 50), (60, 60, 4), (60, 31, 5),
+                         [(1000, 48, 50), (60, 48, 50), (50, 48, 50),
+                          (10, 48, 50), (60, 60, 4), (60, 31, 5),
                           (60, 7, 20), (10, 1, 25), (50, 17, 1)])
 def test_aggregate_diversity_draws_whole_permutations(n, batch_size,
-                                                      num_batches):
-    # pred is the row number and every true label is 0, so a batch's
-    # ratio is its count of distinct rows
+                                                      num_batches,
+                                                      monkeypatch):
+    # the sample of n rows: num_batches batches of min(batch_size, n) rows,
+    # with BATCH_SIZE and BATCHES set to batch_size and num_batches (the
+    # module's own values in the first four cases). pred is the row number
+    # and every true label is 0, so a batch's ratio is its count of
+    # distinct rows
+    monkeypatch.setattr(metrics, "BATCH_SIZE", batch_size)
+    monkeypatch.setattr(metrics, "BATCHES", num_batches)
+    size = min(batch_size, n)
     rng = CountingGenerator(0)
-    ratio = metrics.aggregate_diversity(np.arange(n), np.zeros(n, int),
-                                        batch_size, num_batches, rng)
-    per_perm = n // batch_size
+    ratio = metrics.aggregate_diversity(np.arange(n), np.zeros(n, int), rng)
+    per_perm = n // size
     assert len(rng.perms) == -(-num_batches // per_perm)
     assert all(np.array_equal(np.sort(p), np.arange(n)) for p in rng.perms)
-    # every batch holds batch_size distinct rows
-    assert ratio == batch_size
+    # every batch holds size distinct rows
+    assert ratio == size
     # the batches cut from one permutation are disjoint
     for perm in rng.perms:
-        cut = perm[:per_perm * batch_size].reshape(per_perm, batch_size)
+        cut = perm[:per_perm * size].reshape(per_perm, size)
         assert np.unique(cut).size == cut.size
-
-
-def test_aggregate_diversity_rejects_no_batches():
-    with pytest.raises(ValueError):
-        metrics.aggregate_diversity(np.zeros(4, int), np.zeros(4, int),
-                                    batch_size=2, num_batches=0,
-                                    rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("pred,ys", [(np.zeros(4, int), np.zeros(5, int)),
@@ -571,8 +587,7 @@ def test_aggregate_diversity_rejects_no_batches():
                                       np.zeros((4, 2), int))])
 def test_aggregate_diversity_rejects_mismatched_labels(pred, ys):
     with pytest.raises(ValueError, match="label vectors"):
-        metrics.aggregate_diversity(pred, ys, batch_size=2, num_batches=1,
-                                    rng=np.random.default_rng(0))
+        metrics.aggregate_diversity(pred, ys, np.random.default_rng(0))
 
 
 def test_diversity_of_a_stack_equals_its_views_bit_for_bit():

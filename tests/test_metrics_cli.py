@@ -234,6 +234,32 @@ def test_cli_ablate_csv_shape_and_rerun(cli_files, capsys):
     assert {r[0] for r in rows[7:9]} == {"cdl", "s_plus_t"}
 
 
+def test_cli_ablate_flags_aborted_cells(cli_files, tmp_path):
+    # --lr 1e308 overflows a step of every cell: the grid still exits 0,
+    # each row names its abort, no method has a cell to summarize, and
+    # stderr holds one warning line per cell
+    _, task_path, model_path = cli_files
+    out = str(tmp_path / "g.csv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                       "--seeds", "0,1", "--lr", "1e308", "--epochs", "1",
+                       "--out", out])
+    assert rc == 0
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    cells, summary = rows[1:9], rows[11:]
+    assert [(r[0], r[1]) for r in cells] == [
+        (m, s) for m in ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
+        for s in ("0", "1")]
+    assert all(r[5].startswith("aborted at epoch 1: step ") for r in cells)
+    assert [r[:2] for r in summary] == [
+        [m, "0"] for m in ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")]
+    assert err.getvalue().splitlines() == [
+        f"warning: cell {r[0]} seed {r[1]} {r[5]}" for r in cells]
+
+
 def test_cli_gradcheck_passes(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -433,16 +459,19 @@ def test_cli_empty_split_is_exit_1(cli_files, tmp_path, capsys, split):
 
 # ------------------------------------------- cli flags and library defaults
 
-def _capture(monkeypatch, module, name):
+def _capture(monkeypatch, module, name, then=None):
     """Replace module.name with a stub that records its arguments and
-    fails, so the command stops with exit 1 right after the call. The
-    stub keeps the signature the CLI matches its flags against."""
+    fails, so the command stops with exit 1 right after the call, or
+    returns then(*args, **kwargs) if then is given. The stub keeps the
+    signature the CLI matches its flags against."""
     calls = []
 
     @functools.wraps(getattr(module, name))
     def stub(*args, **kwargs):
         calls.append((args, kwargs))
-        raise ValueError("stub")
+        if then is None:
+            raise ValueError("stub")
+        return then(*args, **kwargs)
 
     monkeypatch.setattr(module, name, stub)
     return calls
@@ -485,13 +514,18 @@ def test_cli_train_source_defaults_are_the_library_defaults(
 def test_cli_adapt_defaults_are_the_library_defaults(cli_files, tmp_path,
                                                      monkeypatch, capsys,
                                                      command):
+    # ablate's cells run on after the stub: it records each cell's config
+    # and adapts for one epoch with the real adapt
     _, task_path, model_path = cli_files
-    calls = _capture(monkeypatch, pipeline, "adapt")
+    adapt = pipeline.adapt
+    then = None if command == "adapt" else \
+        lambda model, task, cfg: adapt(model, task, replace(cfg, epochs=1))
+    calls = _capture(monkeypatch, pipeline, "adapt", then)
     files = {"adapt": ["--seed", "3", "--out-model", str(tmp_path / "m.txt"),
                        "--report", str(tmp_path / "r.txt")],
              "ablate": ["--seeds", "3", "--out", str(tmp_path / "x.csv")]}
-    cli.main([command, "--model", model_path, "--data", task_path]
-             + files[command])
+    assert cli.main([command, "--model", model_path, "--data", task_path]
+                    + files[command]) == (1 if command == "adapt" else 0)
     methods = ["cdl"] if command == "adapt" else \
         ["cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t"]
     assert [args[2] for args, _ in calls] == \
@@ -770,7 +804,7 @@ def _adapt_argv(command, task_path, model_path, out):
 
 def _check_written(command, out):
     """Check that the files a successful adapt or ablate wrote into out
-    load and that no grid cell failed; return adapt's report."""
+    load; return adapt's report, or ablate's grid rows (one per cell)."""
     written = sorted(os.listdir(out))
     if command == "adapt":
         assert written == ["m.txt", "r.txt", "r.txt.csv"]
@@ -783,8 +817,7 @@ def _check_written(command, out):
     with open(os.path.join(out, "g.csv")) as f:
         rows = list(csv.reader(f))
     assert rows[0][0] == "method" and len(rows) == 11
-    assert all(row[-1] == "" for row in rows[1:5])
-    return None
+    return rows[1:5]
 
 
 def test_cli_batch_size_flags_exit_cleanly():
@@ -820,9 +853,12 @@ def test_cli_batch_size_flags_exit_cleanly():
                 assert err.getvalue().startswith("error: ")
                 assert os.listdir(out) == []
                 return
-            report = _check_written(command, out)
-            if report is not None:
-                assert len(report.records) == 1
+            written = _check_written(command, out)
+            if command == "adapt":
+                assert len(written.records) == 1
+            else:
+                assert all(row[-1] == "" for row in written)
+            assert err.getvalue() == ""
 
         check()
 
@@ -851,7 +887,8 @@ def test_cli_float_setting_flags_exit_cleanly():
     set to an edge value: exit 1 with AdaptConfig.validate's error,
     which names a rejected setting, and write nothing; or exit 0 and
     write files that load, with only the warning line on stderr if the
-    run aborted (a huge learning rate overflows a step)."""
+    run aborted (a huge learning rate overflows a step), or one per
+    aborted grid cell."""
     with tempfile.TemporaryDirectory() as root:
         task_path, model_path = _small_cli_files(root)
 
@@ -863,6 +900,7 @@ def test_cli_float_setting_flags_exit_cleanly():
         @example(command="adapt", values={})
         @example(command="adapt", values={"--lr": "1e308"})
         @example(command="ablate", values={"--lambda-u": "1e308"})
+        @example(command="ablate", values={"--lr": "1e308"})
         @example(command="adapt", values={"--tau": "1"})
         @example(command="ablate", values={"--tau": "-0.0", "--lr": "nan"})
         def check(command, values):
@@ -884,10 +922,17 @@ def test_cli_float_setting_flags_exit_cleanly():
                            if _validate_error({flag: v}) is not None), err
                 assert os.listdir(out) == []
                 return
-            report = _check_written(command, out)
-            if report is not None and report.aborted_epoch is not None:
+            written = _check_written(command, out)
+            if command == "ablate":
+                # one warning line per aborted cell, in grid order
+                assert all(row[-1].startswith("aborted at epoch 1: ")
+                           for row in written if row[-1])
+                assert err == "".join(
+                    f"warning: cell {row[0]} seed {row[1]} {row[-1]}\n"
+                    for row in written if row[-1])
+            elif written.aborted_epoch is not None:
                 assert err == (f"warning: run aborted at epoch 1 "
-                               f"({report.abort_reason}); model and report "
+                               f"({written.abort_reason}); model and report "
                                f"hold the last good epoch\n")
             else:
                 assert err == ""
@@ -1450,6 +1495,79 @@ def test_cli_outputs_writing_one_file_are_exit_1_before_any_work(
     assert capsys.readouterr().err.splitlines() == [
         f"error: --out-model and --report both write {tmp_path / written}"]
     assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_symlinked_output_keeps_its_link(cli_files, tmp_path, capsys):
+    # the report's CSV sidecar r.csv links to a file in another
+    # directory: the link stays and its target receives the CSV
+    _, task_path, model_path = cli_files
+    (tmp_path / "elsewhere").mkdir()
+    target = tmp_path / "elsewhere" / "target.csv"
+    target.write_text("old\n")
+    os.symlink(target, tmp_path / "r.csv")
+    assert cli.main(["adapt", "--model", model_path, "--data", task_path,
+                     "--seed", "0", "--epochs", "1",
+                     "--out-model", str(tmp_path / "m.txt"),
+                     "--report", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert os.readlink(tmp_path / "r.csv") == str(target)
+    report = reports.read_report(str(tmp_path / "r"))
+    assert target.read_text() == reports.report_csv(report)
+    assert sorted(os.listdir(tmp_path / "elsewhere")) == ["target.csv"]
+
+
+def test_cli_sidecar_linked_to_its_report_is_exit_1_before_any_work(
+        cli_files, tmp_path, monkeypatch, capsys):
+    # writes follow links, so the CSV would overwrite the report
+    _, task_path, model_path = cli_files
+    os.symlink(tmp_path / "r", tmp_path / "r.csv")
+    _no_work(monkeypatch)
+    assert cli.main(["adapt", "--model", model_path, "--data", task_path,
+                     "--seed", "0", "--out-model", str(tmp_path / "m.txt"),
+                     "--report", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --report and --report both write {tmp_path / 'r.csv'}\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
+
+
+def test_cli_dangling_output_link_into_a_missing_directory_is_exit_1(
+        cli_files, tmp_path, monkeypatch, capsys):
+    # the sidecar's link resolves into a missing directory: the command
+    # fails before any work, not after writing the report
+    _, task_path, model_path = cli_files
+    os.symlink(tmp_path / "nodir" / "t.csv", tmp_path / "r.csv")
+    _no_work(monkeypatch)
+    assert cli.main(["adapt", "--model", model_path, "--data", task_path,
+                     "--seed", "0", "--out-model", str(tmp_path / "m.txt"),
+                     "--report", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --report {tmp_path / 'r.csv'}: no such directory\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0,
+                    reason="giving a link another owner needs root")
+def test_cli_output_link_that_is_not_followed_is_exit_1(
+        cli_files, tmp_path, monkeypatch, capsys):
+    # a link another user planted in a sticky shared directory: the
+    # command fails before any work and the link's target is untouched
+    _, task_path, model_path = cli_files
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o1777)
+    target = tmp_path / "target.txt"
+    target.write_text("mine\n")
+    os.symlink(target, shared / "m.txt")
+    os.lchown(shared / "m.txt", 54321, 54321)
+    _no_work(monkeypatch)
+    assert cli.main(["adapt", "--model", model_path, "--data", task_path,
+                     "--seed", "0", "--out-model", str(shared / "m.txt"),
+                     "--report", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sticky directory" in err
+    assert err.count("\n") == 1
+    assert target.read_text() == "mine\n"
+    assert sorted(os.listdir(tmp_path)) == ["shared", "target.txt"]
 
 
 def test_cli_adapt_output_may_name_its_input(cli_files, tmp_path, capsys):

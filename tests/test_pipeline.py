@@ -404,16 +404,48 @@ def test_suite_shape_and_determinism(task, model_text):
     assert a.summary["cdl"]["n"] == 2.0
 
 
-def test_suite_records_failed_cells(task, model_text):
-    cfg = short_config(epochs=1)
-    res = pipeline.run_ablation_suite(task, model_text, cfg,
-                                      ("s_plus_t", "bogus"), (0,))
-    good = [r for r in res.rows if r.method == "s_plus_t"][0]
-    bad = [r for r in res.rows if r.method == "bogus"][0]
-    assert good.error is None
-    assert bad.error is not None
-    assert np.isnan(bad.final_accuracy)
-    assert res.summary["bogus"]["n"] == 0.0
+@pytest.mark.parametrize("methods,seeds,message", [
+    (("s_plus_t", "bogus"), (0, 1), "method must be one of"),
+    (("s_plus_t", "cdl"), (0, -1), "seed must be non-negative, got -1")],
+    ids=["bogus-method", "negative-seed"])
+def test_suite_rejects_a_bad_cell_before_any_cell(task, model_text,
+                                                  monkeypatch, methods, seeds,
+                                                  message):
+    # the bad setting is in the last cell: every cell is checked before
+    # the first one runs, so nothing is adapted and nothing private read
+    adapts = []
+    adapt = pipeline.adapt
+    monkeypatch.setattr(pipeline, "adapt",
+                        lambda *a: adapts.append(1) or adapt(*a))
+    reads = (task.source_reads, task.unlabeled_label_reads)
+    with pytest.raises(ValueError, match=message):
+        pipeline.run_ablation_suite(task, model_text, short_config(epochs=1),
+                                    methods, seeds)
+    assert adapts == []
+    assert (task.source_reads, task.unlabeled_label_reads) == reads
+
+
+def test_suite_flags_aborted_cells(task, model_text):
+    # a learning rate that overflows the first step: each cell rolls back
+    # to the source model, keeps its measurements and names its abort,
+    # and the summary leaves it out
+    res = pipeline.run_ablation_suite(
+        task, model_text, short_config(epochs=2, lr=1e308),
+        ("cdl", "s_plus_t"), (0, 1))
+    source = pipeline.evaluate(network.deserialize(model_text), task.test_x,
+                               task.test_y)
+    for row in res.rows:
+        assert row.error.startswith("aborted at epoch 1: step ")
+        assert "overflow" in row.error
+        assert row.final_accuracy == source.accuracy
+        assert row.minority_recall == source.per_class_accuracy[-1]
+        assert 0.0 < row.diversity_ratio <= 2.0
+    assert res.summary == {"cdl": {"n": 0.0}, "s_plus_t": {"n": 0.0}}
+
+
+def test_adapt_rejects_a_negative_seed_before_reading_the_model(task):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        pipeline.adapt("not a model", task, short_config(seed=-1))
 
 
 def test_suite_rejects_empty_grid(task, model_text):
