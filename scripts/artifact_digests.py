@@ -10,7 +10,8 @@ For each seed it runs, in a temporary directory:
                 and its CSV sidecar
   ablate        the default method grid over that one seed, and the
                 same grid with --lr 1e308 (every cell aborts in its
-                first epoch), saved as ablate_aborted.csv
+                first epoch, so each row's diversity column is empty),
+                saved as ablate_aborted.csv
   gradcheck     its stdout, with --seed N, saved as gradcheck.out
   wide_*        the widest task (data.MAX_CLASSES classes, default
                 counts), its source model, and its cdl adapt: the

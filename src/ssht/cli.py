@@ -255,8 +255,9 @@ def _cmd_ablate(args) -> int:
                      "minority_recall", "error"])
     for row in suite.rows:
         writer.writerow([row.method, row.seed, repr(row.final_accuracy),
-                         repr(row.diversity_ratio), repr(row.minority_recall),
-                         row.error or ""])
+                         "" if row.diversity_ratio is None
+                         else repr(row.diversity_ratio),
+                         repr(row.minority_recall), row.error or ""])
     writer.writerow([])
     writer.writerow(["method", "n", "mean_accuracy", "std_accuracy",
                      "mean_diversity", "std_diversity"])

@@ -10,9 +10,9 @@ The sample is metrics' own: BATCHES batches of min(BATCH_SIZE, n) rows
 of an n-row split, consecutive slices of random permutations of the
 rows, the way data.epoch_batches draws unlabeled training batches. It
 takes a few generator calls per measurement, whatever the number of
-batches, and costs the same whatever the class count. adapt measures
-each epoch on the test split, and run_ablation_suite each cell on the
-unlabeled split, with this one sample.
+batches, and costs the same whatever the class count. Its one caller
+is adapt, which measures each epoch on the test split; the ablation
+grid's diversity column is the last of those measurements.
 """
 
 import numpy as np

@@ -45,16 +45,18 @@ stream of its own: metrics.aggregate_diversity draws its own sample,
 slicing its batches from a few permutations, so an epoch's bookkeeping
 (its batches and its diversity batches) takes a handful of generator
 calls. The unlabeled split's private labels stay untouched during
-adaptation.
+adaptation, and the grid reads none either.
 
 run_ablation_suite is one loop over (method, seed) cells whose configs
 were all validated, and whose shared model and task passed adapt's
 checks, before the first cell runs; a bad setting raises ValueError
 and runs nothing. A cell fails in only one way: its run aborts. The
 cell then keeps its rolled-back model's measurements and its row's
-error names the abort, and the summary leaves it out. Each cell's
-diversity on the unlabeled split comes from one evaluate pass,
-afterwards, through the counting accessor.
+error names the abort, and the summary leaves it out. A cell is one
+adapt call, and every column of its row is read from the cell's
+RunReport: the diversity column is the test-split ratio of its last
+record, the evaluation of the model adapt returns, and is None when no
+epoch completed.
 """
 
 import hashlib
@@ -381,7 +383,7 @@ class SuiteRow:
     method: str
     seed: int
     final_accuracy: float
-    diversity_ratio: float
+    diversity_ratio: Optional[float]  # None when no epoch completed
     minority_recall: float
     error: Optional[str] = None
 
@@ -403,9 +405,12 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
     and nothing runs. A cell whose run aborts keeps the measurements of
     its rolled-back model, as adapt's report does; its error reads
     "aborted at epoch N: <abort_reason>" and the summary leaves it out.
-    The diversity column is the mean prediction-diversity ratio of
-    metrics.aggregate_diversity on the unlabeled split, measured after
-    adaptation through the counting label accessor.
+    Each cell is one call of the module attribute adapt with the full
+    task, and its row is a projection of the returned RunReport: the
+    final accuracy, the last class's recall, and the diversity ratio of
+    the last epoch record (the test evaluation of the model adapt
+    returns, rolled back or not; None for a cell with no completed
+    epoch). No private label is read.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
@@ -416,17 +421,13 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
     _source_network(model_text, task.adaptation_view(), configs[0])
     rows: List[SuiteRow] = []
     for cfg in configs:
-        report, adapted_text = adapt(model_text, task, cfg)
-        ys = task.unlabeled_labels()
-        pred = evaluate(network.deserialize(adapted_text), task.unlabeled_x,
-                        ys).predictions
-        div = metrics.aggregate_diversity(
-            pred, ys, np.random.default_rng(10_000 + cfg.seed))
+        report, _ = adapt(model_text, task, cfg)
         error = None if report.aborted_epoch is None else \
             f"aborted at epoch {report.aborted_epoch}: {report.abort_reason}"
         rows.append(SuiteRow(method=cfg.method, seed=cfg.seed,
                              final_accuracy=report.final_accuracy,
-                             diversity_ratio=div,
+                             diversity_ratio=report.records[-1].diversity_ratio
+                             if report.records else None,
                              minority_recall=report.per_class_accuracy[-1],
                              error=error))
     summary: Dict[str, Dict[str, float]] = {}

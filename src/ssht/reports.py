@@ -7,13 +7,17 @@ epoch line holds its EpochRecord's other fields in field order. The
 epoch lines are read by key: a report with N `epoch.` keys must hold
 exactly epoch.1 ... epoch.N, as they are written, or it fails to load
 with "missing field epoch.k". Only an aborted run has an abort_reason
-line; a report without one (any from before the line existed) loads
-with None. Keys the format does not name are ignored on read, so a
-report written while Nesterov momentum, the labeled rows' weak
-augmentation, the momentum or the weight decay were settings loads,
-and a rewrite drops its lines for them. The sidecar at <path> +
-CSV_SUFFIX (<path>.csv) holds the per-epoch curves with exactly the
-columns
+line; an aborted report without one (any from before the line existed)
+loads with None, and an abort_reason beside aborted_epoch = none fails
+to load. A report holds no value adapt cannot write: a NaN or infinity
+in an epoch line, final.accuracy or final.per_class, a negative pass or
+confusion count, or an aborted_epoch below 1 fails to load with a
+ReportFormatError naming the field. Keys the format does not name are
+ignored on read, so a report written while Nesterov momentum, the
+labeled rows' weak augmentation, the momentum or the weight decay were
+settings loads, and a rewrite drops its lines for them. The sidecar
+at <path> + CSV_SUFFIX (<path>.csv) holds the per-epoch curves with
+exactly the columns
 
     epoch,l_c,l_u,l_d,total,mask_rate,test_acc,diversity_ratio
 
@@ -24,6 +28,9 @@ import csv
 import io
 import dataclasses
 from functools import partial
+from typing import Optional
+
+import numpy as np
 
 from .fileio import (FormatError, atomic_write_text, format_document,
                      format_floats, format_ints, format_settings, parse_floats,
@@ -78,8 +85,34 @@ def write_report(report: RunReport, path: str) -> None:
     atomic_write_text(path + CSV_SUFFIX, report_csv(report))
 
 
+def _checked(ok, what: str, parse):
+    """A converter: parse(value), raising ValueError, with the first
+    offending number, unless ok holds for every number it holds."""
+    def convert(value: str):
+        parsed = parse(value)
+        numbers = np.asarray(parsed).ravel()
+        bad = numbers[~ok(numbers)]
+        if bad.size:
+            raise ValueError(f"{what}, got {bad[0]}")
+        return parsed
+    return convert
+
+
+_finite = partial(_checked, np.isfinite, "values must be finite")
+_count = partial(_checked, lambda v: v >= 0, "counts must be non-negative")
+
+
+def _aborted_epoch(value: str) -> Optional[int]:
+    if value == "none":
+        return None
+    epoch = int(value)
+    if epoch < 1:
+        raise ValueError(f"must be none or at least 1, got {epoch}")
+    return epoch
+
+
 def _parse_epoch(epoch: int, value: str) -> EpochRecord:
-    vals = parse_floats(value).tolist()
+    vals = _finite(parse_floats)(value).tolist()
     if len(vals) != len(_EPOCH_FIELDS):
         raise ValueError(f"{len(vals)} values, wants {len(_EPOCH_FIELDS)}")
     return EpochRecord(epoch=epoch, **dict(zip(_EPOCH_FIELDS, vals)))
@@ -91,23 +124,26 @@ def deserialize_report(text: str) -> RunReport:
     epochs = sum(key.startswith("epoch.") for key in kv)
     records = [kv.parse(f"epoch.{k}", partial(_parse_epoch, k))
                for k in range(1, epochs + 1)]
-    per_class = kv.parse("final.per_class", parse_floats).tolist()
-    flat = kv.parse("final.confusion", parse_ints).tolist()
+    per_class = kv.parse("final.per_class", _finite(parse_floats)).tolist()
+    flat = kv.parse("final.confusion", _count(parse_ints)).tolist()
     c = len(per_class)
     if c == 0 or len(flat) != c * c:
         raise ReportFormatError("confusion matrix does not square with "
                                 "per-class accuracy length")
-    aborted = kv.parse("aborted_epoch",
-                       lambda v: None if v == "none" else int(v))
+    aborted = kv.parse("aborted_epoch", _aborted_epoch)
+    if aborted is None and "abort_reason" in kv:
+        raise ReportFormatError("abort_reason on a report with "
+                                "aborted_epoch = none")
     return RunReport(
         config=cfg,
         model_fingerprint=kv["fingerprint"],
         records=records,
-        final_accuracy=kv.parse("final.accuracy", float),
+        final_accuracy=kv.parse("final.accuracy", _finite(float)),
         per_class_accuracy=per_class,
         confusion=[flat[i * c:(i + 1) * c] for i in range(c)],
-        unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", int),
-        unlabeled_strong_passes=kv.parse("passes.unlabeled_strong", int),
+        unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", _count(int)),
+        unlabeled_strong_passes=kv.parse("passes.unlabeled_strong",
+                                         _count(int)),
         aborted_epoch=aborted, abort_reason=kv.get("abort_reason"))
 
 

@@ -130,6 +130,41 @@ def test_report_tampered_confusion_rejected(small_report):
         reports.deserialize_report("\n".join(lines) + "\n")
 
 
+def _first_value(key, value):
+    """An edit of a report's text: the first value of key's line becomes
+    value."""
+    return lambda text: re.sub(rf"^({re.escape(key)} = )\S+", rf"\g<1>{value}",
+                               text, count=1, flags=re.M)
+
+
+@pytest.mark.parametrize("edit,field", [
+    (_first_value("final.accuracy", "nan"), "final.accuracy"),
+    (_first_value("final.accuracy", "inf"), "final.accuracy"),
+    (_first_value("final.per_class", "inf"), "final.per_class"),
+    (_first_value("epoch.1", "nan"), "epoch.1"),
+    (_first_value("epoch.1", "-1e999"), "epoch.1"),
+    (_first_value("final.confusion", "-5"), "final.confusion"),
+    (_first_value("passes.unlabeled_weak", "-3"), "passes.unlabeled_weak"),
+    (_first_value("passes.unlabeled_strong", "-1"), "passes.unlabeled_strong"),
+    (_first_value("aborted_epoch", "-2"), "aborted_epoch"),
+    (_first_value("aborted_epoch", "0"), "aborted_epoch"),
+    (lambda text: text + "abort_reason = step 1: overflow\n", "abort_reason")],
+    ids=["accuracy-nan", "accuracy-inf", "per-class-inf", "epoch-nan",
+         "epoch-overflow", "negative-confusion", "negative-weak-passes",
+         "negative-strong-passes", "aborted-epoch-negative",
+         "aborted-epoch-zero", "abort-reason-without-abort"])
+def test_report_values_adapt_cannot_write_are_rejected(small_report, edit,
+                                                       field):
+    # a report from adapt loads, and each edit makes it one that adapt
+    # could never have written: the load fails and names the field
+    text = reports.serialize_report(small_report)
+    broken = edit(text)
+    assert broken != text
+    reports.deserialize_report(text)
+    with pytest.raises(reports.ReportFormatError, match=re.escape(field)):
+        reports.deserialize_report(broken)
+
+
 def test_report_csv_shape_and_values(small_report):
     rows = list(csv.reader(reports.report_csv(small_report).splitlines()))
     assert rows[0] == list(reports.CSV_COLUMNS)
@@ -254,6 +289,7 @@ def test_cli_ablate_flags_aborted_cells(cli_files, tmp_path):
         (m, s) for m in ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
         for s in ("0", "1")]
     assert all(r[5].startswith("aborted at epoch 1: step ") for r in cells)
+    assert all(r[3] == "" for r in cells)  # no epoch, so no diversity
     assert [r[:2] for r in summary] == [
         [m, "0"] for m in ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")]
     assert err.getvalue().splitlines() == [

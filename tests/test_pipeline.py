@@ -439,8 +439,47 @@ def test_suite_flags_aborted_cells(task, model_text):
         assert "overflow" in row.error
         assert row.final_accuracy == source.accuracy
         assert row.minority_recall == source.per_class_accuracy[-1]
-        assert 0.0 < row.diversity_ratio <= 2.0
+        assert row.diversity_ratio is None  # no epoch completed
     assert res.summary == {"cdl": {"n": 0.0}, "s_plus_t": {"n": 0.0}}
+
+
+def test_each_grid_cell_is_one_adapt_call_and_reads_nothing_private(
+        task, model_text, monkeypatch):
+    # the grid parses the source model once for its up-front checks, then
+    # each cell is one call of the module attribute adapt, with the full
+    # task, which parses it once more; no source row or private label is
+    # read, by adapt or by the grid
+    calls, parses = [], []
+    adapt, deserialize = pipeline.adapt, network.deserialize
+    monkeypatch.setattr(pipeline, "adapt", lambda model, t, cfg: calls.append(
+        (t, cfg.method, cfg.seed)) or adapt(model, t, cfg))
+    monkeypatch.setattr(network, "deserialize",
+                        lambda text: parses.append(1) or deserialize(text))
+    reads = (task.source_reads, task.unlabeled_label_reads)
+    res = pipeline.run_ablation_suite(task, model_text, short_config(epochs=2),
+                                      ("cdl", "s_plus_t"), (0, 1))
+    assert (task.source_reads, task.unlabeled_label_reads) == reads
+    assert len(parses) == 1 + len(res.rows)
+    assert [(t is task, m, s) for t, m, s in calls] == [
+        (True, "cdl", 0), (True, "cdl", 1), (True, "s_plus_t", 0),
+        (True, "s_plus_t", 1)]
+    assert [(r.method, r.seed) for r in res.rows] == [c[1:] for c in calls]
+
+
+def test_grid_rows_are_the_last_record_of_a_standalone_adapt(task, model_text):
+    # one completed epoch at a tiny learning rate leaves the biased source
+    # model, whose diversity the last test evaluation measures
+    base = short_config(epochs=1, lr=1e-6)
+    res = pipeline.run_ablation_suite(task, model_text, base,
+                                      ("cdl", "s_plus_t"), (0, 1))
+    for row in res.rows:
+        report, _ = pipeline.adapt(model_text, task, replace(
+            base, method=row.method, seed=row.seed))
+        last = report.records[-1]
+        assert row.error is None
+        assert row.final_accuracy == last.test_acc == report.final_accuracy
+        assert row.diversity_ratio == last.diversity_ratio
+        assert row.minority_recall == report.per_class_accuracy[-1]
 
 
 def test_adapt_rejects_a_negative_seed_before_reading_the_model(task):
