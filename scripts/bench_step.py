@@ -13,19 +13,23 @@ runs, for every row, one run per tree on task round mod TASKS, which
 tree goes first alternating by round, and times each with
 `time.process_time` (CPU seconds of the process). A row is a method,
 one adapt of the source model with that method, or `train_source`,
-one source training on the task, both at seed `round`.
+one source training on the task, both at seed `round`, or `ablate`,
+one `run_ablation_suite` of the source model over ABLATE_METHODS x
+seeds (round, round + 1).
 
 For each row it prints both trees' median CPU seconds, the
 after/before ratio of the medians, in how many rounds the AFTER tree
-took less CPU, and whether every model document of the AFTER tree
-equals the BEFORE tree's for the same task and seed; the last line is
-the same as one JSON object. `--methods` picks the rows (default:
-every method, then `train_source`). `--epochs` shortens source
-training and every adapt; without it both run at their library
-defaults.
+took less CPU, and whether every result of the AFTER tree equals the
+BEFORE tree's for the same task and seed (the model document, or the
+`ablate` row's suite rows); the last line is the same as one JSON
+object. `--methods` picks the rows (default: every method, then
+`train_source`; `ablate` runs only when named). `--epochs` shortens
+source training, every adapt and every grid cell; without it they run
+at their library defaults.
 """
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -37,6 +41,8 @@ import time
 TASKS = 4
 ROUNDS = 32
 SOURCE_ROW = "train_source"
+ABLATE_ROW = "ablate"
+ABLATE_METHODS = ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
 
 
 def load_package(src: str, name: str):
@@ -69,15 +75,23 @@ def build_inputs(pkg, epochs):
 
 
 def timed(pipeline, row: str, model: str, task, seed: int, loop):
-    """CPU seconds and model document of one run of row on one tree."""
+    """CPU seconds and result of one run of row on one tree: a model
+    document, or for ABLATE_ROW the suite rows as tuples, which compare
+    across trees where the trees' own SuiteRow classes would not."""
     if row == SOURCE_ROW:
         start = time.process_time()
-        text = pipeline.train_source(task, seed=seed, **loop)
+        result = pipeline.train_source(task, seed=seed, **loop)
+    elif row == ABLATE_ROW:
+        config = pipeline.AdaptConfig(**loop)
+        start = time.process_time()
+        suite = pipeline.run_ablation_suite(task, model, config,
+                                            ABLATE_METHODS, (seed, seed + 1))
+        result = [dataclasses.astuple(r) for r in suite.rows]
     else:
         config = pipeline.AdaptConfig(method=row, seed=seed, **loop)
         start = time.process_time()
-        _, text = pipeline.adapt(model, task, config)
-    return time.process_time() - start, text
+        _, result = pipeline.adapt(model, task, config)
+    return time.process_time() - start, result
 
 
 def run(sides, rows, rounds: int, epochs):
@@ -93,13 +107,13 @@ def run(sides, rows, rounds: int, epochs):
         j = r % TASKS
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for row in rows:
-            texts = {}
+            outputs = {}
             for side in order:
-                seconds, texts[side] = timed(sides[side].pipeline, row,
-                                             inputs[j][1], tasks[side][j], r,
-                                             loop)
+                seconds, outputs[side] = timed(sides[side].pipeline, row,
+                                               inputs[j][1], tasks[side][j],
+                                               r, loop)
                 cpu[row][side].append(seconds)
-            identical[row] &= texts["before"] == texts["after"]
+            identical[row] &= outputs["before"] == outputs["after"]
     results = {}
     for row in rows:
         before, after = cpu[row]["before"], cpu[row]["after"]
@@ -118,9 +132,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before_src")
     parser.add_argument("after_src")
-    parser.add_argument("--methods", help="comma-separated rows: methods "
-                        f"and {SOURCE_ROW} (default: every method, then "
-                        f"{SOURCE_ROW})")
+    parser.add_argument("--methods", help="comma-separated rows: methods, "
+                        f"{SOURCE_ROW} and {ABLATE_ROW} (default: every "
+                        f"method, then {SOURCE_ROW})")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--epochs", type=int)
     args = parser.parse_args(argv)

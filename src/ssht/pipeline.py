@@ -5,8 +5,9 @@ train_source fits a classifier on the imbalanced source split (with a
 network.MOMENTUM and network.WEIGHT_DECAY, as in adapt) and emits a
 model document. Its step runs losses.total_loss with no unlabeled
 term, the s_plus_t objective on source rows, so both training loops
-share one objective. adapt consumes that document plus the target half
-of a task and runs one of five methods:
+share one objective. adapt consumes that document, or the Network it
+parses to, plus the target half of a task, returns the adapted model in
+the form it was given, and runs one of five methods:
 
   cdl        classification + thresholded consistency + batch
              nuclear-norm diversity on both unlabeled views
@@ -50,7 +51,9 @@ adaptation, and the grid reads none either.
 run_ablation_suite is one loop over (method, seed) cells whose configs
 were all validated, and whose shared model and task passed adapt's
 checks, before the first cell runs; a bad setting raises ValueError
-and runs nothing. A cell fails in only one way: its run aborts. The
+and runs nothing. Those checks parse the model document, the grid's
+only parse, and every cell adapts that Network, so the grid writes no
+model text. A cell fails in only one way: its run aborts. The
 cell then keeps its rolled-back model's measurements and its row's
 error names the abort, and the summary leaves it out. A cell is one
 adapt call, and every column of its row is read from the cell's
@@ -62,11 +65,12 @@ epoch completed.
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import data, losses, metrics, network
+from .fileio import format_settings
 from .linalg import NumericalError
 
 # method -> the unlabeled terms (losses.TERMS) it adds to classification
@@ -78,6 +82,9 @@ METHODS = tuple(METHOD_TERMS)
 # the floating-point faults that abort a training step; underflow is not
 # one, since softmax_and_log's exponential underflows to 0 by design
 STEP_ERRORS = dict(all="raise", under="ignore")
+
+# what adapt takes and returns: an ssht-model/1 document or a network
+Model = Union[str, network.Network]
 
 
 @dataclass
@@ -150,8 +157,16 @@ class RunReport:
     abort_reason: Optional[str] = None  # "step S: ..." or "evaluation: ..."
 
 
-def model_fingerprint(model_text: str) -> str:
-    return hashlib.sha256(model_text.encode()).hexdigest()[:16]
+def model_fingerprint(net: network.Network) -> str:
+    """The first 16 hex digits of the sha256 of the model's spec.*
+    settings lines, as its document writes them, then its parameters as
+    little-endian float64 bytes: a model document and the network it
+    parses to have one fingerprint, whatever their metadata."""
+    spec = "".join(f"{key} = {value}\n"
+                   for key, value in format_settings("spec", net.spec))
+    digest = hashlib.sha256(spec.encode())
+    digest.update(net.flat.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def evaluate(net: network.Network, xs: np.ndarray, ys: np.ndarray) -> EvalResult:
@@ -275,14 +290,22 @@ def check_model_fits(spec: network.NetworkSpec, task) -> None:
                          f"task has {task.spec.num_classes}")
 
 
-def _source_network(model_text: str, view, config: AdaptConfig
+def _source_network(model: Model, view, config: AdaptConfig
                     ) -> Tuple[network.Network, AdaptConfig]:
     """The checks adapt makes before its first step: the config, the
-    model document, check_model_fits and the batch sizes against the
-    split sizes. Returns the source network and the config with its
+    model (a document is parsed; a Network is copied, and non-finite
+    parameters raise ValueError, as they fail a document's load),
+    check_model_fits and the batch sizes against the split sizes.
+    Returns a source network of adapt's own and the config with its
     labeled batch resolved."""
     config.validate()
-    net = network.deserialize(model_text)
+    if isinstance(model, network.Network):
+        bad = [i for i, p in enumerate(model.params) if not np.isfinite(p).all()]
+        if bad:
+            raise ValueError(f"param {bad[0]} has non-finite values")
+        net = network.Network(model.spec, model.params, dict(model.meta))
+    else:
+        net = network.deserialize(model)
     check_model_fits(net.spec, view)
     labeled_batch = config.labeled_batch if config.labeled_batch is not None \
         else min(view.labeled_x.shape[0], config.unlabeled_batch)
@@ -291,16 +314,20 @@ def _source_network(model_text: str, view, config: AdaptConfig
     return net, config
 
 
-def adapt(model_text: str, task, config: AdaptConfig
-          ) -> Tuple[RunReport, str]:
-    """Adapt a serialized source model on the target half of a task.
+def adapt(model: Model, task, config: AdaptConfig
+          ) -> Tuple[RunReport, Model]:
+    """Adapt a source model on the target half of a task.
 
+    The model is an ssht-model/1 document or a network.Network, and the
+    adapted model is returned in the same form: a document is parsed
+    before the loop and the adapted network serialized after it, and a
+    Network is copied, never changed. Both forms give the same report.
     Accepts a full task or an AdaptationView; a full task is reduced to
     its view immediately, so neither source samples nor unlabeled
     labels are reachable below this line.
     """
     view = task.adaptation_view() if hasattr(task, "adaptation_view") else task
-    net, config = _source_network(model_text, view, config)
+    net, config = _source_network(model, view, config)
     policy = data.default_policy(view.spec)
 
     streams = np.random.SeedSequence(config.seed).spawn(5)
@@ -320,8 +347,7 @@ def adapt(model_text: str, task, config: AdaptConfig
                 "strong": (data.strong_augment_batch, rng_strong)}[v]
                for v in views]
 
-    report = RunReport(config=config,
-                       model_fingerprint=model_fingerprint(model_text))
+    report = RunReport(config=config, model_fingerprint=model_fingerprint(net))
     good = net.flat.copy()  # the parameters as of the last epoch end
     final: Optional[EvalResult] = None  # test evaluation of good
     for epoch in range(1, config.epochs + 1):
@@ -372,10 +398,10 @@ def adapt(model_text: str, task, config: AdaptConfig
     report.per_class_accuracy = [float(v) for v in final.per_class_accuracy]
     report.confusion = final.confusion.tolist()
 
-    net.meta = dict(net.meta)
     net.meta["adapted_method"] = config.method
     net.meta["adapted_seed"] = str(config.seed)
-    return report, network.serialize(net)
+    return report, net if isinstance(model, network.Network) \
+        else network.serialize(net)
 
 
 @dataclass
@@ -402,15 +428,17 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
     Every cell's config is validated, and adapt's other checks before
     its first step run once on what the cells share (the model and the
     task), before the first cell runs: a bad setting raises ValueError
-    and nothing runs. A cell whose run aborts keeps the measurements of
-    its rolled-back model, as adapt's report does; its error reads
-    "aborted at epoch N: <abort_reason>" and the summary leaves it out.
-    Each cell is one call of the module attribute adapt with the full
-    task, and its row is a projection of the returned RunReport: the
-    final accuracy, the last class's recall, and the diversity ratio of
-    the last epoch record (the test evaluation of the model adapt
-    returns, rolled back or not; None for a cell with no completed
-    epoch). No private label is read.
+    and nothing runs. Those checks parse model_text, the grid's only
+    parse, and no model is serialized. A cell whose run aborts keeps
+    the measurements of its rolled-back model, as adapt's report does;
+    its error reads "aborted at epoch N: <abort_reason>" and the
+    summary leaves it out. Each cell is one call of the module
+    attribute adapt with the parsed Network and the full task, and its
+    row is a projection of the returned RunReport: the final accuracy,
+    the last class's recall, and the diversity ratio of the last epoch
+    record (the test evaluation of the model adapt returns, rolled back
+    or not; None for a cell with no completed epoch). No private label
+    is read.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
@@ -418,10 +446,10 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
                for m in methods for s in seeds]
     for cfg in configs:
         cfg.validate()
-    _source_network(model_text, task.adaptation_view(), configs[0])
+    net, _ = _source_network(model_text, task.adaptation_view(), configs[0])
     rows: List[SuiteRow] = []
     for cfg in configs:
-        report, _ = adapt(model_text, task, cfg)
+        report, _ = adapt(net, task, cfg)
         error = None if report.aborted_epoch is None else \
             f"aborted at epoch {report.aborted_epoch}: {report.abort_reason}"
         rows.append(SuiteRow(method=cfg.method, seed=cfg.seed,

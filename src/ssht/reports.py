@@ -10,12 +10,14 @@ with "missing field epoch.k". Only an aborted run has an abort_reason
 line; an aborted report without one (any from before the line existed)
 loads with None, and an abort_reason beside aborted_epoch = none fails
 to load. A report holds no value adapt cannot write: a NaN or infinity
-in an epoch line, final.accuracy or final.per_class, a negative pass or
-confusion count, or an aborted_epoch below 1 fails to load with a
-ReportFormatError naming the field. Keys the format does not name are
-ignored on read, so a report written while Nesterov momentum, the
-labeled rows' weak augmentation, the momentum or the weight decay were
-settings loads, and a rewrite drops its lines for them. The sidecar
+in an epoch line, an epoch line's mask_rate, labeled_acc or test_acc,
+final.accuracy or a final.per_class entry outside [0, 1], a negative
+pass or confusion count, or an aborted_epoch other than the number of
+epoch records plus one fails to load with a ReportFormatError naming
+the field. Keys the format does not name are ignored on read, so a
+report written while Nesterov momentum, the labeled rows' weak
+augmentation, the momentum or the weight decay were settings loads,
+and a rewrite drops its lines for them. The sidecar
 at <path> + CSV_SUFFIX (<path>.csv) holds the per-epoch curves with
 exactly the columns
 
@@ -46,6 +48,8 @@ CSV_COLUMNS = ("epoch", "l_c", "l_u", "l_d", "total", "mask_rate",
 # the values of an epoch line; its key holds the epoch
 _EPOCH_FIELDS = tuple(f.name for f in dataclasses.fields(EpochRecord)
                       if f.name != "epoch")
+# the values of an epoch line that are fractions of rows
+_EPOCH_FRACTIONS = ("mask_rate", "labeled_acc", "test_acc")
 
 
 class ReportFormatError(FormatError):
@@ -100,14 +104,20 @@ def _checked(ok, what: str, parse):
 
 _finite = partial(_checked, np.isfinite, "values must be finite")
 _count = partial(_checked, lambda v: v >= 0, "counts must be non-negative")
+# NaN fails the comparison too
+_fraction = partial(_checked, lambda v: (v >= 0.0) & (v <= 1.0),
+                    "fractions must lie in [0, 1]")
 
 
-def _aborted_epoch(value: str) -> Optional[int]:
+def _aborted_epoch(epochs: int, value: str) -> Optional[int]:
+    """None, or the epoch after the report's epochs completed ones: the
+    only epoch adapt can abort at."""
     if value == "none":
         return None
     epoch = int(value)
-    if epoch < 1:
-        raise ValueError(f"must be none or at least 1, got {epoch}")
+    if epoch != epochs + 1:
+        raise ValueError(f"must be none or {epochs + 1}, one past the last "
+                         f"epoch record, got {epoch}")
     return epoch
 
 
@@ -115,7 +125,12 @@ def _parse_epoch(epoch: int, value: str) -> EpochRecord:
     vals = _finite(parse_floats)(value).tolist()
     if len(vals) != len(_EPOCH_FIELDS):
         raise ValueError(f"{len(vals)} values, wants {len(_EPOCH_FIELDS)}")
-    return EpochRecord(epoch=epoch, **dict(zip(_EPOCH_FIELDS, vals)))
+    record = EpochRecord(epoch=epoch, **dict(zip(_EPOCH_FIELDS, vals)))
+    for name in _EPOCH_FRACTIONS:
+        fraction = getattr(record, name)
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
+    return record
 
 
 def deserialize_report(text: str) -> RunReport:
@@ -124,13 +139,13 @@ def deserialize_report(text: str) -> RunReport:
     epochs = sum(key.startswith("epoch.") for key in kv)
     records = [kv.parse(f"epoch.{k}", partial(_parse_epoch, k))
                for k in range(1, epochs + 1)]
-    per_class = kv.parse("final.per_class", _finite(parse_floats)).tolist()
+    per_class = kv.parse("final.per_class", _fraction(parse_floats)).tolist()
     flat = kv.parse("final.confusion", _count(parse_ints)).tolist()
     c = len(per_class)
     if c == 0 or len(flat) != c * c:
         raise ReportFormatError("confusion matrix does not square with "
                                 "per-class accuracy length")
-    aborted = kv.parse("aborted_epoch", _aborted_epoch)
+    aborted = kv.parse("aborted_epoch", partial(_aborted_epoch, epochs))
     if aborted is None and "abort_reason" in kv:
         raise ReportFormatError("abort_reason on a report with "
                                 "aborted_epoch = none")
@@ -138,7 +153,7 @@ def deserialize_report(text: str) -> RunReport:
         config=cfg,
         model_fingerprint=kv["fingerprint"],
         records=records,
-        final_accuracy=kv.parse("final.accuracy", _finite(float)),
+        final_accuracy=kv.parse("final.accuracy", _fraction(float)),
         per_class_accuracy=per_class,
         confusion=[flat[i * c:(i + 1) * c] for i in range(c)],
         unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", _count(int)),

@@ -66,13 +66,14 @@ def test_aborted_report_round_trips_with_its_reason(task, model_text):
 
 def test_report_without_an_abort_reason_loads(small_report):
     # a clean run writes no abort_reason line; a report written before the
-    # line existed, aborted or not, loads with abort_reason None
+    # line existed, aborted or not, loads with abort_reason None; a run
+    # aborts at the epoch after its last record, here the fourth
     text = reports.serialize_report(small_report)
     assert "abort_reason" not in text
     assert reports.deserialize_report(text).abort_reason is None
-    aborted = text.replace("aborted_epoch = none", "aborted_epoch = 2")
+    aborted = text.replace("aborted_epoch = none", "aborted_epoch = 4")
     loaded = reports.deserialize_report(aborted)
-    assert loaded.aborted_epoch == 2 and loaded.abort_reason is None
+    assert loaded.aborted_epoch == 4 and loaded.abort_reason is None
 
 
 def test_report_epoch_keys_run_from_1_to_their_count(small_report):
@@ -130,11 +131,22 @@ def test_report_tampered_confusion_rejected(small_report):
         reports.deserialize_report("\n".join(lines) + "\n")
 
 
-def _first_value(key, value):
-    """An edit of a report's text: the first value of key's line becomes
+def _nth_value(key, n, value):
+    """An edit of a report's text: value n (from 0) of key's line becomes
     value."""
-    return lambda text: re.sub(rf"^({re.escape(key)} = )\S+", rf"\g<1>{value}",
-                               text, count=1, flags=re.M)
+    return lambda text: re.sub(rf"^({re.escape(key)} = (?:\S+ ){{{n}}})\S+",
+                               rf"\g<1>{value}", text, count=1, flags=re.M)
+
+
+def _first_value(key, value):
+    return _nth_value(key, 0, value)
+
+
+def _one_record_aborted_at(epoch):
+    """An edit of a 3-epoch report's text: only epoch.1 is left, and the
+    run reads as aborted at epoch."""
+    return lambda text: _first_value("aborted_epoch", epoch)(
+        re.sub(r"^epoch\.[23] = .*\n", "", text, flags=re.M))
 
 
 @pytest.mark.parametrize("edit,field", [
@@ -148,11 +160,26 @@ def _first_value(key, value):
     (_first_value("passes.unlabeled_strong", "-1"), "passes.unlabeled_strong"),
     (_first_value("aborted_epoch", "-2"), "aborted_epoch"),
     (_first_value("aborted_epoch", "0"), "aborted_epoch"),
-    (lambda text: text + "abort_reason = step 1: overflow\n", "abort_reason")],
+    (lambda text: text + "abort_reason = step 1: overflow\n", "abort_reason"),
+    (_first_value("final.accuracy", "5.0"), "final.accuracy"),
+    (_first_value("final.accuracy", "-0.25"), "final.accuracy"),
+    (_first_value("final.per_class", "-0.5"), "final.per_class"),
+    (_nth_value("final.per_class", 1, "1.5"), "final.per_class"),
+    (_nth_value("epoch.1", 4, "1.5"), "epoch.1: mask_rate"),
+    (_nth_value("epoch.2", 5, "-0.1"), "epoch.2: labeled_acc"),
+    (_nth_value("epoch.3", 6, "2.0"), "epoch.3: test_acc"),
+    (_first_value("aborted_epoch", "3"), "aborted_epoch"),
+    (_first_value("aborted_epoch", "5"), "aborted_epoch"),
+    (_one_record_aborted_at(7), "aborted_epoch")],
     ids=["accuracy-nan", "accuracy-inf", "per-class-inf", "epoch-nan",
          "epoch-overflow", "negative-confusion", "negative-weak-passes",
          "negative-strong-passes", "aborted-epoch-negative",
-         "aborted-epoch-zero", "abort-reason-without-abort"])
+         "aborted-epoch-zero", "abort-reason-without-abort",
+         "accuracy-above-one", "accuracy-negative", "per-class-negative",
+         "per-class-above-one", "mask-rate-above-one",
+         "labeled-acc-negative", "test-acc-above-one",
+         "aborted-epoch-at-a-record", "aborted-epoch-past-the-next",
+         "aborted-epoch-7-after-one-record"])
 def test_report_values_adapt_cannot_write_are_rejected(small_report, edit,
                                                        field):
     # a report from adapt loads, and each edit makes it one that adapt

@@ -210,6 +210,37 @@ def test_adapt_accepts_bare_view(task, model_text):
     assert a.final_accuracy == b.final_accuracy
 
 
+@pytest.mark.parametrize("cfg", [
+    *(short_config(method=m, epochs=2) for m in pipeline.METHODS),
+    short_config(lr=1e308, epochs=2)], ids=[*pipeline.METHODS, "aborting"])
+def test_adapt_network_form_matches_the_document_form(task, model_text, cfg):
+    # a Network in gives, as a Network, the model and the report that the
+    # document in gives; the caller's network is left as it was
+    source = network.deserialize(model_text)
+    flat, meta = source.flat.copy(), dict(source.meta)
+    report, adapted = pipeline.adapt(source, task, cfg)
+    text_report, text = pipeline.adapt(model_text, task, cfg)
+    assert (report.aborted_epoch == 1) == (cfg.lr == 1e308)
+    parsed = network.deserialize(text)
+    assert isinstance(adapted, network.Network) and adapted is not source
+    assert np.array_equal(adapted.flat, parsed.flat)
+    assert adapted.meta == parsed.meta
+    assert network.serialize(adapted) == text
+    assert report == text_report
+    assert np.array_equal(source.flat, flat) and source.meta == meta
+
+
+def test_adapt_rejects_a_nan_parameter_in_either_form_before_any_step(
+        task, model_text, monkeypatch):
+    source = network.deserialize(model_text)
+    source.params[2][0, 0] = np.nan
+    monkeypatch.setattr(pipeline, "step_gradient",
+                        lambda *args: pytest.fail("a step ran"))
+    for model in (source, network.serialize(source)):
+        with pytest.raises(ValueError, match="param 2 has non-finite values"):
+            pipeline.adapt(model, task, short_config())
+
+
 def test_adapt_bookkeeping_identity(task, model_text):
     cfg = short_config(method="cdl", lambda_u=2.5, lambda_d=1.0, seed=2)
     rep, _ = pipeline.adapt(model_text, task, cfg)
@@ -277,12 +308,13 @@ def test_adapt_dimension_mismatch(model_text):
     spec3 = data.DomainShiftSpec(input_dim=3,
                                  shift_translation=(0.0, 1.75, 0.0))
     task3 = data.generate_task(spec3, seed=0)
-    with pytest.raises(ValueError, match="input_dim"):
-        pipeline.adapt(model_text, task3, short_config())
     spec6 = data.DomainShiftSpec(num_classes=6)
     task6 = data.generate_task(spec6, seed=0)
-    with pytest.raises(ValueError, match="classes"):
-        pipeline.adapt(model_text, task6, short_config())
+    for model in (model_text, network.deserialize(model_text)):
+        with pytest.raises(ValueError, match="input_dim"):
+            pipeline.adapt(model, task3, short_config())
+        with pytest.raises(ValueError, match="classes"):
+            pipeline.adapt(model, task6, short_config())
 
 
 def test_adapt_rejects_bad_config(task, model_text):
@@ -445,25 +477,29 @@ def test_suite_flags_aborted_cells(task, model_text):
 
 def test_each_grid_cell_is_one_adapt_call_and_reads_nothing_private(
         task, model_text, monkeypatch):
-    # the grid parses the source model once for its up-front checks, then
-    # each cell is one call of the module attribute adapt, with the full
-    # task, which parses it once more; no source row or private label is
-    # read, by adapt or by the grid
-    calls, parses = [], []
+    # the grid parses the source model once, for its up-front checks, and
+    # writes no model text; each cell is one call of the module attribute
+    # adapt, with the parsed network and the full task; no source row or
+    # private label is read, by adapt or by the grid
+    calls, parses, writes = [], [], []
     adapt, deserialize = pipeline.adapt, network.deserialize
+    serialize = network.serialize
     monkeypatch.setattr(pipeline, "adapt", lambda model, t, cfg: calls.append(
-        (t, cfg.method, cfg.seed)) or adapt(model, t, cfg))
+        (model, t, cfg.method, cfg.seed)) or adapt(model, t, cfg))
     monkeypatch.setattr(network, "deserialize",
                         lambda text: parses.append(1) or deserialize(text))
+    monkeypatch.setattr(network, "serialize",
+                        lambda net: writes.append(1) or serialize(net))
     reads = (task.source_reads, task.unlabeled_label_reads)
     res = pipeline.run_ablation_suite(task, model_text, short_config(epochs=2),
                                       ("cdl", "s_plus_t"), (0, 1))
     assert (task.source_reads, task.unlabeled_label_reads) == reads
-    assert len(parses) == 1 + len(res.rows)
-    assert [(t is task, m, s) for t, m, s in calls] == [
+    assert len(parses) == 1 and writes == []
+    assert all(isinstance(model, network.Network) for model, *_ in calls)
+    assert [(t is task, m, s) for _, t, m, s in calls] == [
         (True, "cdl", 0), (True, "cdl", 1), (True, "s_plus_t", 0),
         (True, "s_plus_t", 1)]
-    assert [(r.method, r.seed) for r in res.rows] == [c[1:] for c in calls]
+    assert [(r.method, r.seed) for r in res.rows] == [c[2:] for c in calls]
 
 
 def test_grid_rows_are_the_last_record_of_a_standalone_adapt(task, model_text):
