@@ -8,10 +8,13 @@ For each seed it runs, in a temporary directory:
                 cdl with --lr 1e308 (a run that aborts in its first
                 epoch and rolls back): the adapted model, the report
                 and its CSV sidecar
-  ablate        the default method grid over that one seed, and the
-                same grid with --lr 1e308 (every cell aborts in its
-                first epoch, so each row's diversity column is empty),
-                saved as ablate_aborted.csv
+  ablate        the default method grid over that one seed; the same
+                grid with --lr 1e308 (every cell aborts in its first
+                epoch, so each row's diversity column is empty), saved
+                as ablate_aborted.csv; and with --lambda-d 1e308 (the
+                cells of the methods with a diversity term abort and
+                the others complete, so the summary holds methods with
+                and without cells), saved as ablate_mixed.csv
   gradcheck     its stdout, with --seed N, saved as gradcheck.out
   wide_*        the widest task (data.MAX_CLASSES classes, default
                 counts), its source model, and its cdl adapt: the
@@ -81,7 +84,8 @@ def _seed_artifacts(seed: int, epochs, root: str):
          ("cdl_aborted", "cdl", ["--lr", "1e308"])]
     for name, method, extra in runs:
         yield from adapt(task, model, name, method, extra)
-    for name, extra in (("ablate", []), ("ablate_aborted", ["--lr", "1e308"])):
+    for name, extra in (("ablate", []), ("ablate_aborted", ["--lr", "1e308"]),
+                        ("ablate_mixed", ["--lambda-d", "1e308"])):
         grid = os.path.join(d, f"{name}.csv")
         _run(["ablate", "--model", model, "--data", task, "--seeds",
               str(seed), "--out", grid] + loop + extra)

@@ -20,12 +20,13 @@ seeds (round, round + 1).
 For each row it prints both trees' median CPU seconds, the
 after/before ratio of the medians, in how many rounds the AFTER tree
 took less CPU, and whether every result of the AFTER tree equals the
-BEFORE tree's for the same task and seed (the model document, or the
-`ablate` row's suite rows); the last line is the same as one JSON
-object. `--methods` picks the rows (default: every method, then
-`train_source`; `ablate` runs only when named). `--epochs` shortens
-source training, every adapt and every grid cell; without it they run
-at their library defaults.
+BEFORE tree's for the same task and seed (the model document, or every
+field of each `ablate` cell's report, its epoch records included); the
+last line is the same as one JSON object. `--methods` picks the rows
+(default: every method, then `train_source`; `ablate` runs only when
+named, and needs both trees to return the cells' reports).
+`--epochs` shortens source training, every adapt and every grid cell;
+without it they run at their library defaults.
 """
 
 import argparse
@@ -76,17 +77,18 @@ def build_inputs(pkg, epochs):
 
 def timed(pipeline, row: str, model: str, task, seed: int, loop):
     """CPU seconds and result of one run of row on one tree: a model
-    document, or for ABLATE_ROW the suite rows as tuples, which compare
-    across trees where the trees' own SuiteRow classes would not."""
+    document, or for ABLATE_ROW the cells' reports as tuples, which
+    compare across trees where the trees' own RunReport classes would
+    not."""
     if row == SOURCE_ROW:
         start = time.process_time()
         result = pipeline.train_source(task, seed=seed, **loop)
     elif row == ABLATE_ROW:
         config = pipeline.AdaptConfig(**loop)
         start = time.process_time()
-        suite = pipeline.run_ablation_suite(task, model, config,
+        cells = pipeline.run_ablation_suite(task, model, config,
                                             ABLATE_METHODS, (seed, seed + 1))
-        result = [dataclasses.astuple(r) for r in suite.rows]
+        result = [dataclasses.astuple(r) for r in cells]
     else:
         config = pipeline.AdaptConfig(method=row, seed=seed, **loop)
         start = time.process_time()

@@ -27,6 +27,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__, data, gradcheck, network, pipeline, reports
 from .fileio import atomic_write_text, read_text, write_target
 from .linalg import NumericalError
@@ -247,42 +249,43 @@ def _cmd_ablate(args) -> int:
     model_text = read_text(args.model)
     task = data.load_task(args.data)
     base = pipeline.AdaptConfig(**_given(args, pipeline.AdaptConfig))
-    suite = pipeline.run_ablation_suite(task, model_text, base, methods, seeds)
+    # one row per cell (csv writes a float as its repr, None as empty)
+    rows = [[r.config.method, r.config.seed, r.final_accuracy,
+             r.records[-1].diversity_ratio if r.records else None,
+             r.per_class_accuracy[-1], "" if r.aborted_epoch is None else
+             f"aborted at epoch {r.aborted_epoch}: {r.abort_reason}"]
+            for r in pipeline.run_ablation_suite(task, model_text, base,
+                                                 methods, seeds)]
+    # per method: n, then the mean and std of accuracy and of diversity
+    # over its cells that did not abort (None each when n is 0)
+    summary = {}
+    for method in methods:
+        done = [row for row in rows if row[0] == method and not row[5]]
+        accs = np.array([row[2] for row in done])
+        divs = np.array([row[3] for row in done])
+        summary[method] = [len(done)] + ([
+            float(accs.mean()), float(accs.std()), float(divs.mean()),
+            float(divs.std())] if done else [None] * 4)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["method", "seed", "final_accuracy", "diversity_ratio",
                      "minority_recall", "error"])
-    for row in suite.rows:
-        writer.writerow([row.method, row.seed, repr(row.final_accuracy),
-                         "" if row.diversity_ratio is None
-                         else repr(row.diversity_ratio),
-                         repr(row.minority_recall), row.error or ""])
+    writer.writerows(rows)
     writer.writerow([])
     writer.writerow(["method", "n", "mean_accuracy", "std_accuracy",
                      "mean_diversity", "std_diversity"])
-    for method in methods:
-        s = suite.summary[method]
-        if s["n"] == 0:
-            writer.writerow([method, 0, "", "", "", ""])
-            continue
-        writer.writerow([method, int(s["n"]), repr(s["mean_accuracy"]),
-                         repr(s["std_accuracy"]), repr(s["mean_diversity"]),
-                         repr(s["std_diversity"])])
+    writer.writerows([method] + s for method, s in summary.items())
     atomic_write_text(args.out, buf.getvalue())
 
-    for method in methods:
-        s = suite.summary[method]
-        if s["n"]:
-            print(f"{method:10s} accuracy {s['mean_accuracy']:.4f} "
-                  f"+/- {s['std_accuracy']:.4f}  diversity "
-                  f"{s['mean_diversity']:.4f}")
-        else:
-            print(f"{method:10s} all cells aborted")
+    for method, (n, acc, acc_std, div, _) in summary.items():
+        print(f"{method:10s} " + (f"accuracy {acc:.4f} +/- {acc_std:.4f}  "
+                                  f"diversity {div:.4f}" if n
+                                  else "all cells aborted"))
     print(f"wrote {args.out}")
-    for row in suite.rows:
-        if row.error is not None:
-            print(f"warning: cell {row.method} seed {row.seed} {row.error}",
+    for method, seed, *_, error in rows:
+        if error:
+            print(f"warning: cell {method} seed {seed} {error}",
                   file=sys.stderr)
     return 0
 

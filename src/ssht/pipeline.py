@@ -53,13 +53,9 @@ were all validated, and whose shared model and task passed adapt's
 checks, before the first cell runs; a bad setting raises ValueError
 and runs nothing. Those checks parse the model document, the grid's
 only parse, and every cell adapts that Network, so the grid writes no
-model text. A cell fails in only one way: its run aborts. The
-cell then keeps its rolled-back model's measurements and its row's
-error names the abort, and the summary leaves it out. A cell is one
-adapt call, and every column of its row is read from the cell's
-RunReport: the diversity column is the test-split ratio of its last
-record, the evaluation of the model adapt returns, and is None when no
-epoch completed.
+model text. A cell is one adapt call, and the grid returns each cell's
+RunReport, an aborted cell's included; the CLI's ablate command turns
+the reports into the grid's table.
 """
 
 import hashlib
@@ -404,41 +400,20 @@ def adapt(model: Model, task, config: AdaptConfig
         else network.serialize(net)
 
 
-@dataclass
-class SuiteRow:
-    method: str
-    seed: int
-    final_accuracy: float
-    diversity_ratio: Optional[float]  # None when no epoch completed
-    minority_recall: float
-    error: Optional[str] = None
-
-
-@dataclass
-class SuiteResult:
-    rows: List[SuiteRow]
-    summary: Dict[str, Dict[str, float]]
-
-
 def run_ablation_suite(task: data.DomainTask, model_text: str,
                        base_config: AdaptConfig, methods: Sequence[str],
-                       seeds: Sequence[int]) -> SuiteResult:
-    """Adapt the same source model under every (method, seed) pair.
+                       seeds: Sequence[int]) -> List[RunReport]:
+    """Adapt the same source model under every (method, seed) pair and
+    return the cells' reports, methods then seeds.
 
     Every cell's config is validated, and adapt's other checks before
     its first step run once on what the cells share (the model and the
     task), before the first cell runs: a bad setting raises ValueError
     and nothing runs. Those checks parse model_text, the grid's only
-    parse, and no model is serialized. A cell whose run aborts keeps
-    the measurements of its rolled-back model, as adapt's report does;
-    its error reads "aborted at epoch N: <abort_reason>" and the
-    summary leaves it out. Each cell is one call of the module
-    attribute adapt with the parsed Network and the full task, and its
-    row is a projection of the returned RunReport: the final accuracy,
-    the last class's recall, and the diversity ratio of the last epoch
-    record (the test evaluation of the model adapt returns, rolled back
-    or not; None for a cell with no completed epoch). No private label
-    is read.
+    parse, and no model is serialized. Each cell is one call of the
+    module attribute adapt with the parsed Network and the full task; a
+    cell whose run aborts returns adapt's report of its rolled-back
+    model. No private label is read.
     """
     if not methods or not seeds:
         raise ValueError("methods and seeds must be non-empty")
@@ -447,28 +422,4 @@ def run_ablation_suite(task: data.DomainTask, model_text: str,
     for cfg in configs:
         cfg.validate()
     net, _ = _source_network(model_text, task.adaptation_view(), configs[0])
-    rows: List[SuiteRow] = []
-    for cfg in configs:
-        report, _ = adapt(net, task, cfg)
-        error = None if report.aborted_epoch is None else \
-            f"aborted at epoch {report.aborted_epoch}: {report.abort_reason}"
-        rows.append(SuiteRow(method=cfg.method, seed=cfg.seed,
-                             final_accuracy=report.final_accuracy,
-                             diversity_ratio=report.records[-1].diversity_ratio
-                             if report.records else None,
-                             minority_recall=report.per_class_accuracy[-1],
-                             error=error))
-    summary: Dict[str, Dict[str, float]] = {}
-    for method in methods:
-        cells = [r for r in rows if r.method == method and r.error is None]
-        if not cells:
-            summary[method] = {"n": 0.0}
-            continue
-        accs = np.array([r.final_accuracy for r in cells])
-        divs = np.array([r.diversity_ratio for r in cells])
-        summary[method] = {"n": float(len(cells)),
-                           "mean_accuracy": float(accs.mean()),
-                           "std_accuracy": float(accs.std()),
-                           "mean_diversity": float(divs.mean()),
-                           "std_diversity": float(divs.std())}
-    return SuiteResult(rows=rows, summary=summary)
+    return [adapt(net, task, cfg)[0] for cfg in configs]

@@ -28,18 +28,20 @@ def suite():
     task = data.generate_task(data.DomainShiftSpec(), seed=0)
     model_text = pipeline.train_source(task, seed=0)
     t0 = time.perf_counter()
-    result = pipeline.run_ablation_suite(task, model_text,
-                                         pipeline.AdaptConfig(),
-                                         GRID_METHODS, GRID_SEEDS)
+    reports = pipeline.run_ablation_suite(task, model_text,
+                                          pipeline.AdaptConfig(),
+                                          GRID_METHODS, GRID_SEEDS)
     elapsed = time.perf_counter() - t0
     means = {}
     for m in GRID_METHODS:
-        rows = [r for r in result.rows if r.method == m]
-        assert all(r.error is None for r in rows)
+        cells = [r for r in reports if r.config.method == m]
+        assert all(r.aborted_epoch is None for r in cells)
         means[m] = {
-            "accuracy": float(np.mean([r.final_accuracy for r in rows])),
-            "diversity": float(np.mean([r.diversity_ratio for r in rows])),
-            "minority": float(np.mean([r.minority_recall for r in rows]))}
+            "accuracy": float(np.mean([r.final_accuracy for r in cells])),
+            "diversity": float(np.mean([r.records[-1].diversity_ratio
+                                        for r in cells])),
+            "minority": float(np.mean([r.per_class_accuracy[-1]
+                                       for r in cells]))}
     return {"means": means, "elapsed": elapsed}
 
 

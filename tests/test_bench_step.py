@@ -47,25 +47,36 @@ def test_bench_step_train_source_row_compares_model_texts(monkeypatch):
     assert results["train_source"]["before_cpu_s"] > 0
 
 
-def test_bench_step_ablate_row_compares_suite_rows(monkeypatch, capsys):
-    # the ablate row runs only when named; an AFTER tree whose grid rows
-    # differ is not identical on it
+def test_bench_step_ablate_row_compares_cell_reports(monkeypatch, capsys):
+    # the ablate row runs only when named; an AFTER tree whose grid gives
+    # one cell's report another value in one epoch record is not
+    # identical on it
     script = load_script()
     assert script.main([SRC, SRC, "--methods", "ablate", "--epochs", "1",
                         "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     result = json.loads(lines[-1])["ablate"]
     assert [ln.split()[0] for ln in lines[:-1]] == ["ablate"]
+    assert lines[0].endswith("identical yes")
     assert result["identical"] and result["rounds"] == 2
     assert result["before_cpu_s"] > 0 and result["after_cpu_s"] > 0
 
-    sides = {"before": script.load_package(SRC, "ssht_before"),
-             "after": script.load_package(SRC, "ssht_after")}
-    suite = sides["after"].pipeline.run_ablation_suite
+    load_package = script.load_package
 
-    def shifted(*args):
-        res = suite(*args)
-        res.rows[-1].final_accuracy += 1.0
-        return res
-    monkeypatch.setattr(sides["after"].pipeline, "run_ablation_suite", shifted)
-    assert not script.run(sides, ["ablate"], 1, 1)["ablate"]["identical"]
+    def load_shifted(src, name):
+        pkg = load_package(src, name)
+        if name == "ssht_after":
+            suite = pkg.pipeline.run_ablation_suite
+
+            def shifted(*args):
+                cells = suite(*args)
+                cells[-1].records[0].l_u += 1.0
+                return cells
+            monkeypatch.setattr(pkg.pipeline, "run_ablation_suite", shifted)
+        return pkg
+    monkeypatch.setattr(script, "load_package", load_shifted)
+    assert script.main([SRC, SRC, "--methods", "ablate", "--epochs", "1",
+                        "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("identical NO")
+    assert not json.loads(lines[-1])["ablate"]["identical"]

@@ -323,6 +323,50 @@ def test_cli_ablate_flags_aborted_cells(cli_files, tmp_path):
         f"warning: cell {r[0]} seed {r[1]} {r[5]}" for r in cells]
 
 
+def test_cli_ablate_summarizes_only_the_completed_cells(cli_files, tmp_path,
+                                                        capsys):
+    # --lambda-d 1e308 overflows a step of the methods with a diversity
+    # term, so cdl and cdl_no_cl abort in epoch 1 and cdl_no_dl and
+    # s_plus_t complete: each method's summary, in the CSV and on stdout,
+    # covers its completed cells alone, and each aborted cell warns once
+    _, task_path, model_path = cli_files
+    out = str(tmp_path / "mixed.csv")
+    rc = cli.main(["ablate", "--model", model_path, "--data", task_path,
+                   "--seeds", "0,1", "--epochs", "2", "--lambda-d", "1e308",
+                   "--out", out])
+    assert rc == 0
+    captured = capsys.readouterr()
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    cells, summary = rows[1:9], rows[11:]
+    methods = ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
+    aborted = {"cdl", "cdl_no_cl"}
+    assert [(r[0], r[1]) for r in cells] == [
+        (m, s) for m in methods for s in ("0", "1")]
+    for r in cells:
+        assert r[5].startswith("aborted at epoch 1: step ") == (r[0] in aborted)
+        assert (r[3] == "") == (r[0] in aborted)
+    lines = []
+    assert [r[0] for r in summary] == list(methods)
+    for method, row in zip(methods, summary):
+        if method in aborted:
+            assert row == [method, "0", "", "", "", ""]
+            lines.append(f"{method:10s} all cells aborted")
+            continue
+        done = [r for r in cells if r[0] == method]
+        accs = np.array([float(r[2]) for r in done])
+        divs = np.array([float(r[3]) for r in done])
+        want = [float(accs.mean()), float(accs.std()), float(divs.mean()),
+                float(divs.std())]
+        assert row == [method, "2"] + [repr(v) for v in want]
+        lines.append(f"{method:10s} accuracy {want[0]:.4f} +/- "
+                     f"{want[1]:.4f}  diversity {want[2]:.4f}")
+    assert captured.out.splitlines() == lines + [f"wrote {out}"]
+    assert captured.err.splitlines() == [
+        f"warning: cell {r[0]} seed {r[1]} {r[5]}" for r in cells
+        if r[0] in aborted]
+
+
 def test_cli_gradcheck_passes(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

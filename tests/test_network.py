@@ -258,15 +258,21 @@ def test_blocked_forward_matches_one_shot(activation, rows):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("rows", [1, 2, 95, 96, 97, 193, 250])
+@pytest.mark.parametrize("rows", [1, 2, 95, 96, 97, 108, 144, 193, 250])
 def test_blocked_forward_matches_taped_pass(activation, rows):
     # evaluation (blocked, no tape) and training (one taped pass) give the
-    # default network bit-identical logits for the same rows
-    net = network.init_network(network.default_spec(activation=activation),
-                               seed=24)
+    # default network bit-identical logits for the same rows, at the
+    # default and the largest class count; 108 and 144 rows are the
+    # stacked step heights of the default task and of a 16-class one
     x = np.random.default_rng(100 + rows).normal(size=(rows, 2)) * 3.0
-    logits = network.forward(net, x)
-    assert np.array_equal(logits, network.forward(net, x, keep=True).logits)
+    for classes in (4, data.MAX_CLASSES):
+        net = network.init_network(
+            network.default_spec(num_classes=classes, activation=activation),
+            seed=24)
+        logits = network.forward(net, x)
+        assert logits.shape == (rows, classes)
+        assert np.array_equal(logits,
+                              network.forward(net, x, keep=True).logits)
 
 
 # ------------------------------------------------------- flat parameters

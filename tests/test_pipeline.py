@@ -428,12 +428,9 @@ def test_suite_shape_and_determinism(task, model_text):
                                     ("cdl", "s_plus_t"), (0, 1))
     b = pipeline.run_ablation_suite(task, model_text, cfg,
                                     ("cdl", "s_plus_t"), (0, 1))
-    assert len(a.rows) == 4
-    for ra, rb in zip(a.rows, b.rows):
-        assert (ra.method, ra.seed) == (rb.method, rb.seed)
-        assert ra.final_accuracy == rb.final_accuracy
-        assert ra.diversity_ratio == rb.diversity_ratio
-    assert a.summary["cdl"]["n"] == 2.0
+    assert [(r.config.method, r.config.seed) for r in a] == [
+        ("cdl", 0), ("cdl", 1), ("s_plus_t", 0), ("s_plus_t", 1)]
+    assert a == b
 
 
 @pytest.mark.parametrize("methods,seeds,message", [
@@ -458,21 +455,22 @@ def test_suite_rejects_a_bad_cell_before_any_cell(task, model_text,
 
 
 def test_suite_flags_aborted_cells(task, model_text):
-    # a learning rate that overflows the first step: each cell rolls back
-    # to the source model, keeps its measurements and names its abort,
-    # and the summary leaves it out
+    # a learning rate that overflows the first step: each cell's report
+    # names its abort and measures the source model it rolled back to
     res = pipeline.run_ablation_suite(
         task, model_text, short_config(epochs=2, lr=1e308),
         ("cdl", "s_plus_t"), (0, 1))
     source = pipeline.evaluate(network.deserialize(model_text), task.test_x,
                                task.test_y)
-    for row in res.rows:
-        assert row.error.startswith("aborted at epoch 1: step ")
-        assert "overflow" in row.error
-        assert row.final_accuracy == source.accuracy
-        assert row.minority_recall == source.per_class_accuracy[-1]
-        assert row.diversity_ratio is None  # no epoch completed
-    assert res.summary == {"cdl": {"n": 0.0}, "s_plus_t": {"n": 0.0}}
+    assert len(res) == 4
+    for report in res:
+        assert report.aborted_epoch == 1
+        assert report.abort_reason.startswith("step ")
+        assert "overflow" in report.abort_reason
+        assert report.records == []  # no epoch completed
+        assert report.final_accuracy == source.accuracy
+        assert report.per_class_accuracy == \
+            source.per_class_accuracy.tolist()
 
 
 def test_each_grid_cell_is_one_adapt_call_and_reads_nothing_private(
@@ -499,23 +497,22 @@ def test_each_grid_cell_is_one_adapt_call_and_reads_nothing_private(
     assert [(t is task, m, s) for _, t, m, s in calls] == [
         (True, "cdl", 0), (True, "cdl", 1), (True, "s_plus_t", 0),
         (True, "s_plus_t", 1)]
-    assert [(r.method, r.seed) for r in res.rows] == [c[2:] for c in calls]
+    assert [(r.config.method, r.config.seed) for r in res] == \
+        [c[2:] for c in calls]
 
 
-def test_grid_rows_are_the_last_record_of_a_standalone_adapt(task, model_text):
+def test_grid_reports_are_the_reports_of_standalone_adapts(task, model_text):
     # one completed epoch at a tiny learning rate leaves the biased source
-    # model, whose diversity the last test evaluation measures
+    # model: each cell's report, its records included, is the report of
+    # an adapt of the model document under the cell's config
     base = short_config(epochs=1, lr=1e-6)
     res = pipeline.run_ablation_suite(task, model_text, base,
                                       ("cdl", "s_plus_t"), (0, 1))
-    for row in res.rows:
-        report, _ = pipeline.adapt(model_text, task, replace(
-            base, method=row.method, seed=row.seed))
-        last = report.records[-1]
-        assert row.error is None
-        assert row.final_accuracy == last.test_acc == report.final_accuracy
-        assert row.diversity_ratio == last.diversity_ratio
-        assert row.minority_recall == report.per_class_accuracy[-1]
+    assert len(res) == 4
+    for report in res:
+        assert report.aborted_epoch is None and len(report.records) == 1
+        assert report == pipeline.adapt(model_text, task, replace(
+            base, method=report.config.method, seed=report.config.seed))[0]
 
 
 def test_adapt_rejects_a_negative_seed_before_reading_the_model(task):
@@ -553,8 +550,8 @@ def test_adapt_and_suite_on_splits_smaller_than_a_diversity_batch():
     res = pipeline.run_ablation_suite(
         small, model, short_config(epochs=1, unlabeled_batch=20),
         ("cdl", "s_plus_t"), (0,))
-    assert all(r.error is None for r in res.rows)
-    assert all(np.isfinite(r.diversity_ratio) for r in res.rows)
+    assert all(r.aborted_epoch is None for r in res)
+    assert all(np.isfinite(r.records[-1].diversity_ratio) for r in res)
 
 
 @pytest.mark.parametrize("method,weights,weak,strong", [
