@@ -19,6 +19,8 @@ For each seed it runs, in a temporary directory:
   wide_*        the widest task (data.MAX_CLASSES classes, default
                 counts), its source model, and its cdl adapt: the
                 adapted model, the report and its CSV sidecar
+  big_task.txt  a task of 20,000 source, 10,000 unlabeled and 10,000
+                test rows, whose fields span many of fileio's chunks
 
 and prints one `<sha256>  seed<N>/<file>` line per file, in a fixed
 order. Two trees that print the same lines wrote byte-identical
@@ -91,12 +93,16 @@ def _seed_artifacts(seed: int, epochs, root: str):
               str(seed), "--out", grid] + loop + extra)
         yield grid
     checks = os.path.join(d, "gradcheck.out")
-    with open(checks, "w") as f:
+    with open(checks, "w", encoding="utf-8") as f:
         f.write(_run(["gradcheck", "--seed", str(seed)]))
     yield checks
     task, model = source("wide_", ["--classes", str(cli.data.MAX_CLASSES)])
     yield from (task, model)
     yield from adapt(task, model, "wide_cdl", "cdl", [])
+    big = os.path.join(d, "big_task.txt")
+    _run(["gen-data", "--seed", str(seed), "--n-source", "20000",
+          "--n-unlabeled", "10000", "--n-test", "10000", "--out", big])
+    yield big
 
 
 def main(argv=None) -> int:

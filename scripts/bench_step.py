@@ -1,5 +1,5 @@
-"""Time `pipeline.adapt` and `pipeline.train_source` of two `ssht`
-source trees side by side.
+"""Time `pipeline.adapt`, `pipeline.train_source` and the task file
+codecs of two `ssht` source trees side by side.
 
     python scripts/bench_step.py BEFORE_SRC AFTER_SRC
 
@@ -15,16 +15,20 @@ tree goes first alternating by round, and times each with
 one adapt of the source model with that method, or `train_source`,
 one source training on the task, both at seed `round`, or `ablate`,
 one `run_ablation_suite` of the source model over ABLATE_METHODS x
-seeds (round, round + 1).
+seeds (round, round + 1), or `io`, one `data.save_task` and then
+`data.load_task` of a task of IO_SIZES rows (perfbench's `artifact_io`
+task, seed 0), each tree writing its own file.
 
 For each row it prints both trees' median CPU seconds, the
 after/before ratio of the medians, in how many rounds the AFTER tree
 took less CPU, and whether every result of the AFTER tree equals the
-BEFORE tree's for the same task and seed (the model document, or every
-field of each `ablate` cell's report, its epoch records included); the
+BEFORE tree's for the same task and seed (the model document, every
+field of each `ablate` cell's report, its epoch records included, or
+the `io` row's file bytes and every array of the task read back); the
 last line is the same as one JSON object. `--methods` picks the rows
-(default: every method, then `train_source`; `ablate` runs only when
-named, and needs both trees to return the cells' reports).
+(default: every method, then `train_source`; `ablate` and `io` run
+only when named, and `ablate` needs both trees to return the cells'
+reports).
 `--epochs` shortens source training, every adapt and every grid cell;
 without it they run at their library defaults.
 """
@@ -37,13 +41,18 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
+
+import numpy as np
 
 TASKS = 4
 ROUNDS = 32
 SOURCE_ROW = "train_source"
 ABLATE_ROW = "ablate"
 ABLATE_METHODS = ("cdl", "cdl_no_cl", "cdl_no_dl", "s_plus_t")
+IO_ROW = "io"
+IO_SIZES = {"n_source": 20_000, "n_unlabeled": 10_000, "n_test": 10_000}
 
 
 def load_package(src: str, name: str):
@@ -96,6 +105,20 @@ def timed(pipeline, row: str, model: str, task, seed: int, loop):
     return time.process_time() - start, result
 
 
+def timed_io(data, task, path: str):
+    """CPU seconds of one save_task and load_task of task through path,
+    and the result: the file's bytes and every array read back."""
+    start = time.process_time()
+    data.save_task(task, path)
+    loaded = data.load_task(path)
+    seconds = time.process_time() - start
+    with open(path, "rb") as f:
+        written = f.read()
+    arrays = [(name, a.dtype.str, a.shape, a.tobytes())
+              for name, a in vars(loaded).items() if isinstance(a, np.ndarray)]
+    return seconds, (written, arrays)
+
+
 def run(sides, rows, rounds: int, epochs):
     """Time every row on both sides ({"before": package, "after":
     package}); a dict of results per row."""
@@ -103,19 +126,31 @@ def run(sides, rows, rounds: int, epochs):
     loop = {} if epochs is None else {"epochs": epochs}
     tasks = {side: [pkg.data.deserialize_task(text) for text, _ in inputs]
              for side, pkg in sides.items()}
+    if IO_ROW in rows:
+        data = sides["before"].data
+        io_text = data.serialize_task(data.generate_task(
+            data.DomainShiftSpec(), seed=0, **IO_SIZES))
+        io_tasks = {side: pkg.data.deserialize_task(io_text)
+                    for side, pkg in sides.items()}
     cpu = {row: {side: [] for side in sides} for row in rows}
     identical = {row: True for row in rows}
-    for r in range(rounds):
-        j = r % TASKS
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for row in rows:
-            outputs = {}
-            for side in order:
-                seconds, outputs[side] = timed(sides[side].pipeline, row,
-                                               inputs[j][1], tasks[side][j],
-                                               r, loop)
-                cpu[row][side].append(seconds)
-            identical[row] &= outputs["before"] == outputs["after"]
+    with tempfile.TemporaryDirectory() as workdir:
+        for r in range(rounds):
+            j = r % TASKS
+            order = ("before", "after") if r % 2 == 0 else ("after", "before")
+            for row in rows:
+                outputs = {}
+                for side in order:
+                    if row == IO_ROW:
+                        seconds, outputs[side] = timed_io(
+                            sides[side].data, io_tasks[side],
+                            os.path.join(workdir, f"{side}.txt"))
+                    else:
+                        seconds, outputs[side] = timed(
+                            sides[side].pipeline, row, inputs[j][1],
+                            tasks[side][j], r, loop)
+                    cpu[row][side].append(seconds)
+                identical[row] &= outputs["before"] == outputs["after"]
     results = {}
     for row in rows:
         before, after = cpu[row]["before"], cpu[row]["after"]
@@ -135,8 +170,8 @@ def main(argv=None) -> int:
     parser.add_argument("before_src")
     parser.add_argument("after_src")
     parser.add_argument("--methods", help="comma-separated rows: methods, "
-                        f"{SOURCE_ROW} and {ABLATE_ROW} (default: every "
-                        f"method, then {SOURCE_ROW})")
+                        f"{SOURCE_ROW}, {ABLATE_ROW} and {IO_ROW} (default: "
+                        f"every method, then {SOURCE_ROW})")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--epochs", type=int)
     args = parser.parse_args(argv)

@@ -8,6 +8,13 @@ str(). Each artifact module passes its own FormatError subclass, so a
 bad document raises that format's error and nothing else. A settings
 dataclass is one `<prefix>.<field> = value` line per field, in field
 declaration order, each value in the format of its annotation (CODECS).
+Files are UTF-8 whatever the locale.
+
+The codecs hold a document about twice at their peak, not four times:
+a list is formatted CHUNK tokens and parsed PIECE characters at a time,
+the document is assembled by one join, read_document frees each line
+once its value is stored, and Fields.parse removes the field it
+converts, so a parsed value's text is freed before the next is parsed.
 """
 
 import dataclasses
@@ -18,6 +25,13 @@ import tempfile
 from typing import Iterable, List, Optional, Tuple, Type
 
 import numpy as np
+
+# The most tokens a format joins at a time, and the fewest characters in
+# a piece of a value a parse splits at a time (about CHUNK tokens of a
+# float list): no list with one string per value of a whole field is
+# ever alive.
+CHUNK = 4096
+PIECE = 16 * CHUNK
 
 
 def write_target(path: str) -> str:
@@ -59,7 +73,7 @@ def atomic_write_text(path: str, text: str) -> None:
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             os.fchmod(fd, 0o666 & ~umask)  # open(path, "w")'s mode, not 0600
             f.write(text)
         os.replace(tmp, path)
@@ -70,7 +84,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def read_text(path: str) -> str:
-    with open(path, "r") as f:
+    with open(path, "r", encoding="utf-8") as f:
         return f.read()
 
 
@@ -90,8 +104,12 @@ class Fields(dict):
         raise self.error(f"missing field {key}")
 
     def parse(self, key: str, convert):
-        """convert(self[key]), a ValueError from it raised as the format's."""
+        """convert(self[key]), a ValueError from it raised as the format's.
+
+        The field is removed first, so its text is freed once converted.
+        """
         value = self[key]
+        del self[key]
         try:
             return convert(value)
         except ValueError as e:
@@ -110,11 +128,15 @@ def read_document(text: str, header: str,
                   error: Type[FormatError]) -> Fields:
     """Check the header line and return the fields that follow it."""
     lines = text.splitlines()
-    head = lines[0].strip() if lines else ""
+    lines.reverse()  # popped from the end, each line is freed once stored
+    head = lines.pop().strip() if lines else ""
     if head != header:
         raise error(f"expected header {header!r}, got {head!r}")
     fields = Fields(error)
-    for line in filter(str.strip, lines[1:]):
+    while lines:
+        line = lines.pop()
+        if not line or line.isspace():  # line.strip() would copy it
+            continue
         key, sep, value = line.partition(" = ")
         if not sep:
             raise error(f"malformed line: {line[:60]!r}")
@@ -127,24 +149,51 @@ def read_document(text: str, header: str,
 
 def format_document(header: str, fields: Iterable[Tuple[str, object]]) -> str:
     """The header line, then one `key = value` line per (key, value)."""
-    return "\n".join([header] + [f"{k} = {v}" for k, v in fields]) + "\n"
+    parts = [header, "\n"]
+    for key, value in fields:
+        parts += (key, " = ", str(value), "\n")
+    return "".join(parts)
+
+
+def _join(values: np.ndarray, fmt) -> str:
+    """The values, each formatted by fmt, joined by spaces; CHUNK values
+    are formatted and joined at a time."""
+    return " ".join([" ".join(map(fmt, values[i:i + CHUNK].tolist()))
+                     for i in range(0, len(values), CHUNK)])
 
 
 def format_floats(values) -> str:
-    return " ".join(map(repr, np.ravel(values).astype(float).tolist()))
+    return _join(np.ravel(values).astype(float, copy=False), repr)
 
 
 def format_ints(values) -> str:
-    return " ".join(map(str, np.ravel(values).tolist()))
+    return _join(np.ravel(values), str)
+
+
+def _pieces(value: str):
+    """value cut at spaces: each piece runs from the end of the last to
+    the first space at least PIECE characters on, or to the end."""
+    start = 0
+    while start < len(value):
+        end = value.find(" ", start + PIECE)
+        if end < 0:
+            end = len(value)
+        yield value[start:end]
+        start = end + 1
 
 
 def parse_floats(value: str) -> np.ndarray:
     # numpy applies float() to each token of the list
-    return np.array(value.split(), dtype=float)
+    parts = [np.array(piece.split(), dtype=float) for piece in _pieces(value)]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def parse_ints(value: str) -> np.ndarray:
-    return np.array(list(map(int, value.split())))
+    # one list of Python ints, so a label past int64 gives an object array
+    ints = []
+    for piece in _pieces(value):
+        ints += map(int, piece.split())
+    return np.array(ints)
 
 
 def _parse_bool(value: str) -> bool:

@@ -38,12 +38,15 @@ def test_artifact_digests_one_line_per_file(capsys):
         ["ablate.csv", "ablate_aborted.csv", "ablate_mixed.csv",
          "gradcheck.out", "wide_task.txt", "wide_source.txt",
          "wide_cdl.model.txt", "wide_cdl.report.txt",
-         "wide_cdl.report.txt.csv"]
+         "wide_cdl.report.txt.csv", "big_task.txt"]
     assert [ln.split("  ")[1] for ln in lines] == \
         [f"seed0/{name}" for name in names]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", ln) for ln in lines)
-    for line, spec in ((lines[0], data.DomainShiftSpec()),
-                       (lines[-5], data.DomainShiftSpec(
-                           num_classes=data.MAX_CLASSES))):
-        task = data.serialize_task(data.generate_task(spec, seed=0))
+    big = {"n_source": 20000, "n_unlabeled": 10000, "n_test": 10000}
+    for line, spec, counts in (
+            (lines[0], data.DomainShiftSpec(), {}),
+            (lines[-6], data.DomainShiftSpec(num_classes=data.MAX_CLASSES),
+             {}),
+            (lines[-1], data.DomainShiftSpec(), big)):
+        task = data.serialize_task(data.generate_task(spec, seed=0, **counts))
         assert line.split()[0] == hashlib.sha256(task.encode()).hexdigest()

@@ -80,3 +80,39 @@ def test_bench_step_ablate_row_compares_cell_reports(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("identical NO")
     assert not json.loads(lines[-1])["ablate"]["identical"]
+
+
+TINY_IO = {"n_source": 300, "n_unlabeled": 240, "n_test": 100}
+
+
+def test_bench_step_io_row_compares_files_and_arrays(monkeypatch, capsys):
+    # the io row runs only when named; an AFTER tree that writes another
+    # file, or reads back another array, is not identical on it
+    script = load_script()
+    monkeypatch.setattr(script, "IO_SIZES", TINY_IO)
+    assert script.main([SRC, SRC, "--methods", "io", "--epochs", "1",
+                        "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines[:-1]] == ["io"]
+    assert lines[0].endswith("identical yes")
+    result = json.loads(lines[-1])["io"]
+    assert result["identical"] and result["rounds"] == 2
+    assert result["before_cpu_s"] > 0 and result["after_cpu_s"] > 0
+
+    sides = {"before": script.load_package(SRC, "ssht_before"),
+             "after": script.load_package(SRC, "ssht_after")}
+    data = sides["after"].data
+    serialize_task, load_task = data.serialize_task, data.load_task
+    # a blank line: the file differs, every array read back is equal
+    monkeypatch.setattr(data, "serialize_task",
+                        lambda task: serialize_task(task) + "\n")
+    assert not script.run(sides, ["io"], 1, 1)["io"]["identical"]
+    monkeypatch.setattr(data, "serialize_task", serialize_task)
+    assert script.run(sides, ["io"], 1, 1)["io"]["identical"]
+
+    def shifted(path):
+        task = load_task(path)
+        task.test_x[0, 0] += 1.0
+        return task
+    monkeypatch.setattr(data, "load_task", shifted)
+    assert not script.run(sides, ["io"], 1, 1)["io"]["identical"]

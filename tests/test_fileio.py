@@ -5,8 +5,12 @@ import dataclasses
 import os
 import re
 import stat
+import subprocess
+import sys
+import tracemalloc
 from typing import Dict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,9 +123,40 @@ def test_corrupted_line_loads_or_raises_its_format_error(fmt, draw):
         pass
 
 
+# token counts around the codecs' chunk; each value spans several pieces
+CHUNK_COUNTS = [fileio.CHUNK - 1, fileio.CHUNK, fileio.CHUNK + 1,
+                3 * fileio.CHUNK + 7]
+SEPARATORS = [" ", " ", " ", "\t", " \t", "\t ", "   ", " \t  "]
+
+
+def _long_value(n, seed, bad=()):
+    """n float tokens of mixed lengths, joined by mixed runs of spaces
+    and tabs, with the tokens at the indices in bad replaced by "x<i>"."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    tokens = list(map(repr, values.tolist()))
+    tokens[::5] = ["1"] * len(tokens[::5])
+    for i in bad:
+        tokens[i] = f"x{i}"
+    seps = rng.choice(SEPARATORS, size=n)
+    return "".join(t + s for t, s in zip(tokens, seps)).rstrip(" ")
+
+
+BAD = (3 * fileio.CHUNK // 2, 5 * fileio.CHUNK // 2)
+LONG_VALUES = {f"{n} tokens": _long_value(n, n) for n in CHUNK_COUNTS}
+# the first bad token is in the second piece, the other in a later one
+LONG_VALUES["bad in second piece"] = _long_value(3 * fileio.CHUNK, 1, BAD)
+# the first cut falls on a tab, then on a run of spaces
+LONG_VALUES["tab at a cut"] = "1.5 " * (fileio.PIECE // 4) + "\t 2.5 \t" + \
+    "   -0.25" * fileio.CHUNK
+LONG_VALUES["runs of spaces"] = "0.5 " * (fileio.PIECE // 4 - 1) + "0.5" + \
+    " " * 9 + "\t1e-300  " + "7 " * fileio.PIECE
+
+
 @pytest.mark.parametrize("value", [
     "", "0.5 -0.0 5e-324 1.5e-310 1e400", "1_0 ١٢ Infinity +nan",
-    "1 0x10", "1__0", "nan(1)", "2.5 x"])
+    "1 0x10", "1__0", "nan(1)", "2.5 x",
+    *(pytest.param(v, id=k) for k, v in LONG_VALUES.items())])
 def test_parse_floats_reads_each_token_as_float_does(value):
     try:
         want = [float(t) for t in value.split()]
@@ -132,6 +167,118 @@ def test_parse_floats_reads_each_token_as_float_does(value):
     got = fileio.parse_floats(value)
     assert got.dtype == float and got.shape == (len(want),)
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("value", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_long_values_are_cut_at_spaces_into_bounded_pieces(value):
+    pieces = list(fileio._pieces(value))
+    assert " ".join(pieces) == value
+    assert len(pieces) > 1
+    # a piece ends at the first space PIECE characters on
+    longest = max(map(len, value.split(" ")))
+    assert all(fileio.PIECE <= len(p) <= fileio.PIECE + longest
+               for p in pieces[:-1])
+    if value is LONG_VALUES["bad in second piece"]:
+        assert [[f"x{i}" in p.split() for i in BAD] for p in pieces[:2]] == \
+            [[False, False], [True, False]]
+
+
+@pytest.mark.parametrize("n", CHUNK_COUNTS)
+def test_list_formats_equal_one_join_across_chunks(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+    assert fileio.format_floats(x) == " ".join(map(repr, x.ravel().tolist()))
+    y = rng.integers(-10 ** 12, 10 ** 12, size=n)
+    assert fileio.format_floats(y) == \
+        " ".join(map(repr, y.astype(float).tolist()))
+    assert fileio.format_ints(y) == " ".join(map(str, y.tolist()))
+    big = np.array([10 ** 19 + i for i in range(n)], dtype=object)
+    assert fileio.format_ints(big) == " ".join(map(str, big.tolist()))
+    assert fileio.parse_ints(fileio.format_ints(y)).tolist() == y.tolist()
+
+
+def test_parse_ints_keeps_a_label_past_int64_in_a_later_piece():
+    value = " ".join(["3"] * (3 * fileio.CHUNK)) + " 98765432109876543210"
+    small = fileio.parse_ints(value.rpartition(" ")[0])
+    assert small.dtype == np.int64
+    assert small.tolist() == [3] * (3 * fileio.CHUNK)
+    got = fileio.parse_ints(value)
+    assert got.dtype == object
+    assert got.tolist() == [3] * (3 * fileio.CHUNK) + [98765432109876543210]
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid literal for int() with base 10: 'x'")):
+        fileio.parse_ints(value + " x 5")
+
+
+def test_parse_consumes_the_field_it_converts():
+    kv = fileio.read_document("doc/1\na = 1 2\nb = 3\n", "doc/1",
+                              fileio.FormatError)
+    assert kv.parse("a", fileio.parse_ints).tolist() == [1, 2]
+    assert dict(kv) == {"b": "3"}
+    with pytest.raises(fileio.FormatError, match="missing field a"):
+        kv.parse("a", int)
+
+
+def _transient_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_task_codecs_hold_a_large_document_less_than_three_times(tmp_path):
+    # perfbench's artifact_io task: 1.6 MB of text
+    task = data.generate_task(data.DomainShiftSpec(), n_source=20_000,
+                              n_unlabeled=10_000, n_test=10_000, seed=0)
+    size = len(data.serialize_task(task))
+    path = str(tmp_path / "task.txt")
+    assert _transient_peak(data.save_task, task, path) <= 2.5 * size
+    assert _transient_peak(data.load_task, path) <= 3.0 * size
+
+
+# a task, a model whose meta holds non-ASCII text, and a report: each
+# written and read back, under an ASCII locale, with every open that
+# names no encoding an error
+_ROUND_TRIP = """
+import os, sys
+from ssht import data, fileio, network, pipeline, reports
+d = sys.argv[1]
+task = data.generate_task(data.DomainShiftSpec(), n_source=20, shots=1,
+                          n_unlabeled=80, n_test=8, seed=0)
+data.save_task(task, os.path.join(d, "task.txt"))
+assert data.serialize_task(data.load_task(os.path.join(d, "task.txt"))) \
+    == data.serialize_task(task)
+net = network.init_network(network.default_spec(), seed=0)
+net.meta["note"] = "caf\\u00e9 \\u2211"
+fileio.atomic_write_text(os.path.join(d, "model.txt"), network.serialize(net))
+loaded = network.deserialize(fileio.read_text(os.path.join(d, "model.txt")))
+assert loaded.meta == net.meta
+report = pipeline.RunReport(
+    config=pipeline.AdaptConfig(), model_fingerprint="0123456789abcdef",
+    records=[], final_accuracy=0.5, per_class_accuracy=[0.5, 0.5],
+    confusion=[[1, 1], [1, 1]], unlabeled_weak_passes=0,
+    unlabeled_strong_passes=0)
+reports.write_report(report, os.path.join(d, "report.txt"))
+assert reports.read_report(os.path.join(d, "report.txt")) == report
+"""
+
+
+def test_files_are_utf_8_whatever_the_locale(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-c", _ROUND_TRIP,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    model = (tmp_path / "model.txt").read_bytes()
+    assert "meta.note = caf\u00e9 \u2211\n".encode("utf-8") in model
 
 
 # ------------------------------------------------------------ settings codec
