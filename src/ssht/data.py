@@ -30,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fileio import (FormatError, atomic_write_text, format_document,
+from .fileio import (FormatError, atomic_write_text, finite, format_document,
                      format_floats, format_ints, format_settings, parse_floats,
                      parse_ints, parse_settings, read_document, read_text)
 
@@ -393,13 +393,11 @@ def deserialize_task(text: str) -> DomainTask:
         if count < 1:
             raise DataFormatError(f"split {name}: count must be >= 1, "
                                   f"got {count}")
-        flat = kv.parse(f"split.{name}.x", parse_floats)
+        flat = kv.parse(f"split.{name}.x", finite(parse_floats))
         y = kv.parse(f"split.{name}.{ykey}", parse_ints)
         if flat.size != count * spec.input_dim:
             raise DataFormatError(f"split {name}: {flat.size} values do not "
                                   f"fill {count} x {spec.input_dim}")
-        if not np.all(np.isfinite(flat)):
-            raise DataFormatError(f"split {name}: non-finite sample values")
         if y.size != count:
             raise DataFormatError(f"split {name}: {y.size} labels for "
                                   f"{count} samples")

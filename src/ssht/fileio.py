@@ -4,11 +4,17 @@ Every artifact (task, model, report) is a document: a version header
 line, then one `key = value` line per field; blank lines are skipped.
 A key appears at most once. Float lists are written with repr(), so a
 write -> read -> write round trip is byte identical; int lists with
-str(). Each artifact module passes its own FormatError subclass, so a
-bad document raises that format's error and nothing else. A settings
-dataclass is one `<prefix>.<field> = value` line per field, in field
-declaration order, each value in the format of its annotation (CODECS).
-Files are UTF-8 whatever the locale.
+str(). This module is the one place that turns a field's text into
+checked numbers: parse_floats and parse_ints read a list as a float64
+or an int64 array, each token as float() or int() reads it (an integer
+outside int64 is a ValueError), and the converter wrappers finite,
+count and fraction also reject a non-finite, a negative or an
+outside-[0, 1] number. Each artifact module passes its own FormatError
+subclass, and Fields.parse raises a converter's ValueError as that
+error, naming the field, so a bad document raises that format's error
+and nothing else. A settings dataclass is one `<prefix>.<field> =
+value` line per field, in field declaration order, each value in the
+format of its annotation (CODECS). Files are UTF-8 whatever the locale.
 
 The codecs hold a document about twice at their peak, not four times:
 a list is formatted CHUNK tokens and parsed PIECE characters at a time,
@@ -22,6 +28,7 @@ import errno
 import os
 import stat
 import tempfile
+from functools import partial
 from typing import Iterable, List, Optional, Tuple, Type
 
 import numpy as np
@@ -182,18 +189,42 @@ def _pieces(value: str):
         start = end + 1
 
 
+def _parse(value: str, dtype) -> np.ndarray:
+    """The tokens of value as one dtype array, parsed a piece at a time;
+    numpy applies float() or int() to each token."""
+    try:
+        parts = [np.array(p.split(), dtype=dtype) for p in _pieces(value)]
+    except OverflowError:  # an int() outside int64
+        raise ValueError("integers must lie within int64") from None
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
 def parse_floats(value: str) -> np.ndarray:
-    # numpy applies float() to each token of the list
-    parts = [np.array(piece.split(), dtype=float) for piece in _pieces(value)]
-    return np.concatenate(parts) if parts else np.empty(0)
+    return _parse(value, np.float64)
 
 
 def parse_ints(value: str) -> np.ndarray:
-    # one list of Python ints, so a label past int64 gives an object array
-    ints = []
-    for piece in _pieces(value):
-        ints += map(int, piece.split())
-    return np.array(ints)
+    return _parse(value, np.int64)
+
+
+def _checked(ok, what: str, parse):
+    """A converter: parse(value), raising ValueError, with the first
+    offending number, unless ok holds for every number it holds."""
+    def convert(value: str):
+        parsed = parse(value)
+        numbers = np.asarray(parsed).ravel()
+        good = ok(numbers)
+        if not good.all():
+            raise ValueError(f"{what}: {numbers[~good][0]}")
+        return parsed
+    return convert
+
+
+finite = partial(_checked, np.isfinite, "non-finite value")
+count = partial(_checked, lambda v: v >= 0, "negative count")
+# NaN fails the comparison too
+fraction = partial(_checked, lambda v: (v >= 0.0) & (v <= 1.0),
+                   "fraction outside [0, 1]")
 
 
 def _parse_bool(value: str) -> bool:
@@ -212,7 +243,7 @@ CODECS = {
     List[int]: (lambda v: ",".join(map(str, v)),
                 lambda v: [int(t) for t in v.split(",")]),
     Tuple[float, ...]: (format_floats,
-                        lambda v: tuple(float(t) for t in v.split())),
+                        lambda v: tuple(parse_floats(v).tolist())),
 }
 
 

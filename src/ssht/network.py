@@ -40,9 +40,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import (CODECS, FormatError, format_document, format_floats,
-                     format_settings, parse_floats, parse_settings,
-                     read_document)
+from .fileio import (CODECS, FormatError, finite, format_document,
+                     format_floats, format_settings, parse_floats,
+                     parse_settings, read_document)
 
 MODEL_FORMAT = "ssht-model/1"
 
@@ -319,15 +319,13 @@ def deserialize(text: str) -> Network:
     params: List[np.ndarray] = []
     for i, want in enumerate(spec.param_shapes()):
         shape = tuple(kv.parse(f"param.{i}.shape", _parse_shape))
-        flat = kv.parse(f"param.{i}.data", parse_floats)
+        flat = kv.parse(f"param.{i}.data", finite(parse_floats))
         if shape != want:
             raise ModelFormatError(f"param {i} shape {shape} does not match "
                                    f"spec shape {want}")
         if flat.size != int(np.prod(shape)):
             raise ModelFormatError(f"param {i} has {flat.size} values, "
                                    f"shape {shape} needs {int(np.prod(shape))}")
-        if not np.all(np.isfinite(flat)):
-            raise ModelFormatError(f"param {i} has non-finite values")
         params.append(flat.reshape(shape))
 
     meta = {k[len("meta."):]: v for k, v in kv.items() if k.startswith("meta.")}

@@ -32,11 +32,10 @@ import dataclasses
 from functools import partial
 from typing import Optional
 
-import numpy as np
-
-from .fileio import (FormatError, atomic_write_text, format_document,
-                     format_floats, format_ints, format_settings, parse_floats,
-                     parse_ints, parse_settings, read_document, read_text)
+from .fileio import (FormatError, atomic_write_text, count, finite, fraction,
+                     format_document, format_floats, format_ints,
+                     format_settings, parse_floats, parse_ints, parse_settings,
+                     read_document, read_text)
 from .pipeline import AdaptConfig, EpochRecord, RunReport
 
 REPORT_FORMAT = "ssht-report/1"
@@ -89,26 +88,6 @@ def write_report(report: RunReport, path: str) -> None:
     atomic_write_text(path + CSV_SUFFIX, report_csv(report))
 
 
-def _checked(ok, what: str, parse):
-    """A converter: parse(value), raising ValueError, with the first
-    offending number, unless ok holds for every number it holds."""
-    def convert(value: str):
-        parsed = parse(value)
-        numbers = np.asarray(parsed).ravel()
-        bad = numbers[~ok(numbers)]
-        if bad.size:
-            raise ValueError(f"{what}, got {bad[0]}")
-        return parsed
-    return convert
-
-
-_finite = partial(_checked, np.isfinite, "values must be finite")
-_count = partial(_checked, lambda v: v >= 0, "counts must be non-negative")
-# NaN fails the comparison too
-_fraction = partial(_checked, lambda v: (v >= 0.0) & (v <= 1.0),
-                    "fractions must lie in [0, 1]")
-
-
 def _aborted_epoch(epochs: int, value: str) -> Optional[int]:
     """None, or the epoch after the report's epochs completed ones: the
     only epoch adapt can abort at."""
@@ -122,14 +101,14 @@ def _aborted_epoch(epochs: int, value: str) -> Optional[int]:
 
 
 def _parse_epoch(epoch: int, value: str) -> EpochRecord:
-    vals = _finite(parse_floats)(value).tolist()
+    vals = finite(parse_floats)(value).tolist()
     if len(vals) != len(_EPOCH_FIELDS):
         raise ValueError(f"{len(vals)} values, wants {len(_EPOCH_FIELDS)}")
     record = EpochRecord(epoch=epoch, **dict(zip(_EPOCH_FIELDS, vals)))
     for name in _EPOCH_FRACTIONS:
-        fraction = getattr(record, name)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
+        share = getattr(record, name)
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {share}")
     return record
 
 
@@ -139,8 +118,8 @@ def deserialize_report(text: str) -> RunReport:
     epochs = sum(key.startswith("epoch.") for key in kv)
     records = [kv.parse(f"epoch.{k}", partial(_parse_epoch, k))
                for k in range(1, epochs + 1)]
-    per_class = kv.parse("final.per_class", _fraction(parse_floats)).tolist()
-    flat = kv.parse("final.confusion", _count(parse_ints)).tolist()
+    per_class = kv.parse("final.per_class", fraction(parse_floats)).tolist()
+    flat = kv.parse("final.confusion", count(parse_ints)).tolist()
     c = len(per_class)
     if c == 0 or len(flat) != c * c:
         raise ReportFormatError("confusion matrix does not square with "
@@ -153,12 +132,12 @@ def deserialize_report(text: str) -> RunReport:
         config=cfg,
         model_fingerprint=kv["fingerprint"],
         records=records,
-        final_accuracy=kv.parse("final.accuracy", _fraction(float)),
+        final_accuracy=kv.parse("final.accuracy", fraction(float)),
         per_class_accuracy=per_class,
         confusion=[flat[i * c:(i + 1) * c] for i in range(c)],
-        unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", _count(int)),
+        unlabeled_weak_passes=kv.parse("passes.unlabeled_weak", count(int)),
         unlabeled_strong_passes=kv.parse("passes.unlabeled_strong",
-                                         _count(int)),
+                                         count(int)),
         aborted_epoch=aborted, abort_reason=kv.get("abort_reason"))
 
 

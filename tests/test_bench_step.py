@@ -32,6 +32,19 @@ def test_bench_step_one_epoch_tree_against_itself(capsys):
         assert r["before_cpu_s"] > 0 and r["after_cpu_s"] > 0
 
 
+def test_bench_step_eight_class_tree_against_itself(capsys):
+    script = load_script()
+    assert script.main([SRC, SRC, "--classes", "8", "--epochs", "1",
+                        "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = json.loads(lines[-1])
+    assert list(results) == sorted(list(pipeline.METHODS) + ["train_source"])
+    for r in results.values():
+        assert r["identical"] and r["rounds"] == 1
+        assert r["before_wall_s"] > 0 and r["after_wall_s"] > 0
+    assert all(ln.endswith("identical yes") for ln in lines[:-1])
+
+
 def test_bench_step_train_source_row_compares_model_texts(monkeypatch):
     # an AFTER tree whose source training writes another model document
     # is not identical on that row, and only there

@@ -452,7 +452,8 @@ def _with_split_value(text, key, value):
 def test_load_rejects_non_finite_samples(split, value):
     text = data.serialize_task(small_task(seed=24))
     bad = _with_split_value(text, f"split.{split}.x", value)
-    with pytest.raises(data.DataFormatError, match=f"split {split}"):
+    with pytest.raises(data.DataFormatError,
+                       match=rf"bad field split\.{split}\.x: non-finite"):
         data.deserialize_task(bad)
 
 

@@ -197,17 +197,54 @@ def test_list_formats_equal_one_join_across_chunks(n):
     assert fileio.parse_ints(fileio.format_ints(y)).tolist() == y.tolist()
 
 
-def test_parse_ints_keeps_a_label_past_int64_in_a_later_piece():
-    value = " ".join(["3"] * (3 * fileio.CHUNK)) + " 98765432109876543210"
-    small = fileio.parse_ints(value.rpartition(" ")[0])
-    assert small.dtype == np.int64
-    assert small.tolist() == [3] * (3 * fileio.CHUNK)
+# CHUNK tokens across int64, about 20 characters each: two pieces
+LONG_INTS = " \t".join(map(str, np.random.default_rng(0).integers(
+    -2 ** 63, 2 ** 63, size=fileio.CHUNK, dtype=np.int64).tolist()))
+
+
+def _int64(token):
+    """token as int() reads it, a ValueError naming int64 outside it."""
+    n = int(token)
+    if not -2 ** 63 <= n < 2 ** 63:
+        raise ValueError("int64")
+    return n
+
+
+@pytest.mark.parametrize("value", [
+    "", "0.5 -0.0 5e-324 1.5e-310 1e400", "1_0 ١٢ Infinity +nan",
+    "1 0x10", "1__0", "nan(1)", "2.5 x", "1_0 ١٢ +7 -0 007 \t 3",
+    "9223372036854775807 -9223372036854775808", "1 9223372036854775808",
+    "-9223372036854775809 x", "2 2 1 12345678901234567890",
+    pytest.param(LONG_INTS, id="int64 tokens over pieces"),
+    pytest.param(LONG_INTS + " 9223372036854775808", id="then one past"),
+    *(pytest.param(v, id=k) for k, v in LONG_VALUES.items())])
+def test_parse_ints_reads_each_token_as_int_does_inside_int64(value):
+    try:
+        want = [_int64(t) for t in value.split()]
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            fileio.parse_ints(value)
+        return
     got = fileio.parse_ints(value)
-    assert got.dtype == object
-    assert got.tolist() == [3] * (3 * fileio.CHUNK) + [98765432109876543210]
+    assert got.dtype == np.int64 and got.shape == (len(want),)
+    assert got.tolist() == want
+
+
+# 3 * CHUNK short tokens fit in one piece; PIECE of them do not
+@pytest.mark.parametrize("n", [3 * fileio.CHUNK, fileio.PIECE])
+def test_parse_ints_rejects_a_label_past_int64_in_a_later_piece(n):
+    small = " ".join(["3"] * n)
+    pieces = list(fileio._pieces(small + " 98765432109876543210"))
+    assert (len(pieces) > 1) == (n == fileio.PIECE)
+    got = fileio.parse_ints(small)
+    assert got.dtype == np.int64 and got.tolist() == [3] * n
+    for big in (98765432109876543210, 2 ** 63, 12345678901234567890,
+                2 ** 64 - 1, -2 ** 63 - 1):
+        with pytest.raises(ValueError, match="int64"):
+            fileio.parse_ints(f"{small} {big}")
     with pytest.raises(ValueError, match=re.escape(
             "invalid literal for int() with base 10: 'x'")):
-        fileio.parse_ints(value + " x 5")
+        fileio.parse_ints(small + " x 5")
 
 
 def test_parse_consumes_the_field_it_converts():

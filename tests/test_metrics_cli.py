@@ -192,6 +192,21 @@ def test_report_values_adapt_cannot_write_are_rejected(small_report, edit,
         reports.deserialize_report(broken)
 
 
+# a count between 2**63 and 2**64: beside int64 tokens, numpy once read
+# it, and so the whole list, as floats
+PAST_INT64 = "12345678901234567890"
+
+
+def test_report_confusion_count_past_int64_is_rejected(small_report,
+                                                       tmp_path):
+    path = tmp_path / "report.txt"
+    edit = _nth_value("final.confusion", 3, PAST_INT64)
+    path.write_text(edit(reports.serialize_report(small_report)))
+    with pytest.raises(reports.ReportFormatError,
+                       match=r"^bad field final\.confusion: .*int64"):
+        reports.read_report(str(path))
+
+
 def test_report_csv_shape_and_values(small_report):
     rows = list(csv.reader(reports.report_csv(small_report).splitlines()))
     assert rows[0] == list(reports.CSV_COLUMNS)
@@ -529,6 +544,24 @@ def test_cli_non_finite_task_sample_is_exit_1(cli_files, tmp_path, capsys):
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("key,token,words", [
+    ("split.test.y", PAST_INT64, "int64"),
+    ("split.test.x", "nan", "non-finite")])
+def test_cli_evaluate_bad_task_number_is_one_error_line(cli_files, tmp_path,
+                                                        capsys, key, token,
+                                                        words):
+    _, task_path, model_path = cli_files
+    bad_path = tmp_path / "bad_task.txt"
+    bad_path.write_text(_nth_value(key, 1, token)(read_text(task_path)))
+    rc = cli.main(["evaluate", "--model", model_path, "--data",
+                   str(bad_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: bad field {key}: ") and \
+        err.count("\n") == 1
+    assert words in err and "Traceback" not in err
 
 
 def _empty_split(text, split):

@@ -236,8 +236,11 @@ def test_adapt_rejects_a_nan_parameter_in_either_form_before_any_step(
     source.params[2][0, 0] = np.nan
     monkeypatch.setattr(pipeline, "step_gradient",
                         lambda *args: pytest.fail("a step ran"))
-    for model in (source, network.serialize(source)):
-        with pytest.raises(ValueError, match="param 2 has non-finite values"):
+    # a document's load names the field, as for any number it rejects
+    text = network.serialize(source)
+    for model, message in [(source, "param 2 has non-finite values"),
+                           (text, r"bad field param\.2\.data: non-finite")]:
+        with pytest.raises(ValueError, match=message):
             pipeline.adapt(model, task, short_config())
 
 
